@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotStepTwoError, StructureError
+from .reports import Report
 
 # Residual thresholds: algebraic axioms are checked in floating point, so
 # "exact" means below these.
@@ -146,7 +147,7 @@ class StratifiedAlgebra:
 
 
 @dataclass
-class AxiomCheck:
+class AxiomCheck(Report):
     name: str
     passed: bool
     residual: float
@@ -154,7 +155,7 @@ class AxiomCheck:
 
 
 @dataclass
-class ValidationReport:
+class ValidationReport(Report):
     checks: list[AxiomCheck] = field(default_factory=list)
 
     @property
@@ -162,18 +163,7 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
     def as_dict(self):
-        return {
-            "ok": self.ok,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "residual": c.residual,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
-        }
+        return {"ok": self.ok, **super().as_dict()}
 
     def __str__(self):
         lines = []
@@ -255,11 +245,10 @@ def validate(algebra: StratifiedAlgebra) -> ValidationReport:
 
 
 @dataclass
-class HTypeVerdict:
+class HTypeVerdict(Report):
     is_h_type: bool
     max_residual: float
     n_tested: int
-    j_matrices: dict
 
 
 def j_matrix(algebra: StratifiedAlgebra, z, v2_metric=None) -> np.ndarray:
@@ -313,11 +302,8 @@ def classify_h_type(algebra: StratifiedAlgebra, v2_metric=None, n_random=32,
         zs.append(frame2 @ coeff)  # unit under g2
 
     worst = 0.0
-    mats = {}
-    for idx, z in enumerate(zs):
+    for z in zs:
         J = j_matrix(algebra, z, v2_metric=g2)
-        if idx < d2:
-            mats[f"z_{idx + 1}"] = J
         P = J.T @ J
         res = max(
             float(np.max(np.abs(P @ P - P))),
@@ -328,7 +314,6 @@ def classify_h_type(algebra: StratifiedAlgebra, v2_metric=None, n_random=32,
         is_h_type=worst < PARTIAL_ISOMETRY_TOL,
         max_residual=worst,
         n_tested=len(zs),
-        j_matrices=mats,
     )
 
 

@@ -270,14 +270,6 @@ def x(j: int, k: int = 1) -> Var:
     return Var(j, k)
 
 
-def affine(coeffs: dict, constant: float = 0.0) -> ScalarField:
-    """sum c_{j,k} x_{j,k} + constant, coeffs keyed by (j, k)."""
-    parts = [Prod(Const(c), Var(j, k)) for (j, k), c in coeffs.items()]
-    if constant or not parts:
-        parts.append(Const(constant))
-    return parts[0] if len(parts) == 1 else Sum(*parts)
-
-
 def dilation_pullback(f: ScalarField, t: float) -> ScalarField:
     """e^{-tE} f = f o delta_{e^{-t}}; pullbacks compose by adding t."""
     if isinstance(f, Dilated):

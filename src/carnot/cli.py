@@ -24,7 +24,9 @@ import math
 import os
 import sys
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field as dataclass_field
 
 from . import __version__, algebra as algebra_mod, calculus, heat, inequalities, lsh
 from .errors import CarnotError, ConfigError
@@ -45,6 +47,156 @@ EXIT_STRUCTURAL = 3
 VERDICT_ERROR = "error"
 
 
+# -- check registry -------------------------------------------------------------
+
+
+@dataclass
+class _Context:
+    """What every check of one run shares."""
+
+    alg: object
+    fields: dict
+    batch: object
+    extra: dict
+    gate: dict  # z_threshold and abs_floor of the verdict rule
+
+
+@dataclass
+class _Kind:
+    """One check kind.
+
+    ``required`` and ``optional`` (key -> default) are the keys a check may
+    give besides "check", and "field" when ``needs_field``. ``types`` maps a
+    numeric key to the conversion its runner applies; validation only tries
+    it, so the config keeps the value as given. Defaults are applied when the
+    check runs, never written into the config. ``run(args, ctx)`` builds the
+    report dict. It looks carnot functions up on their module at call time,
+    so that tracing, which replaces module attributes, sees every call.
+    ``validate(check, config)`` returns an error message for a check that
+    its keys alone do not rule out. ``csv`` checks write their
+    ``t,value,stderr`` curve to the output directory.
+    """
+
+    run: Callable
+    required: tuple = ()
+    optional: dict = dataclass_field(default_factory=dict)
+    types: dict = dataclass_field(default_factory=dict)
+    needs_batch: bool = True
+    needs_field: bool = True
+    csv: bool = False
+    validate: Callable | None = None
+
+
+def _floats(values) -> list:
+    if isinstance(values, str):
+        raise TypeError("a list of numbers, not a string")
+    return [float(v) for v in values]
+
+
+def _tj_or_float(t):
+    return t if t == "tJ" else float(t)
+
+
+def _run_shc(a, cx):
+    t = inequalities.janson_time(a["p"], a["q"], a["c"]) if a["t"] == "tJ" else a["t"]
+    return inequalities.check_shc(
+        a["f"], cx.batch, a["p"], a["q"], t, a["c"], a["beta"],
+        exploratory=a["exploratory"], lsh_status=a["lsh_status"], **cx.gate,
+    ).as_dict()
+
+
+def _run_lsh(a, cx):
+    pts = lsh.grid_points(cx.alg, a["grid_n"], a["radius"],
+                          seed=cx.batch.seed if cx.batch else 0)
+    verdict = lsh.check_lsh(a["f"], pts, tol=a["tol"], algebra=cx.alg)
+    return {**verdict.as_dict(), "name": "lsh", "lsh_verdict": verdict.verdict,
+            "verdict": VERDICT_HOLDS if verdict.is_lsh_consistent else VERDICT_VIOLATED}
+
+
+def _run_tail(a, cx):
+    tail = heat.empirical_tail_profile(cx.batch)
+    return {**tail.as_dict(),
+            "verdict": VERDICT_HOLDS if tail.passed else VERDICT_VIOLATED}
+
+
+def _run_algebra_validate(a, cx):
+    rep = algebra_mod.validate(cx.alg)
+    return {**rep.as_dict(), "name": "algebra-validate",
+            "verdict": VERDICT_HOLDS if rep.ok else VERDICT_VIOLATED}
+
+
+def _p_at_most_q(chk, config):
+    p, q = float(chk["p"]), float(chk["q"])
+    if not (0 < p <= q):
+        return f"need 0 < p <= q, got p={p}, q={q}"
+    return None
+
+
+def _names_extra_batch(chk, config):
+    if chk["batch"] not in config["extra_batches"]:
+        return "needs 'batch' naming an extra batch"
+    return None
+
+
+_C_BETA = {"c": float, "beta": float}
+
+_CHECKS = {
+    "lsi": _Kind(
+        lambda a, cx: inequalities.check_lsi(
+            a["f"], cx.batch, a["c"], a["beta"], form=a["form"], **cx.gate,
+        ).as_dict(),
+        required=("c",), optional={"beta": 0.0, "form": "L1"}, types=_C_BETA),
+    "slsi": _Kind(
+        lambda a, cx: inequalities.check_slsi(
+            a["f"], cx.batch, a["c"], a["beta"], lsh_status=a["lsh_status"], **cx.gate,
+        ).as_dict(),
+        required=("c",), optional={"beta": 0.0}, types=_C_BETA),
+    "shc": _Kind(
+        _run_shc, required=("p", "q", "c"),
+        optional={"t": "tJ", "beta": 0.0, "exploratory": False},
+        types={**_C_BETA, "p": float, "q": float, "t": _tj_or_float, "exploratory": bool},
+        validate=_p_at_most_q),
+    "time-space": _Kind(
+        lambda a, cx: inequalities.check_time_space(a["f"], cx.batch, **cx.gate).as_dict()),
+    "chain": _Kind(
+        lambda a, cx: inequalities.check_lsi_implies_slsi_chain(
+            a["f"], cx.batch, lsh_status=a["lsh_status"], **cx.gate,
+        ).as_dict()),
+    "alpha-sweep": _Kind(
+        lambda a, cx: inequalities.sweep_alpha(
+            a["f"], cx.batch, a["c"], a["beta"], a["q"], ts=a["grid"],
+            lsh_status=a["lsh_status"], **cx.gate,
+        ).as_dict(),
+        required=("q", "c"), optional={"beta": 0.0, "grid": None},
+        types={**_C_BETA, "q": float, "grid": _floats}, csv=True),
+    "contractivity": _Kind(
+        lambda a, cx: inequalities.check_l1_contractivity(
+            a["f"], cx.batch, ts=a["grid"], lsh_status=a["lsh_status"], **cx.gate,
+        ).as_dict(),
+        optional={"grid": None}, types={"grid": _floats}, csv=True),
+    "inverse-symmetry": _Kind(
+        lambda a, cx: heat.empirical_check_inverse_symmetry(
+            cx.batch, z_threshold=cx.gate["z_threshold"]).as_dict(),
+        needs_field=False),
+    "scaling": _Kind(
+        lambda a, cx: heat.empirical_check_scaling(
+            cx.batch, a["lambda"], cx.extra[a["batch"]],
+            z_threshold=cx.gate["z_threshold"]).as_dict(),
+        required=("lambda", "batch"), types={"lambda": float}, needs_field=False,
+        validate=_names_extra_batch),
+    "tail": _Kind(_run_tail, needs_field=False),
+    "algebra-validate": _Kind(_run_algebra_validate, needs_batch=False,
+                              needs_field=False),
+    "h-type": _Kind(
+        lambda a, cx: {**algebra_mod.classify_h_type(cx.alg).as_dict(),
+                       "name": "h-type", "verdict": VERDICT_HOLDS},
+        needs_batch=False, needs_field=False),
+    "lsh": _Kind(
+        _run_lsh, optional={"points": "grid", "grid_n": 1000, "radius": 3.0, "tol": 1e-9},
+        types={"grid_n": int, "radius": float, "tol": float}, needs_batch=False),
+}
+
+
 # -- config validation ----------------------------------------------------------
 
 _TOP_KEYS = {"name", "algebra", "fields", "heat", "extra_batches", "checks",
@@ -52,27 +204,29 @@ _TOP_KEYS = {"name", "algebra", "fields", "heat", "extra_batches", "checks",
 _HEAT_KEYS = {"s", "n", "steps", "seed", "tilt"}
 _FIELD_KEYS = {"expr", "params", "library"}
 _THRESHOLD_KEYS = {"z", "abs_floor"}
-_CHECK_KEYS = {
-    "lsi": {"field", "c", "beta", "form"},
-    "slsi": {"field", "c", "beta"},
-    "shc": {"field", "p", "q", "t", "c", "beta", "exploratory"},
-    "time-space": {"field"},
-    "chain": {"field"},
-    "alpha-sweep": {"field", "q", "c", "beta", "grid"},
-    "contractivity": {"field", "grid"},
-    "inverse-symmetry": set(),
-    "scaling": {"lambda", "batch"},
-    "tail": set(),
-    "algebra-validate": set(),
-    "h-type": set(),
-    "lsh": {"field", "points", "grid_n", "radius", "tol"},
-}
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str):
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+
+
+def _converted(conv, value, where: str, key: str):
+    try:
+        return conv(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: {key!r} must be numeric, got {value!r}") from None
+
+
+def _batch_config(bc: dict, where: str) -> dict:
+    for key in ("s", "n", "seed"):
+        if key not in bc:
+            raise ConfigError(f"{where} needs {key!r}")
+    return {"s": _converted(float, bc["s"], where, "s"),
+            "n": _converted(int, bc["n"], where, "n"),
+            "steps": _converted(int, bc.get("steps", 512), where, "steps"),
+            "seed": _converted(int, bc["seed"], where, "seed")}
 
 
 def validate_config(config: dict) -> dict:
@@ -98,6 +252,8 @@ def validate_config(config: dict) -> dict:
     }
     if "thresholds" in config:
         _reject_unknown(config["thresholds"], _THRESHOLD_KEYS, "thresholds")
+        for key, value in config["thresholds"].items():
+            _converted(float, value, "thresholds", key)
         out["thresholds"].update(config["thresholds"])
     for name, fd in (config.get("fields") or {}).items():
         _reject_unknown(fd, _FIELD_KEYS, f"fields.{name}")
@@ -106,44 +262,37 @@ def validate_config(config: dict) -> dict:
         out["fields"][name] = dict(fd)
     if "heat" in config and config["heat"] is not None:
         _reject_unknown(config["heat"], _HEAT_KEYS, "heat")
-        hc = {"s": float(config["heat"]["s"]), "n": int(config["heat"]["n"]),
-              "steps": int(config["heat"].get("steps", 512)),
-              "seed": int(config["heat"]["seed"])}
+        hc = _batch_config(config["heat"], "heat")
         if config["heat"].get("tilt") is not None:
-            hc["tilt"] = [float(v) for v in config["heat"]["tilt"]]
+            hc["tilt"] = _converted(_floats, config["heat"]["tilt"], "heat", "tilt")
         out["heat"] = hc
     for name, bc in (config.get("extra_batches") or {}).items():
-        _reject_unknown(bc, _HEAT_KEYS - {"tilt"}, f"extra_batches.{name}")
-        out["extra_batches"][name] = {
-            "s": float(bc["s"]), "n": int(bc["n"]),
-            "steps": int(bc.get("steps", 512)), "seed": int(bc["seed"]),
-        }
+        where = f"extra_batches.{name}"
+        _reject_unknown(bc, _HEAT_KEYS - {"tilt"}, where)
+        out["extra_batches"][name] = _batch_config(bc, where)
 
-    needs_batch = {"lsi", "slsi", "shc", "time-space", "chain", "alpha-sweep",
-                   "contractivity", "inverse-symmetry", "scaling", "tail"}
     for i, chk in enumerate(config["checks"]):
         if "check" not in chk:
             raise ConfigError(f"checks[{i}] needs a 'check' kind")
-        kind = chk["check"]
-        if kind not in _CHECK_KEYS:
-            raise ConfigError(f"checks[{i}]: unknown check kind {kind!r}")
-        _reject_unknown({k: v for k, v in chk.items() if k != "check"},
-                        _CHECK_KEYS[kind], f"checks[{i}] ({kind})")
-        if kind in needs_batch and out["heat"] is None:
-            raise ConfigError(f"checks[{i}] ({kind}) needs a 'heat' section")
-        if kind == "shc":
-            p, q = float(chk["p"]), float(chk["q"])
-            if not (0 < p <= q):
-                raise ConfigError(f"checks[{i}]: need 0 < p <= q, got p={p}, q={q}")
-        if kind == "scaling":
-            if chk.get("batch") not in out["extra_batches"]:
-                raise ConfigError(
-                    f"checks[{i}]: scaling needs 'batch' naming an extra batch"
-                )
-        field_kinds = {"lsi", "slsi", "shc", "time-space", "chain",
-                       "alpha-sweep", "contractivity", "lsh"}
-        if kind in field_kinds and chk.get("field") not in out["fields"]:
-            raise ConfigError(f"checks[{i}] ({kind}) needs 'field' naming a config field")
+        kind = _CHECKS.get(chk["check"])
+        if kind is None:
+            raise ConfigError(f"checks[{i}]: unknown check kind {chk['check']!r}")
+        where = f"checks[{i}] ({chk['check']})"
+        allowed = {*kind.required, *kind.optional} | ({"field"} if kind.needs_field else set())
+        _reject_unknown({k: v for k, v in chk.items() if k != "check"}, allowed, where)
+        for key in kind.required:
+            if key not in chk:
+                raise ConfigError(f"{where} needs {key!r}")
+        for key, conv in kind.types.items():
+            if key in chk:
+                _converted(conv, chk[key], where, key)
+        if kind.needs_batch and out["heat"] is None:
+            raise ConfigError(f"{where} needs a 'heat' section")
+        if kind.needs_field and chk.get("field") not in out["fields"]:
+            raise ConfigError(f"{where} needs 'field' naming a config field")
+        problem = kind.validate(chk, out) if kind.validate else None
+        if problem:
+            raise ConfigError(f"{where}: {problem}")
         out["checks"].append(dict(chk))
     return out
 
@@ -165,96 +314,16 @@ def _config_hash(config: dict) -> str:
 # -- runner ----------------------------------------------------------------------
 
 
-def _run_one_check(chk, alg, fields, batch, extra, thresholds, force_exploratory):
-    kind = chk["check"]
-    z = thresholds["z"]
-    floor = thresholds["abs_floor"]
-
-    def field_of(entry):
-        return fields[entry["field"]]
-
-    if kind == "algebra-validate":
-        rep = algebra_mod.validate(alg).as_dict()
-        rep["name"] = "algebra-validate"
-        rep["verdict"] = VERDICT_HOLDS if rep["ok"] else VERDICT_VIOLATED
-    elif kind == "h-type":
-        v = algebra_mod.classify_h_type(alg)
-        rep = {"name": "h-type", "is_h_type": v.is_h_type,
-               "max_residual": v.max_residual, "n_tested": v.n_tested,
-               "verdict": VERDICT_HOLDS}
-    elif kind == "lsh":
-        f, _status = field_of(chk)
-        pts = lsh.grid_points(alg, int(chk.get("grid_n", 1000)),
-                              float(chk.get("radius", 3.0)),
-                              seed=batch.seed if batch else 0)
-        verdict = lsh.check_lsh(f, pts, tol=float(chk.get("tol", 1e-9)), algebra=alg)
-        rep = verdict.as_dict()
-        rep["name"] = "lsh"
-        rep["verdict"] = (
-            VERDICT_HOLDS if verdict.verdict == lsh.LSH_CONSISTENT else VERDICT_VIOLATED
-        )
-        rep["lsh_verdict"] = verdict.verdict
-    elif kind == "inverse-symmetry":
-        rep = heat.empirical_check_inverse_symmetry(batch, z_threshold=z).as_dict()
-    elif kind == "scaling":
-        rep = heat.empirical_check_scaling(
-            batch, float(chk["lambda"]), extra[chk["batch"]], z_threshold=z
-        ).as_dict()
-    elif kind == "tail":
-        tail = heat.empirical_tail_profile(batch)
-        rep = tail.as_dict()
-        rep["verdict"] = VERDICT_HOLDS if tail.passed else VERDICT_VIOLATED
-    elif kind == "lsi":
-        f, _status = field_of(chk)
-        rep = inequalities.check_lsi(
-            f, batch, float(chk["c"]), float(chk.get("beta", 0.0)),
-            form=chk.get("form", "L1"), z_threshold=z, abs_floor=floor,
-        ).as_dict()
-    elif kind == "slsi":
-        f, status = field_of(chk)
-        rep = inequalities.check_slsi(
-            f, batch, float(chk["c"]), float(chk.get("beta", 0.0)),
-            lsh_status=status, z_threshold=z, abs_floor=floor,
-        ).as_dict()
-    elif kind == "time-space":
-        f, _status = field_of(chk)
-        rep = inequalities.check_time_space(
-            f, batch, z_threshold=z, abs_floor=floor
-        ).as_dict()
-    elif kind == "chain":
-        f, status = field_of(chk)
-        rep = inequalities.check_lsi_implies_slsi_chain(
-            f, batch, lsh_status=status, z_threshold=z, abs_floor=floor
-        ).as_dict()
-    elif kind == "shc":
-        f, status = field_of(chk)
-        p, q, c = float(chk["p"]), float(chk["q"]), float(chk["c"])
-        t = chk.get("t", "tJ")
-        t = inequalities.janson_time(p, q, c) if t == "tJ" else float(t)
-        rep = inequalities.check_shc(
-            f, batch, p, q, t, c, float(chk.get("beta", 0.0)),
-            exploratory=bool(chk.get("exploratory", False)),
-            lsh_status=status, z_threshold=z, abs_floor=floor,
-        ).as_dict()
-    elif kind == "alpha-sweep":
-        f, status = field_of(chk)
-        rep = inequalities.sweep_alpha(
-            f, batch, float(chk["c"]), float(chk.get("beta", 0.0)),
-            float(chk["q"]), ts=chk.get("grid"), lsh_status=status,
-            z_threshold=z, abs_floor=floor,
-        ).as_dict()
-    elif kind == "contractivity":
-        f, status = field_of(chk)
-        rep = inequalities.check_l1_contractivity(
-            f, batch, ts=chk.get("grid"), lsh_status=status,
-            z_threshold=z, abs_floor=floor,
-        ).as_dict()
-    else:  # pragma: no cover - kinds validated upfront
-        raise ConfigError(f"unhandled check kind {kind!r}")
-
+def _run_one_check(chk, cx: _Context, force_exploratory):
+    kind = _CHECKS[chk["check"]]
+    args = {**kind.optional,
+            **{k: kind.types[k](v) if k in kind.types else v for k, v in chk.items()}}
+    if kind.needs_field:
+        args["f"], args["lsh_status"] = cx.fields[chk["field"]]
+    rep = kind.run(args, cx)
     if force_exploratory:
         rep["mode"] = MODE_EXPLORATORY
-    rep["check"] = kind
+    rep["check"] = chk["check"]
     return rep
 
 
@@ -278,6 +347,9 @@ def run(config: dict) -> dict:
     for name, bc in config["extra_batches"].items():
         extra[name] = heat.sample(alg, bc["s"], bc["n"], bc["steps"], bc["seed"])
 
+    thresholds = config["thresholds"]
+    cx = _Context(alg, fields, batch, extra, {"z_threshold": thresholds["z"],
+                                              "abs_floor": thresholds["abs_floor"]})
     n_workers = max(1, int(os.environ.get("CARNOT_THREADS", "1")))
     tasks = list(enumerate(config["checks"]))
 
@@ -285,8 +357,7 @@ def run(config: dict) -> dict:
         idx, chk = item
         t0 = time.time()
         try:
-            rep = _run_one_check(chk, alg, fields, batch, extra,
-                                 config["thresholds"], config["exploratory"])
+            rep = _run_one_check(chk, cx, config["exploratory"])
         except CarnotError as exc:
             # a failing check must not take down the rest of the run
             rep = {"check": chk["check"], "name": chk["check"],
@@ -347,7 +418,7 @@ def _write_outputs(manifest: dict, config: dict):
     with open(os.path.join(outdir, "manifest.json"), "w") as fh:
         fh.write(json.dumps(manifest, sort_keys=True, indent=2))
     for i, rep in enumerate(manifest["reports"]):
-        if rep.get("check") in ("alpha-sweep", "contractivity"):
+        if _CHECKS[rep["check"]].csv and rep["verdict"] != VERDICT_ERROR:
             path = os.path.join(outdir, f"{rep['check']}-{i}.csv")
             with open(path, "w", newline="") as fh:
                 writer = csv.writer(fh)
@@ -474,15 +545,15 @@ def _emit(obj, args) -> None:
         print(text)
 
 
+def _grid_from_arg(grid: str) -> list:
+    return [float(v) for v in grid.split(",")]
+
+
 def _heat_config_from_args(args):
     hc = {"s": args.s, "n": args.n, "steps": args.steps, "seed": args.seed}
     if getattr(args, "tilt", None):
         hc["tilt"] = [float(v) for v in args.tilt.split(",")]
     return hc
-
-
-def _exit_code_of(manifest: dict) -> int:
-    return manifest["exit_code"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -512,10 +583,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--out", required=True, help="CSV output path")
 
     p_check = sub.add_parser("check", help="run one check")
-    p_check.add_argument(
-        "kind",
-        choices=["lsi", "slsi", "shc", "time-space", "chain", "contractivity", "lsh"],
-    )
+    # alpha-sweep has its own subcommand, ``sweep alpha``
+    p_check.add_argument("kind", choices=[k for k, kind in _CHECKS.items()
+                                          if kind.needs_field and k != "alpha-sweep"])
     p_check.add_argument("--algebra", required=True)
     p_check.add_argument("--field", required=True,
                          help="prefix expression or @library-name")
@@ -576,8 +646,7 @@ def _cmd_algebra(args) -> int:
         _emit(rep.as_dict(), args)
         return EXIT_OK if rep.ok else EXIT_VIOLATED
     v = algebra_mod.classify_h_type(alg)
-    _emit({"is_h_type": v.is_h_type, "max_residual": v.max_residual,
-           "n_tested": v.n_tested}, args)
+    _emit(v.as_dict(), args)
     return EXIT_OK
 
 
@@ -606,22 +675,17 @@ def _cmd_check(args) -> int:
         "checks": [],
     }
     chk = {"check": args.kind, "field": "f"}
-    if args.kind == "lsi":
-        chk.update(c=args.c, beta=args.beta, form=args.form)
-    elif args.kind == "slsi":
-        chk.update(c=args.c, beta=args.beta)
-    elif args.kind == "shc":
-        t = args.t if args.t == "tJ" else float(args.t)
-        chk.update(p=args.p, q=args.q, t=t, c=args.c, beta=args.beta,
-                   exploratory=args.exploratory)
-    elif args.kind == "contractivity" and args.grid:
-        chk["grid"] = [float(v) for v in args.grid.split(",")]
-    elif args.kind == "lsh":
-        chk.update(points=args.points, grid_n=args.grid_n, radius=args.radius,
-                   tol=args.tol)
+    kind = _CHECKS[args.kind]
+    for key in (*kind.required, *kind.optional):
+        value = getattr(args, key)
+        if key == "grid":
+            if not value:
+                continue
+            value = _grid_from_arg(value)
+        chk[key] = value
     manifest = run({**config, "checks": [chk]})
     _emit(manifest["reports"][0], args)
-    return _exit_code_of(manifest)
+    return manifest["exit_code"]
 
 
 def _cmd_sweep_alpha(args) -> int:
@@ -632,12 +696,12 @@ def _cmd_sweep_alpha(args) -> int:
         "checks": [{
             "check": "alpha-sweep", "field": "f", "q": args.q, "c": args.c,
             "beta": args.beta,
-            **({"grid": [float(v) for v in args.grid.split(",")]} if args.grid else {}),
+            **({"grid": _grid_from_arg(args.grid)} if args.grid else {}),
         }],
     }
     manifest = run(config)
     _emit(manifest["reports"][0], args)
-    return _exit_code_of(manifest)
+    return manifest["exit_code"]
 
 
 def _cmd_run(args) -> int:
@@ -647,7 +711,7 @@ def _cmd_run(args) -> int:
         config["output"] = {"dir": args.out_dir}
     manifest = run(config)
     print(json.dumps(manifest, sort_keys=True, indent=2))
-    return _exit_code_of(manifest)
+    return manifest["exit_code"]
 
 
 def _cmd_preset(args) -> int:
@@ -662,7 +726,7 @@ def _cmd_preset(args) -> int:
             config["output"] = {"dir": args.out_dir}
         manifest = run(config)
         print(json.dumps(manifest, sort_keys=True, indent=2))
-        return _exit_code_of(manifest)
+        return manifest["exit_code"]
     print(json.dumps(config, sort_keys=True, indent=2))
     return EXIT_OK
 
@@ -685,6 +749,10 @@ def main(argv=None) -> int:
         raise ConfigError(f"unknown command {args.command!r}")
     except (CarnotError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_STRUCTURAL
+    except Exception as exc:  # a crash must not exit 1, which reads as "violated"
+        msg = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"error: {msg}", file=sys.stderr)
         return EXIT_STRUCTURAL
 
 

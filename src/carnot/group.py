@@ -90,10 +90,6 @@ class BCHTable:
     algebra: StratifiedAlgebra
     terms: list
 
-    @property
-    def max_degree(self) -> int:
-        return self.algebra.step
-
 
 @lru_cache(maxsize=None)
 def bch_table(algebra: StratifiedAlgebra) -> BCHTable:

@@ -106,6 +106,39 @@ def _validate_params(s, n_samples, n_steps):
         raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
 
 
+def _increments(algebra: StratifiedAlgebra, s: float, n_samples: int,
+                n_steps: int, seed: int, shift=None):
+    """First-layer walk increments chunk by chunk: yields (lo, hi, inc).
+
+    inc is (hi - lo, n_steps, d1), sigma times the per-path normals of paths
+    lo..hi-1, plus ``shift`` when given.
+    """
+    d1 = algebra.dim_v1
+    sigma = math.sqrt(s / n_steps / 2.0)
+    chunk = max(256, _CHUNK_BUDGET // max(1, n_steps * d1))
+    bitgen = np.random.Philox(key=[seed, 0])
+    for lo in range(0, n_samples, chunk):
+        hi = min(lo + chunk, n_samples)
+        inc = np.empty((hi - lo, n_steps, d1))
+        for i in range(hi - lo):
+            inc[i] = _path_normals(bitgen, seed, lo + i, (n_steps, d1))
+        inc *= sigma
+        if shift is not None:
+            inc += shift
+        yield lo, hi, inc
+
+
+def _walk(algebra: StratifiedAlgebra, inc: np.ndarray) -> np.ndarray:
+    """Endpoints X_k = X_{k-1} exp(inc_k . xi) of walks from e, for (m, k, d1) inc."""
+    m, n_steps, d1 = inc.shape
+    X = np.zeros((m, algebra.dim))
+    step = np.zeros((m, algebra.dim))
+    for k in range(n_steps):
+        step[:, :d1] = inc[:, k, :]
+        X = multiply_batch(algebra, X, step)
+    return X
+
+
 def sample(algebra: StratifiedAlgebra, s: float, n_samples: int,
            n_steps: int = 512, seed: int = 0, tilt=None) -> HeatSampleBatch:
     """Draw n_samples from rho_s dm with a n_steps-step horizontal walk."""
@@ -115,34 +148,15 @@ def sample(algebra: StratifiedAlgebra, s: float, n_samples: int,
         tilt = np.asarray(tilt, dtype=float)
         if tilt.shape != (d1,):
             raise ParameterError(f"tilt must have shape ({d1},), got {tilt.shape}")
+    shift = None if tilt is None else tilt * (s / n_steps / 2.0)
 
-    h = s / n_steps
-    sigma = math.sqrt(h / 2.0)
-    shift = None if tilt is None else tilt * (h / 2.0)
-
-    out = np.empty((n_samples, algebra.dim))
-    chunk = max(256, _CHUNK_BUDGET // max(1, n_steps * d1))
-    bitgen = np.random.Philox(key=[seed, 0])
-    for lo in range(0, n_samples, chunk):
-        hi = min(lo + chunk, n_samples)
-        m = hi - lo
-        Z = np.empty((m, n_steps, d1))
-        for i in range(m):
-            Z[i] = _path_normals(bitgen, seed, lo + i, (n_steps, d1))
-        inc = sigma * Z
-        if shift is not None:
-            inc += shift
-        if not algebra.sparse:
-            # abelian: the walk is a plain sum of increments
-            X = np.zeros((m, algebra.dim))
-            X[:, :d1] = inc.sum(axis=1)
+    out = np.zeros((n_samples, algebra.dim))
+    for lo, hi, inc in _increments(algebra, s, n_samples, n_steps, seed, shift):
+        if algebra.sparse:
+            out[lo:hi] = _walk(algebra, inc)
         else:
-            X = np.zeros((m, algebra.dim))
-            step = np.zeros((m, algebra.dim))
-            for k in range(n_steps):
-                step[:, :d1] = inc[:, k, :]
-                X = multiply_batch(algebra, X, step)
-        out[lo:hi] = X
+            # abelian: the walk is a plain sum of increments
+            out[lo:hi, :d1] = inc.sum(axis=1)
 
     log_w = None
     if tilt is not None:
@@ -169,30 +183,13 @@ def coupled_refinement(algebra: StratifiedAlgebra, s: float, n_samples: int,
         if finest % k:
             raise ParameterError(f"{k} does not divide finest step count {finest}")
     d1 = algebra.dim_v1
-    h_f = s / finest
-    sigma_f = math.sqrt(h_f / 2.0)
-
     batches = {
         k: np.empty((n_samples, algebra.dim)) for k in steps_list
     }
-    chunk = max(256, _CHUNK_BUDGET // max(1, finest * d1))
-    bitgen = np.random.Philox(key=[seed, 0])
-    for lo in range(0, n_samples, chunk):
-        hi = min(lo + chunk, n_samples)
-        m = hi - lo
-        Z = np.empty((m, finest, d1))
-        for i in range(m):
-            Z[i] = _path_normals(bitgen, seed, lo + i, (finest, d1))
-        fine_inc = sigma_f * Z
+    for lo, hi, fine_inc in _increments(algebra, s, n_samples, finest, seed):
         for k in steps_list:
-            group = finest // k
-            inc = fine_inc.reshape(m, k, group, d1).sum(axis=2)
-            X = np.zeros((m, algebra.dim))
-            step = np.zeros((m, algebra.dim))
-            for j in range(k):
-                step[:, :d1] = inc[:, j, :]
-                X = multiply_batch(algebra, X, step)
-            batches[k][lo:hi] = X
+            inc = fine_inc.reshape(hi - lo, k, finest // k, d1).sum(axis=2)
+            batches[k][lo:hi] = _walk(algebra, inc)
 
     return {
         k: HeatSampleBatch(algebra=algebra, s=float(s), n_samples=n_samples,

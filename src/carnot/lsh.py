@@ -32,6 +32,7 @@ from .calculus import (
 )
 from .errors import DomainError, ParameterError
 from .group import GroupElement
+from .reports import Report
 
 LSH_CONSISTENT = "LSH-consistent"
 LSH_VIOLATED = "violated"
@@ -41,7 +42,7 @@ DEFAULT_TOL = 1e-9
 
 
 @dataclass
-class LshVerdict:
+class LshVerdict(Report):
     verdict: str
     min_delta_log: float
     worst_point: np.ndarray | None
@@ -54,18 +55,6 @@ class LshVerdict:
     @property
     def is_lsh_consistent(self) -> bool:
         return self.verdict == LSH_CONSISTENT
-
-    def as_dict(self):
-        return {
-            "verdict": self.verdict,
-            "min_delta_log": self.min_delta_log,
-            "worst_point": None if self.worst_point is None else list(map(float, self.worst_point)),
-            "tolerance": self.tolerance,
-            "min_lemma_margin": self.min_lemma_margin,
-            "routes_agree": self.routes_agree,
-            "n_points": self.n_points,
-            "detail": self.detail,
-        }
 
 
 def _as_points(points, algebra: StratifiedAlgebra | None):

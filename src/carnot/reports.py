@@ -15,7 +15,7 @@ trustworthy at the given sample size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -55,8 +55,28 @@ def heavy_tail_fraction(contributions) -> float:
     return float(top.sum()) / total
 
 
+class Report:
+    """Base of the result dataclasses; ``as_dict`` is derived from the fields."""
+
+    def as_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+
+def _plain(value):
+    """JSON-ready copy: ndarrays become float lists, nested reports dicts."""
+    if isinstance(value, np.ndarray):
+        return np.asarray(value, dtype=float).tolist()
+    if isinstance(value, Report):
+        return value.as_dict()
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value
+
+
 @dataclass
-class FunctionalEstimate:
+class FunctionalEstimate(Report):
     """A Monte Carlo estimate of one integral functional against rho_s dm."""
 
     functional: str
@@ -65,18 +85,9 @@ class FunctionalEstimate:
     n: int
     params: dict = field(default_factory=dict)
 
-    def as_dict(self):
-        return {
-            "functional": self.functional,
-            "value": self.value,
-            "stderr": self.stderr,
-            "n": self.n,
-            "params": dict(self.params),
-        }
-
 
 @dataclass
-class CheckReport:
+class CheckReport(Report):
     """Outcome of one inequality / equality check on a common sample batch."""
 
     name: str
@@ -110,25 +121,9 @@ class CheckReport:
             params=dict(params or {}), notes=notes, details=dict(details or {}),
         )
 
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "stderr": self.stderr,
-            "z": self.z,
-            "verdict": self.verdict,
-            "two_sided": self.two_sided,
-            "mode": self.mode,
-            "params": dict(self.params),
-            "notes": list(self.notes),
-            "details": dict(self.details),
-        }
-
 
 @dataclass
-class TwoSampleReport:
+class TwoSampleReport(Report):
     """Distributional comparison: per-moment z-scores + an energy statistic."""
 
     name: str
@@ -140,21 +135,9 @@ class TwoSampleReport:
     n: int
     params: dict = field(default_factory=dict)
 
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "moment_z": {k: v for k, v in self.moment_z.items()},
-            "energy_z": self.energy_z,
-            "max_abs_z": self.max_abs_z,
-            "z_threshold": self.z_threshold,
-            "verdict": self.verdict,
-            "n": self.n,
-            "params": dict(self.params),
-        }
-
 
 @dataclass
-class TailReport:
+class TailReport(Report):
     """Quasi-norm tail shape: quadratic vs linear log-survival fit."""
 
     name: str
@@ -170,25 +153,9 @@ class TailReport:
     n: int
     params: dict = field(default_factory=dict)
 
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "grid_r": list(map(float, self.grid_r)),
-            "log_survival": list(map(float, self.log_survival)),
-            "slope_quadratic": self.slope_quadratic,
-            "slope_linear": self.slope_linear,
-            "aic_quadratic": self.aic_quadratic,
-            "aic_linear": self.aic_linear,
-            "quadratic_dominates": self.quadratic_dominates,
-            "slope_negative": self.slope_negative,
-            "passed": self.passed,
-            "n": self.n,
-            "params": dict(self.params),
-        }
-
 
 @dataclass
-class SweepReport:
+class SweepReport(Report):
     """A curve of estimates over a t-grid with a monotonicity verdict."""
 
     name: str
@@ -202,18 +169,3 @@ class SweepReport:
     mode: str = MODE_VERIFIED
     params: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
-
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "ts": list(map(float, self.ts)),
-            "values": list(map(float, self.values)),
-            "stderrs": list(map(float, self.stderrs)),
-            "diff_stderrs": list(map(float, self.diff_stderrs)),
-            "monotone_nonincreasing": self.monotone_nonincreasing,
-            "monotone_nondecreasing": self.monotone_nondecreasing,
-            "verdict": self.verdict,
-            "mode": self.mode,
-            "params": dict(self.params),
-            "notes": list(self.notes),
-        }

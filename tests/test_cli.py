@@ -62,6 +62,63 @@ def test_missing_references_rejected():
             checks=[{"check": "teleport"}]))
 
 
+BAD_CONFIGS = {
+    "slsi-without-c": ({"checks": [{"check": "slsi", "field": "f"}]},
+                       ["checks[0]", "slsi", "'c'"]),
+    "shc-without-p": ({"checks": [{"check": "shc", "field": "f", "q": 4, "c": 0.5}]},
+                      ["checks[0]", "shc", "'p'"]),
+    "scaling-without-lambda": ({"extra_batches": {"b": {"s": 0.25, "n": 100, "seed": 1}},
+                                "checks": [{"check": "scaling", "batch": "b"}]},
+                               ["checks[0]", "scaling", "'lambda'"]),
+    "heat-without-s": ({"heat": {"n": 100, "seed": 1}}, ["heat", "'s'"]),
+    "non-numeric-c": ({"checks": [{"check": "time-space", "field": "f"},
+                                  {"check": "slsi", "field": "f", "c": "abc"}]},
+                      ["checks[1]", "slsi", "'c'", "abc"]),
+    "string-grid": ({"checks": [{"check": "contractivity", "field": "f", "grid": "19"}]},
+                    ["checks[0]", "contractivity", "'grid'"]),
+    "non-numeric-threshold": ({"thresholds": {"z": "abc"}}, ["thresholds", "'z'"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_check_keys_exit_3_before_sampling(case, tmp_path, monkeypatch, capsys):
+    overrides, words = BAD_CONFIGS[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(small_time_space_config(**overrides)))
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(cli.heat, "sample", no_sampling)
+    assert cli.main(["run", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    for word in words:
+        assert word in err
+
+
+def test_unexpected_exception_exits_3_with_one_line(monkeypatch, capsys):
+    def crash(config):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "run", crash)
+    assert cli.main(["preset", "htype-classify", "--run"]) == 3
+    assert capsys.readouterr().err == "error: RuntimeError: boom second line\n"
+
+
+def test_failed_sweep_check_writes_no_csv(tmp_path):
+    config = small_time_space_config(
+        fields={"f": {"library": "expx1"}},
+        checks=[{"check": "alpha-sweep", "field": "f", "q": 0.5, "c": 1.0}],
+        output={"dir": str(tmp_path)},
+    )
+    manifest = cli.run(config)
+    assert manifest["reports"][0]["verdict"] == "error"
+    assert manifest["exit_code"] == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
+
 def test_field_spec_needs_exactly_one_source():
     with pytest.raises(ConfigError):
         cli.validate_config(small_time_space_config(
@@ -151,6 +208,35 @@ def test_check_errors_are_captured_per_check():
     assert verdicts == ["holds", "error", "holds"]
     assert "step" in manifest["reports"][1]["error"]
     assert manifest["exit_code"] == 3
+
+
+def test_run_covers_every_check_kind():
+    manifest = cli.run({
+        "algebra": "heisenberg(1)",
+        "fields": {"f": {"library": "expx1"}},
+        "heat": {"s": 1.0, "n": 10_000, "steps": 8, "seed": 12},
+        "extra_batches": {"quarter": {"s": 0.25, "n": 10_000, "steps": 8, "seed": 13}},
+        "checks": [
+            {"check": "lsi", "field": "f", "c": 1.0},
+            {"check": "slsi", "field": "f", "c": 1.0},
+            {"check": "shc", "field": "f", "p": 1, "q": 2, "c": 1.0},
+            {"check": "time-space", "field": "f"},
+            {"check": "chain", "field": "f"},
+            {"check": "alpha-sweep", "field": "f", "q": 2, "c": 1.0},
+            {"check": "contractivity", "field": "f"},
+            {"check": "inverse-symmetry"},
+            {"check": "scaling", "lambda": 2.0, "batch": "quarter"},
+            {"check": "tail"},
+            {"check": "algebra-validate"},
+            {"check": "h-type"},
+            {"check": "lsh", "field": "f", "grid_n": 200},
+        ],
+    })
+    reports = manifest["reports"]
+    assert sorted(r["check"] for r in reports) == sorted(cli._CHECKS)
+    for rep in reports:
+        assert {"check", "name", "verdict"} <= set(rep)
+        assert rep["verdict"] != "error", rep
 
 
 def test_run_writes_manifest_and_csv(tmp_path):
