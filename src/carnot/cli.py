@@ -206,17 +206,27 @@ _FIELD_KEYS = {"expr", "params", "library"}
 _THRESHOLD_KEYS = {"z", "abs_floor"}
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    return value
+
+
 def _reject_unknown(mapping: dict, allowed: set, where: str):
-    unknown = set(mapping) - allowed
+    unknown = set(_object(mapping, where)) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
 def _converted(conv, value, where: str, key: str):
     try:
-        return conv(value)
-    except (TypeError, ValueError):
+        out = conv(value)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}: {key!r} must be numeric, got {value!r}") from None
+    numbers = out if isinstance(out, list) else [out]
+    if any(isinstance(v, float) and not math.isfinite(v) for v in numbers):
+        raise ConfigError(f"{where}: {key!r} must be finite, got {value!r}")
+    return out
 
 
 def _batch_config(bc: dict, where: str) -> dict:
@@ -250,12 +260,13 @@ def validate_config(config: dict) -> dict:
         "exploratory": bool(config.get("exploratory", False)),
         "output": config.get("output", {}),
     }
+    _object(out["output"] or {}, "output")
     if "thresholds" in config:
         _reject_unknown(config["thresholds"], _THRESHOLD_KEYS, "thresholds")
         for key, value in config["thresholds"].items():
             _converted(float, value, "thresholds", key)
         out["thresholds"].update(config["thresholds"])
-    for name, fd in (config.get("fields") or {}).items():
+    for name, fd in _object(config.get("fields") or {}, "fields").items():
         _reject_unknown(fd, _FIELD_KEYS, f"fields.{name}")
         if ("expr" in fd) == ("library" in fd):
             raise ConfigError(f"fields.{name} needs exactly one of 'expr' or 'library'")
@@ -266,13 +277,13 @@ def validate_config(config: dict) -> dict:
         if config["heat"].get("tilt") is not None:
             hc["tilt"] = _converted(_floats, config["heat"]["tilt"], "heat", "tilt")
         out["heat"] = hc
-    for name, bc in (config.get("extra_batches") or {}).items():
+    for name, bc in _object(config.get("extra_batches") or {}, "extra_batches").items():
         where = f"extra_batches.{name}"
         _reject_unknown(bc, _HEAT_KEYS - {"tilt"}, where)
         out["extra_batches"][name] = _batch_config(bc, where)
 
     for i, chk in enumerate(config["checks"]):
-        if "check" not in chk:
+        if "check" not in _object(chk, f"checks[{i}]"):
             raise ConfigError(f"checks[{i}] needs a 'check' kind")
         kind = _CHECKS.get(chk["check"])
         if kind is None:

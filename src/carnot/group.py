@@ -96,43 +96,13 @@ def bch_table(algebra: StratifiedAlgebra) -> BCHTable:
     return BCHTable(algebra, _dynkin_terms(algebra.step))
 
 
-def _bracket_arrays(algebra, u, v):
-    """[u, v] columnwise for (n, dim) coordinate arrays."""
-    out = np.zeros_like(u)
-    for a, b, g, c in algebra.sparse:
-        out[:, g] += c * (u[:, a] * v[:, b])
-    return out
-
-
-def multiply_batch(algebra: StratifiedAlgebra, X, Y) -> np.ndarray:
-    """Group products row by row for (n, dim) coordinate arrays."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.shape != Y.shape or X.shape[-1] != algebra.dim:
-        raise StructureError(
-            f"coordinate arrays must both be (n, {algebra.dim}), "
-            f"got {X.shape} and {Y.shape}"
-        )
-    table = bch_table(algebra)
-    out = X + Y
-    letters = (X, Y)
-    prefix_cache: dict[tuple, np.ndarray] = {}
-    for coeff, word in table.terms:
-        prefix = word[:2]
-        if prefix not in prefix_cache:
-            prefix_cache[prefix] = _bracket_arrays(
-                algebra, letters[word[0]], letters[word[1]]
-            )
-        acc = prefix_cache[prefix]
-        for pos in range(2, len(word)):
-            prefix = word[: pos + 1]
-            if prefix not in prefix_cache:
-                prefix_cache[prefix] = _bracket_arrays(
-                    algebra, prefix_cache[word[:pos]], letters[word[pos]]
-                )
-            acc = prefix_cache[prefix]
-        out += coeff * acc
-    return out
+def _add(u, v):
+    """u + v where None stands for a structurally zero entry."""
+    if u is None:
+        return v
+    if v is None:
+        return u
+    return u + v
 
 
 def _bracket_jets(algebra, u, v):
@@ -151,13 +121,16 @@ def _bracket_jets(algebra, u, v):
 
 
 def multiply_jets(algebra: StratifiedAlgebra, xs, ys):
-    """Group product where coordinates are jets (or anything with +, *).
+    """Group product of two coordinate vectors given as length-dim sequences.
 
-    Same series as :func:`multiply_batch`; used to push curves t -> x(t)y(t)
-    through the group law with exact derivatives.
+    Entries are anything with + and *: jets, to push curves t -> x(t)y(t)
+    through the group law with exact derivatives, or (n,) arrays, one per
+    coordinate, to multiply n pairs of points at once.  An entry may be None
+    for a structurally zero coordinate (the upper layers of a walk step); an
+    output entry is None only when nothing contributes to it.
     """
     table = bch_table(algebra)
-    out = [xs[i] + ys[i] for i in range(algebra.dim)]
+    out = [_add(xs[i], ys[i]) for i in range(algebra.dim)]
     letters = (xs, ys)
     prefix_cache: dict[tuple, list] = {}
     for coeff, word in table.terms:
@@ -175,8 +148,20 @@ def multiply_jets(algebra: StratifiedAlgebra, xs, ys):
         acc = prefix_cache[word]
         for i in range(algebra.dim):
             if acc[i] is not None:
-                out[i] = out[i] + acc[i] * coeff
+                out[i] = _add(out[i], acc[i] * coeff)
     return out
+
+
+def multiply_batch(algebra: StratifiedAlgebra, X, Y) -> np.ndarray:
+    """Group products row by row for (n, dim) coordinate arrays."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if X.shape != Y.shape or X.shape[-1] != algebra.dim:
+        raise StructureError(
+            f"coordinate arrays must both be (n, {algebra.dim}), "
+            f"got {X.shape} and {Y.shape}"
+        )
+    return np.column_stack(multiply_jets(algebra, list(X.T), list(Y.T)))
 
 
 # -- elementwise API ----------------------------------------------------------

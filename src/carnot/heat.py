@@ -15,6 +15,14 @@ Reproducibility: each path has its own counter-based Philox stream keyed by
 (seed, path index), so batches are bit-identical regardless of how paths
 are chunked or distributed over workers.
 
+Cost: paths are sampled in chunks of at most _CHUNK_BUDGET increments
+(2^20 floats, 8 MB), which bounds memory at any n_samples.  One generator
+serves every path: its Philox state is rewound to (seed, path) before the
+path's normals are drawn into place.  The walk runs column-wise: each
+coordinate is one contiguous array over the chunk's paths, and each step
+goes through the shared BCH evaluator group.multiply_jets with the step's
+structurally zero upper layers passed as None.
+
 Optionally, sampling applies an exponential tilt in the first layer
 (importance sampling): with tilt vector b the first-layer mean shifts to
 b s/2, and each sample carries weight exp(-b.x_1 + s|b|^2/4), which has
@@ -33,11 +41,16 @@ import numpy as np
 
 from .algebra import StratifiedAlgebra
 from .errors import ParameterError, StructureError
-from .group import dilate_batch, homogeneous_norm_batch, multiply_batch
+from .group import dilate_batch, homogeneous_norm_batch, multiply_jets
 from .reports import TailReport, TwoSampleReport, VERDICT_HOLDS, VERDICT_VIOLATED
 
-# upper bound on floats generated per chunk; keeps memory ~modest
-_CHUNK_BUDGET = 2 ** 25
+# upper bound on increments (floats) per chunk of paths
+_CHUNK_BUDGET = 2 ** 20
+# the walk transposes increments to step-major order in tiles of this size
+_TILE_PATHS = 256
+_TILE_STEPS = 32
+# pooled points per row block of the energy test's distance matrix
+_DIST_ROWS = 64
 
 
 @dataclass
@@ -85,18 +98,6 @@ def load_csv(path: str) -> np.ndarray:
     return np.atleast_2d(data)
 
 
-def _path_normals(bitgen, seed: int, path: int, shape) -> np.ndarray:
-    """Standard normals from the Philox stream keyed by (seed, path)."""
-    state = bitgen.state
-    state["state"]["key"][:] = [seed, path]
-    state["state"]["counter"][:] = 0
-    state["buffer_pos"] = 4
-    state["has_uint32"] = 0
-    state["uinteger"] = 0
-    bitgen.state = state
-    return np.random.Generator(bitgen).standard_normal(shape)
-
-
 def _validate_params(s, n_samples, n_steps):
     if not (s > 0):
         raise ParameterError(f"time s must be > 0, got {s}")
@@ -116,12 +117,22 @@ def _increments(algebra: StratifiedAlgebra, s: float, n_samples: int,
     d1 = algebra.dim_v1
     sigma = math.sqrt(s / n_steps / 2.0)
     chunk = max(256, _CHUNK_BUDGET // max(1, n_steps * d1))
-    bitgen = np.random.Philox(key=[seed, 0])
+    # one generator for all paths: each path rewinds it to the start of the
+    # Philox stream keyed by (seed, path)
+    key = [seed, 0]
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    bitgen = np.random.Philox(key=key)
+    gen = np.random.Generator(bitgen)
     for lo in range(0, n_samples, chunk):
         hi = min(lo + chunk, n_samples)
         inc = np.empty((hi - lo, n_steps, d1))
         for i in range(hi - lo):
-            inc[i] = _path_normals(bitgen, seed, lo + i, (n_steps, d1))
+            key[1] = lo + i
+            bitgen.state = state
+            gen.standard_normal(out=inc[i])
         inc *= sigma
         if shift is not None:
             inc += shift
@@ -129,14 +140,25 @@ def _increments(algebra: StratifiedAlgebra, s: float, n_samples: int,
 
 
 def _walk(algebra: StratifiedAlgebra, inc: np.ndarray) -> np.ndarray:
-    """Endpoints X_k = X_{k-1} exp(inc_k . xi) of walks from e, for (m, k, d1) inc."""
+    """Endpoints X_k = X_{k-1} exp(inc_k . xi) of walks from e, for (m, k, d1) inc.
+
+    The walk runs on columns: X is dim contiguous (m,) arrays, and a step is
+    its d1 increment columns with None for the upper layers, which
+    multiply_jets skips.  Blocks of steps are transposed to step-major order
+    tile by tile, which keeps the copies cache-sized.
+    """
     m, n_steps, d1 = inc.shape
-    X = np.zeros((m, algebra.dim))
-    step = np.zeros((m, algebra.dim))
-    for k in range(n_steps):
-        step[:, :d1] = inc[:, k, :]
-        X = multiply_batch(algebra, X, step)
-    return X
+    X = [np.zeros(m) for _ in range(algebra.dim)]
+    upper = [None] * (algebra.dim - d1)
+    buf = np.empty((min(_TILE_STEPS, n_steps), d1, m))
+    for k0 in range(0, n_steps, _TILE_STEPS):
+        block = buf[: min(_TILE_STEPS, n_steps - k0)]
+        for p0 in range(0, m, _TILE_PATHS):
+            p1 = min(p0 + _TILE_PATHS, m)
+            block[:, :, p0:p1] = inc[p0:p1, k0:k0 + len(block)].transpose(1, 2, 0)
+        for step in block:
+            X = multiply_jets(algebra, X, [*step, *upper])
+    return np.column_stack(X)
 
 
 def sample(algebra: StratifiedAlgebra, s: float, n_samples: int,
@@ -246,9 +268,12 @@ def _energy_z(A: np.ndarray, B: np.ndarray, seed: int, n_perm: int = 100,
     if B.shape[0] > cap:
         B = B[rng.choice(B.shape[0], cap, replace=False)]
     pooled = np.vstack([A, B])
-    diff = pooled[:, None, :] - pooled[None, :, :]
-    D = np.sqrt((diff ** 2).sum(axis=2))
     na, ntot = A.shape[0], pooled.shape[0]
+    # row blocks bound the (rows, ntot, dim) temporaries
+    D = np.empty((ntot, ntot))
+    for r0 in range(0, ntot, _DIST_ROWS):
+        diff = pooled[r0:r0 + _DIST_ROWS, None, :] - pooled[None, :, :]
+        D[r0:r0 + _DIST_ROWS] = np.sqrt((diff ** 2).sum(axis=2))
     obs = _energy_from_dist(D, np.arange(na), np.arange(na, ntot))
     null = np.empty(n_perm)
     for i in range(n_perm):

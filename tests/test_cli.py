@@ -77,6 +77,27 @@ BAD_CONFIGS = {
     "string-grid": ({"checks": [{"check": "contractivity", "field": "f", "grid": "19"}]},
                     ["checks[0]", "contractivity", "'grid'"]),
     "non-numeric-threshold": ({"thresholds": {"z": "abc"}}, ["thresholds", "'z'"]),
+    "nan-c": ({"checks": [{"check": "slsi", "field": "f", "c": "nan"}]},
+              ["checks[0]", "slsi", "'c'", "finite"]),
+    "inf-q": ({"checks": [{"check": "alpha-sweep", "field": "f", "q": "inf", "c": 1.0}]},
+              ["checks[0]", "alpha-sweep", "'q'", "finite"]),
+    "nan-grid-entry": ({"checks": [{"check": "contractivity", "field": "f",
+                                    "grid": [0.5, math.nan]}]},
+                       ["checks[0]", "contractivity", "'grid'", "finite"]),
+    "inf-heat-s": ({"heat": {"s": math.inf, "n": 100, "seed": 1}},
+                   ["heat", "'s'", "finite"]),
+    "inf-heat-n": ({"heat": {"s": 1.0, "n": math.inf, "seed": 1}}, ["heat", "'n'"]),
+    "nan-extra-s": ({"extra_batches": {"b": {"s": "nan", "n": 100, "seed": 1}},
+                     "checks": [{"check": "scaling", "lambda": 2.0, "batch": "b"}]},
+                    ["extra_batches.b", "'s'", "finite"]),
+    "inf-tilt-entry": ({"heat": {"s": 1.0, "n": 100, "seed": 1, "tilt": [0.0, "-inf"]}},
+                       ["heat", "'tilt'", "finite"]),
+    "nan-threshold": ({"thresholds": {"z": math.nan}}, ["thresholds", "'z'", "finite"]),
+    "int-check": ({"checks": [5]}, ["checks[0] must be an object"]),
+    "list-heat": ({"heat": [1.0, 100]}, ["heat must be an object"]),
+    "string-field": ({"fields": {"f": "(pow x_1_1 2)"}}, ["fields.f must be an object"]),
+    "int-extra-batch": ({"extra_batches": {"b": 3}}, ["extra_batches.b must be an object"]),
+    "string-output": ({"output": "out"}, ["output must be an object"]),
 }
 
 
@@ -96,6 +117,12 @@ def test_bad_check_keys_exit_3_before_sampling(case, tmp_path, monkeypatch, caps
     assert "Traceback" not in err
     for word in words:
         assert word in err
+
+
+def test_zero_log_sobolev_constant_still_validates():
+    # c = 0 is in the domain of check_lsi and check_slsi
+    cli.validate_config(small_time_space_config(
+        checks=[{"check": "slsi", "field": "f", "c": 0}]))
 
 
 def test_unexpected_exception_exits_3_with_one_line(monkeypatch, capsys):

@@ -139,6 +139,21 @@ def test_bch_remainder_depends_only_on_lower_layers(engel):
         assert np.max(np.abs(R1[:, unaffected] - R0[:, unaffected])) < 1e-12
 
 
+def test_multiply_jets_accepts_none_entries(engel):
+    # None marks a structurally zero coordinate, as in a walk step
+    rng = np.random.default_rng(3)
+    d1, dim = engel.dim_v1, engel.dim
+    X = rng.standard_normal((5, dim))
+    step = np.zeros((5, dim))
+    step[:, :d1] = rng.standard_normal((5, d1))
+    ys = [*step.T[:d1], *[None] * (dim - d1)]
+    got = group.multiply_jets(engel, list(X.T), ys)
+    assert np.array_equal(np.column_stack(got), group.multiply_batch(engel, X, step))
+    flipped = group.multiply_jets(engel, ys, list(X.T))
+    assert np.array_equal(np.column_stack(flipped), group.multiply_batch(engel, step, X))
+    assert group.multiply_jets(engel, [None] * dim, [None] * dim) == [None] * dim
+
+
 def test_dimension_mismatch_rejected(h3, engel):
     x = group.element(h3, [1, 0, 0])
     y = group.element(engel, [0, 1, 0, 0])

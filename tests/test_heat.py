@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,79 @@ def test_determinism_and_chunk_independence(h3, monkeypatch):
     assert np.array_equal(b1.samples, b3.samples)
     b4 = heat.sample(h3, 1.0, 5000, 32, seed=4)
     assert not np.array_equal(b1.samples, b4.samples)
+
+
+def _reference_increments(alg, s, n, n_steps, seed, tilt=None):
+    """sigma times each path's normals, from a fresh Philox keyed (seed, path)."""
+    inc = np.stack([
+        np.random.Generator(np.random.Philox(key=[seed, i])).standard_normal(
+            (n_steps, alg.dim_v1))
+        for i in range(n)
+    ])
+    inc *= math.sqrt(s / n_steps / 2.0)
+    if tilt is not None:
+        inc += np.asarray(tilt) * (s / n_steps / 2.0)
+    return inc
+
+
+def _reference_walk(alg, inc):
+    """Row-major walk, one multiply_batch per step."""
+    n, n_steps, d1 = inc.shape
+    X = np.zeros((n, alg.dim))
+    step = np.zeros((n, alg.dim))
+    for k in range(n_steps):
+        step[:, :d1] = inc[:, k]
+        X = group.multiply_batch(alg, X, step)
+    return X
+
+
+ORACLE_CASES = {
+    "heisenberg(1)": dict(s=1.0, n_steps=40),
+    "heisenberg(2)": dict(s=0.7, n_steps=33),
+    "engel": dict(s=1.3, n_steps=40),
+    "heisenberg(1)-tilted": dict(s=1.0, n_steps=40, tilt=[0.5, -1.0]),
+    "euclidean(3)": dict(s=2.0, n_steps=16),
+}
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_sample_bytes_match_per_path_reference(case, budget, monkeypatch):
+    # budget 1 gives 256-path chunks, so 600 paths span three chunks
+    if budget is not None:
+        monkeypatch.setattr(carnot.heat, "_CHUNK_BUDGET", budget)
+    kw = ORACLE_CASES[case]
+    alg = algebra.builtin(case.removesuffix("-tilted"))
+    n, seed = 600, 17
+    inc = _reference_increments(alg, kw["s"], n, kw["n_steps"], seed, kw.get("tilt"))
+    if alg.sparse:
+        want = _reference_walk(alg, inc)
+    else:
+        want = inc.sum(axis=1)
+    got = heat.sample(alg, kw["s"], n, kw["n_steps"], seed=seed, tilt=kw.get("tilt"))
+    assert got.samples.tobytes() == want.tobytes()
+
+
+def test_coupled_refinement_bytes_match_per_path_reference(h3, monkeypatch):
+    monkeypatch.setattr(carnot.heat, "_CHUNK_BUDGET", 1)
+    n, finest, seed = 600, 32, 19
+    fine = _reference_increments(h3, 1.0, n, finest, seed)
+    got = heat.coupled_refinement(h3, 1.0, n, [4, 8, finest], seed=seed)
+    for k in (4, 8, finest):
+        inc = fine.reshape(n, k, finest // k, h3.dim_v1).sum(axis=2)
+        assert got[k].samples.tobytes() == _reference_walk(h3, inc).tobytes(), k
+
+
+def test_sample_peak_memory_is_bounded(h3):
+    # chunks of at most _CHUNK_BUDGET increments bound the sampler's working set
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        heat.sample(h3, 1.0, 10_000, 256, seed=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20, peak
 
 
 def test_prefix_property_of_streams(h3):
