@@ -85,9 +85,15 @@ class Jet2:
         else:
             _require_positive(v, f"power {p}")
         vp = v ** p
+        # p = 0 and p = 1 leave out the terms whose coefficient is zero: their
+        # power of v is negative, infinite at v = 0, and would give 0 * inf
+        if p == 0:
+            return Jet2(vp, 0.0 * self.d1, 0.0 * self.d2)
         vp1 = v ** (p - 1)
-        vp2 = v ** (p - 2)
-        return Jet2(vp, p * vp1 * self.d1, p * vp1 * self.d2 + p * (p - 1) * vp2 * self.d1 * self.d1)
+        d2 = p * vp1 * self.d2
+        if p != 1:
+            d2 = d2 + p * (p - 1) * v ** (p - 2) * self.d1 * self.d1
+        return Jet2(vp, p * vp1 * self.d1, d2)
 
 
 def _require_positive(v, what: str):

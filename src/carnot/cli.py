@@ -204,6 +204,8 @@ _TOP_KEYS = {"name", "algebra", "fields", "heat", "extra_batches", "checks",
 _HEAT_KEYS = {"s", "n", "steps", "seed", "tilt"}
 _FIELD_KEYS = {"expr", "params", "library"}
 _THRESHOLD_KEYS = {"z", "abs_floor"}
+# check keys whose value names a kind, a field or an extra batch
+_NAME_KEYS = ("check", "field", "batch")
 
 
 def _object(value, where: str) -> dict:
@@ -285,6 +287,10 @@ def validate_config(config: dict) -> dict:
     for i, chk in enumerate(config["checks"]):
         if "check" not in _object(chk, f"checks[{i}]"):
             raise ConfigError(f"checks[{i}] needs a 'check' kind")
+        for key in _NAME_KEYS:
+            if key in chk and not isinstance(chk[key], str):
+                raise ConfigError(f"checks[{i}]: {key!r} must be a string, "
+                                  f"got {chk[key]!r}")
         kind = _CHECKS.get(chk["check"])
         if kind is None:
             raise ConfigError(f"checks[{i}]: unknown check kind {chk['check']!r}")
@@ -341,7 +347,7 @@ def _run_one_check(chk, cx: _Context, force_exploratory):
 def run(config: dict) -> dict:
     """Execute a validated config; returns the manifest dict."""
     config = validate_config(config)
-    t_start = time.time()
+    t_start = time.perf_counter()
     alg = algebra_mod.resolve(config["algebra"])
     fields = {
         name: _resolve_field(alg, spec) for name, spec in config["fields"].items()
@@ -349,14 +355,16 @@ def run(config: dict) -> dict:
     timings = {}
     batch = None
     if config["heat"] is not None:
-        t0 = time.time()
+        t0 = time.perf_counter()
         hc = config["heat"]
         batch = heat.sample(alg, hc["s"], hc["n"], hc["steps"], hc["seed"],
                             tilt=hc.get("tilt"))
-        timings["sampling"] = time.time() - t0
+        timings["sampling"] = time.perf_counter() - t0
     extra = {}
     for name, bc in config["extra_batches"].items():
+        t0 = time.perf_counter()
         extra[name] = heat.sample(alg, bc["s"], bc["n"], bc["steps"], bc["seed"])
+        timings[f"sampling.{name}"] = time.perf_counter() - t0
 
     thresholds = config["thresholds"]
     cx = _Context(alg, fields, batch, extra, {"z_threshold": thresholds["z"],
@@ -366,14 +374,14 @@ def run(config: dict) -> dict:
 
     def job(item):
         idx, chk = item
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             rep = _run_one_check(chk, cx, config["exploratory"])
         except CarnotError as exc:
             # a failing check must not take down the rest of the run
             rep = {"check": chk["check"], "name": chk["check"],
                    "verdict": VERDICT_ERROR, "error": str(exc)}
-        return idx, rep, time.time() - t0
+        return idx, rep, time.perf_counter() - t0
 
     results = [None] * len(tasks)
     if n_workers == 1 or len(tasks) <= 1:
@@ -399,7 +407,7 @@ def run(config: dict) -> dict:
         exit_code = EXIT_INCONCLUSIVE
     else:
         exit_code = EXIT_OK
-    timings["total"] = time.time() - t_start
+    timings["total"] = time.perf_counter() - t_start
 
     manifest = {
         "version": __version__,

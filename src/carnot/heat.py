@@ -247,20 +247,22 @@ def _moment_z_unpaired(A: np.ndarray, B: np.ndarray, labels, orders=(1, 2, 3)):
     return zs
 
 
-def _energy_from_dist(D: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> float:
-    return float(
-        2.0 * D[np.ix_(ia, ib)].mean()
-        - D[np.ix_(ia, ia)].mean()
-        - D[np.ix_(ib, ib)].mean()
-    )
-
-
 def _energy_z(A: np.ndarray, B: np.ndarray, seed: int, n_perm: int = 100,
               cap: int = 512) -> float:
     """Permutation z-score of the energy distance between two samples.
 
-    Distances over the pooled (subsampled) points are computed once; each
-    permutation only reindexes the matrix.
+    Distances over the pooled (subsampled) points are computed once.  A split
+    of the pooled points into a first group of na and the rest is a 0/1
+    column u; with D the distance matrix, t = D 1 its row sums and T = 1'D1,
+    the within- and between-group distance sums are
+
+        S_aa = u'Du,   S_ab = t'u - S_aa,   S_bb = T - 2 t'u + S_aa,
+
+    so one product R = D U over the columns of all splits (column 0 the
+    observed one) gives every statistic at once, with t'U = 1'R since D is
+    symmetric.  The product runs through einsum's own loop rather than BLAS,
+    whose threads and persistent work buffers would raise peak memory and
+    tie the run to the BLAS thread count; it costs tens of milliseconds.
     """
     rng = np.random.Generator(np.random.Philox(key=[seed, 2 ** 32]))
     if A.shape[0] > cap:
@@ -269,16 +271,23 @@ def _energy_z(A: np.ndarray, B: np.ndarray, seed: int, n_perm: int = 100,
         B = B[rng.choice(B.shape[0], cap, replace=False)]
     pooled = np.vstack([A, B])
     na, ntot = A.shape[0], pooled.shape[0]
+    nb = ntot - na
     # row blocks bound the (rows, ntot, dim) temporaries
     D = np.empty((ntot, ntot))
     for r0 in range(0, ntot, _DIST_ROWS):
         diff = pooled[r0:r0 + _DIST_ROWS, None, :] - pooled[None, :, :]
         D[r0:r0 + _DIST_ROWS] = np.sqrt((diff ** 2).sum(axis=2))
-    obs = _energy_from_dist(D, np.arange(na), np.arange(na, ntot))
-    null = np.empty(n_perm)
+    U = np.zeros((ntot, 1 + n_perm))
+    U[:na, 0] = 1.0
     for i in range(n_perm):
-        perm = rng.permutation(ntot)
-        null[i] = _energy_from_dist(D, perm[:na], perm[na:])
+        U[rng.permutation(ntot)[:na], 1 + i] = 1.0
+    R = np.einsum("ij,jk->ik", D, U)
+    tu = R.sum(axis=0)
+    s_aa = np.einsum("ij,ij->j", U, R)
+    s_ab = tu - s_aa
+    s_bb = D.sum() - 2.0 * tu + s_aa
+    energy = 2.0 * s_ab / (na * nb) - s_aa / na ** 2 - s_bb / nb ** 2
+    obs, null = energy[0], energy[1:]
     sd = float(null.std(ddof=1))
     return float((obs - null.mean()) / sd) if sd > 0 else 0.0
 
@@ -286,6 +295,25 @@ def _energy_z(A: np.ndarray, B: np.ndarray, seed: int, n_perm: int = 100,
 def _require_untilted(batch: HeatSampleBatch, what: str):
     if batch.is_tilted:
         raise ParameterError(f"{what} requires an untilted batch")
+
+
+def _two_sample(A: np.ndarray, B: np.ndarray, moment_z, energy_seed: int, *,
+                labels, z_threshold: float, name: str, n: int,
+                params: dict) -> TwoSampleReport:
+    """Moment and energy z-scores of A against B, one verdict over all."""
+    zs = moment_z(A, B, labels)
+    ez = _energy_z(A, B, energy_seed)
+    worst = max(abs(v) for v in [*zs.values(), ez])
+    return TwoSampleReport(
+        name=name,
+        moment_z=zs,
+        energy_z=ez,
+        max_abs_z=worst,
+        z_threshold=z_threshold,
+        verdict=VERDICT_HOLDS if worst < z_threshold else VERDICT_VIOLATED,
+        n=n,
+        params=params,
+    )
 
 
 def empirical_check_inverse_symmetry(batch: HeatSampleBatch,
@@ -296,21 +324,10 @@ def empirical_check_inverse_symmetry(batch: HeatSampleBatch,
     moment z-scores and the energy statistic stay within threshold.
     """
     _require_untilted(batch, "inverse-symmetry check")
-    A = batch.samples
-    B = -batch.samples
-    labels = batch.algebra.coordinate_labels()
-    zs = _moment_z_paired(A, B, labels)
-    ez = _energy_z(A, B, batch.seed)
-    zs_all = list(zs.values()) + [ez]
-    worst = max(abs(v) for v in zs_all)
-    return TwoSampleReport(
-        name="heat-inverse-symmetry",
-        moment_z=zs,
-        energy_z=ez,
-        max_abs_z=worst,
-        z_threshold=z_threshold,
-        verdict=VERDICT_HOLDS if worst < z_threshold else VERDICT_VIOLATED,
-        n=batch.n_samples,
+    return _two_sample(
+        batch.samples, -batch.samples, _moment_z_paired, batch.seed,
+        labels=batch.algebra.coordinate_labels(), z_threshold=z_threshold,
+        name="heat-inverse-symmetry", n=batch.n_samples,
         params={"s": batch.s, "steps": batch.n_steps, "seed": batch.seed},
     )
 
@@ -328,21 +345,11 @@ def empirical_check_scaling(batch_s: HeatSampleBatch, lam: float,
         raise ParameterError(
             f"time mismatch: second batch at s={batch_sp.s}, expected {target}"
         )
-    A = dilate_batch(batch_s.algebra, 1.0 / lam, batch_s.samples)
-    B = batch_sp.samples
-    labels = batch_s.algebra.coordinate_labels()
-    zs = _moment_z_unpaired(A, B, labels)
-    ez = _energy_z(A, B, batch_s.seed ^ batch_sp.seed)
-    zs_all = list(zs.values()) + [ez]
-    worst = max(abs(v) for v in zs_all)
-    return TwoSampleReport(
-        name="heat-scaling",
-        moment_z=zs,
-        energy_z=ez,
-        max_abs_z=worst,
-        z_threshold=z_threshold,
-        verdict=VERDICT_HOLDS if worst < z_threshold else VERDICT_VIOLATED,
-        n=min(batch_s.n_samples, batch_sp.n_samples),
+    return _two_sample(
+        dilate_batch(batch_s.algebra, 1.0 / lam, batch_s.samples), batch_sp.samples,
+        _moment_z_unpaired, batch_s.seed ^ batch_sp.seed,
+        labels=batch_s.algebra.coordinate_labels(), z_threshold=z_threshold,
+        name="heat-scaling", n=min(batch_s.n_samples, batch_sp.n_samples),
         params={"s": batch_s.s, "lambda": lam, "s_prime": batch_sp.s},
     )
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,18 @@ def test_h3_closed_form_operators(h3):
     ef = calc.euler_derivative_batch(f, h3, P)
     assert np.max(np.abs(ef - 2 * (P[:, 0] * P[:, 1] + P[:, 2]))) < 1e-12
     assert np.max(np.abs(calc.sub_laplacian_batch(calc.x(1, 1) ** 2, h3, P) - 2.0)) < 1e-12
+
+
+def test_low_powers_at_zero_have_finite_sub_laplacian(h3):
+    # pow with p in {0, 1} must not form 0 * inf from a negative power of 0
+    P = np.zeros((2, h3.dim))
+    P[1, 0] = 1.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p, lap, grad_sq in ((1, 0.0, 1.0), (0, 0.0, 0.0), (2, 2.0, 0.0)):
+            f = calc.parse_field(f"(pow x_1_1 {p})")
+            assert calc.sub_laplacian_batch(f, h3, P).tolist() == [lap, lap], p
+            assert calc.sub_gradient_sq_batch(f, h3, P)[0] == grad_sq, p
 
 
 def test_gradient_of_coordinate_and_constant(h3):

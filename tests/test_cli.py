@@ -98,6 +98,12 @@ BAD_CONFIGS = {
     "string-field": ({"fields": {"f": "(pow x_1_1 2)"}}, ["fields.f must be an object"]),
     "int-extra-batch": ({"extra_batches": {"b": 3}}, ["extra_batches.b must be an object"]),
     "string-output": ({"output": "out"}, ["output must be an object"]),
+    "list-check": ({"checks": [{"check": []}]}, ["checks[0]", "'check' must be a string"]),
+    "list-field": ({"checks": [{"check": "time-space", "field": []}]},
+                   ["checks[0]", "'field' must be a string"]),
+    "list-batch": ({"extra_batches": {"b": {"s": 0.25, "n": 100, "seed": 1}},
+                    "checks": [{"check": "scaling", "lambda": 2.0, "batch": []}]},
+                   ["checks[0]", "'batch' must be a string"]),
 }
 
 
@@ -190,6 +196,14 @@ def test_run_reproducible_and_thread_invariant(monkeypatch):
         manifest = cli.run(copy.deepcopy(config))
         blobs.append(cli.manifest_canonical_bytes(manifest))
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_timings_cover_extra_batches():
+    config = small_time_space_config(
+        extra_batches={"b": {"s": 0.25, "n": 200, "steps": 8, "seed": 1}})
+    timings = cli.run(config)["timings"]
+    assert {"sampling", "sampling.b", "check_0", "total"} <= set(timings)
+    assert timings["total"] >= timings["sampling"] + timings["sampling.b"]
 
 
 def test_exit_codes(tmp_path):

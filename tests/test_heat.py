@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 import carnot.heat
-from carnot import algebra, group, heat
+from carnot import algebra, cli, group, heat
 from carnot.errors import ParameterError
 
 
@@ -215,6 +215,69 @@ def test_r1_gaussian_scaling_variance(r1):
     b = heat.sample(r1, 2.0, 50_000, 8, seed=37)
     scaled = group.dilate_batch(r1, 0.5, b.samples)
     assert abs(scaled[:, 0].var(ddof=1) - 0.25) < 0.01
+
+
+def _energy_z_reference(A, B, seed, n_perm=100, cap=512):
+    """The energy permutation test as one loop over the permutations."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, 2 ** 32]))
+    if A.shape[0] > cap:
+        A = A[rng.choice(A.shape[0], cap, replace=False)]
+    if B.shape[0] > cap:
+        B = B[rng.choice(B.shape[0], cap, replace=False)]
+    pooled = np.vstack([A, B])
+    na, ntot = A.shape[0], pooled.shape[0]
+    D = np.sqrt(((pooled[:, None, :] - pooled[None, :, :]) ** 2).sum(axis=2))
+
+    def energy(ia, ib):
+        return (2.0 * D[np.ix_(ia, ib)].mean() - D[np.ix_(ia, ia)].mean()
+                - D[np.ix_(ib, ib)].mean())
+
+    obs = energy(np.arange(na), np.arange(na, ntot))
+    null = np.empty(n_perm)
+    for i in range(n_perm):
+        perm = rng.permutation(ntot)
+        null[i] = energy(perm[:na], perm[na:])
+    sd = float(null.std(ddof=1))
+    return float((obs - null.mean()) / sd) if sd > 0 else 0.0
+
+
+def _gaussian(n, seed, scale=1.0):
+    return scale * np.random.default_rng(seed).standard_normal((n, 3))
+
+
+_SAME = _gaussian(200, seed=3)
+
+
+@pytest.mark.parametrize("A, B", [
+    (_gaussian(600, seed=1), _gaussian(600, seed=2, scale=1.1)),  # both above cap
+    (_gaussian(300, seed=1), _gaussian(170, seed=2, scale=1.3)),  # no subsample
+    (_SAME, _SAME),
+], ids=["equal-above-cap", "unequal-below-cap", "identical"])
+def test_energy_z_matches_permutation_loop(A, B):
+    want = _energy_z_reference(A, B, seed=17)
+    assert abs(heat._energy_z(A, B, seed=17) - want) <= 1e-9
+    assert want != 0.0
+
+
+def test_energy_z_of_coincident_points_is_zero():
+    # every split has energy 0, so the null spread is 0
+    A = np.ones((40, 3))
+    assert heat._energy_z(A, A[:30], seed=1) == _energy_z_reference(A, A[:30], 1) == 0.0
+
+
+def test_energy_z_thread_invariant(monkeypatch):
+    config = {
+        "algebra": "heisenberg(1)",
+        "heat": {"s": 4.0, "n": 700, "steps": 16, "seed": 3},
+        "extra_batches": {"quarter": {"s": 1.0, "n": 400, "steps": 16, "seed": 4}},
+        "checks": [{"check": "inverse-symmetry"},
+                   {"check": "scaling", "lambda": 2.0, "batch": "quarter"}],
+    }
+    zs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CARNOT_THREADS", threads)
+        zs.append([rep["energy_z"] for rep in cli.run(config)["reports"]])
+    assert zs[0] == zs[1]
 
 
 def test_tail_profile_r1_matches_gaussian_oracle(r1, r1_batch_s2):
