@@ -1,0 +1,71 @@
+"""Record the benchmark's numbers for one checkout in ``BENCH_<tag>.json``.
+
+    python3 bench/record.py --tag T [--checkout DIR]
+
+For each workload that ``BENCHMARK.json`` declares, runs
+``python3 perfbench/run.py --workload W`` (end to end) and the same with
+``--trace 1`` (per layer) in the checkout DIR (by default the one holding
+this script), one after the other, and writes ``BENCH_<tag>.json`` at the
+root of the checkout holding this script. Per workload the file holds the
+end-to-end metrics, the quartiles of the program's raw wall times and of its
+ratios to the reference copy, the per-layer medians, whether the runs passed
+the benchmark's correctness gate, and run.py's environment block. To record
+a "before", point ``--checkout`` at a copy of the earlier commit.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_py(checkout: str, workload: str, trace: bool) -> tuple[dict, dict, dict]:
+    """(environment, summary, result) printed by one run.py invocation."""
+    cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+           "--trace", str(int(trace))]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(cmd)} failed ({proc.returncode}):\n{proc.stderr}")
+    env, summary, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-3:])
+    return env["environment"], summary["summary"], result
+
+
+def record(checkout: str) -> dict:
+    with open(os.path.join(checkout, "BENCHMARK.json")) as fh:
+        names = [w["name"] for w in json.load(fh)["workloads"]]
+    out = {}
+    for name in names:
+        env, summary, plain = run_py(checkout, name, False)
+        _, _, traced = run_py(checkout, name, True)
+        out[name] = {
+            "end_to_end": {k: m["value"] for k, m in plain["metrics"].items()},
+            "wall_s_runs": summary["wall_s"],
+            "wall_ratio": summary["wall_ratio"],
+            "correct": plain["correct"] and traced["correct"],
+            "per_layer": {k: m["value"] for k, m in traced["metrics"].items()},
+            "environment": env,
+        }
+        print(f"{name}: wall_s {out[name]['end_to_end']['wall_s']:.4f}", file=sys.stderr)
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    ap.add_argument("--tag", required=True)
+    ap.add_argument("--checkout", default=ROOT)
+    args = ap.parse_args(argv)
+    bench = {"tag": args.tag, "workloads": record(os.path.abspath(args.checkout))}
+    path = os.path.join(ROOT, f"BENCH_{args.tag}.json")
+    with open(path, "w") as fh:
+        fh.write(json.dumps(bench, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {path}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -352,15 +352,32 @@ def right_invariant_derivative(f, xi, point: GroupElement) -> Jet2:
     return _scalarize(curve_jet(f, point.algebra, point.coords, xi, side="right"))
 
 
-def horizontal_jets(f, algebra, coords):
-    """Jets of f along each vector of the orthonormal V_1 frame (vectorized)."""
-    frame = algebra.orthonormal_v1_frame()
-    jets = []
+def frame_jets(algebra, coords):
+    """Coordinate jets of t -> x exp(t xi_i), one list per orthonormal V_1 vector.
+
+    They depend on the algebra and the points only, not on a field, so one
+    frame serves every field evaluated on the same points. Field evaluation
+    never writes into them.
+    """
+    coords = np.atleast_2d(np.asarray(coords, dtype=float))
+    xj = _point_jets([coords[:, i] for i in range(algebra.dim)])
+    basis = algebra.orthonormal_v1_frame()
+    frame = []
     for i in range(algebra.dim_v1):
         xi = np.zeros(algebra.dim)
-        xi[: algebra.dim_v1] = frame[:, i]
-        jets.append(curve_jet(f, algebra, coords, xi, side="left"))
-    return jets
+        xi[: algebra.dim_v1] = basis[:, i]
+        frame.append(multiply_jets(algebra, xj, _direction_jets(xi)))
+    return frame
+
+
+def horizontal_jets(f, algebra, coords, frame=None):
+    """Jets of f along each vector of the orthonormal V_1 frame (vectorized).
+
+    ``frame`` is ``frame_jets(algebra, coords)``, when the caller has it.
+    """
+    if frame is None:
+        frame = frame_jets(algebra, coords)
+    return [_ensure_jet(f._eval(EvalContext(algebra, gamma))) for gamma in frame]
 
 
 def sub_gradient_sq_batch(f, algebra, coords) -> np.ndarray:

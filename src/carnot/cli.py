@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+import threading
 import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -59,6 +60,21 @@ class _Context:
     batch: object
     extra: dict
     gate: dict  # z_threshold and abs_floor of the verdict rule
+    lsh_grids: dict = dataclass_field(default_factory=dict)
+    lock: threading.Lock = dataclass_field(default_factory=threading.Lock)
+
+    def lsh_grid(self, n: int, radius: float):
+        """The run's lsh grid of n points and its frame jets, (points, frame).
+
+        Built on first use and then shared by every lsh check of the run
+        with the same (n, radius), from any worker thread.
+        """
+        with self.lock:
+            if (n, radius) not in self.lsh_grids:
+                pts = lsh.grid_points(self.alg, n, radius,
+                                      seed=self.batch.seed if self.batch else 0)
+                self.lsh_grids[n, radius] = pts, calculus.frame_jets(self.alg, pts)
+            return self.lsh_grids[n, radius]
 
 
 @dataclass
@@ -72,6 +88,7 @@ class _Kind:
     check runs, never written into the config. ``run(args, ctx)`` builds the
     report dict. It looks carnot functions up on their module at call time,
     so that tracing, which replaces module attributes, sees every call.
+    ``positive`` numeric keys must be > 0 after conversion.
     ``validate(check, config)`` returns an error message for a check that
     its keys alone do not rule out. ``csv`` checks write their
     ``t,value,stderr`` curve to the output directory.
@@ -84,6 +101,7 @@ class _Kind:
     needs_batch: bool = True
     needs_field: bool = True
     csv: bool = False
+    positive: tuple = ()
     validate: Callable | None = None
 
 
@@ -106,9 +124,8 @@ def _run_shc(a, cx):
 
 
 def _run_lsh(a, cx):
-    pts = lsh.grid_points(cx.alg, a["grid_n"], a["radius"],
-                          seed=cx.batch.seed if cx.batch else 0)
-    verdict = lsh.check_lsh(a["f"], pts, tol=a["tol"], algebra=cx.alg)
+    pts, frame = cx.lsh_grid(a["grid_n"], a["radius"])
+    verdict = lsh.check_lsh(a["f"], pts, tol=a["tol"], algebra=cx.alg, frame=frame)
     return {**verdict.as_dict(), "name": "lsh", "lsh_verdict": verdict.verdict,
             "verdict": VERDICT_HOLDS if verdict.is_lsh_consistent else VERDICT_VIOLATED}
 
@@ -168,7 +185,7 @@ _CHECKS = {
             lsh_status=a["lsh_status"], **cx.gate,
         ).as_dict(),
         required=("q", "c"), optional={"beta": 0.0, "grid": None},
-        types={**_C_BETA, "q": float, "grid": _floats}, csv=True),
+        types={**_C_BETA, "q": float, "grid": _floats}, csv=True, positive=("c",)),
     "contractivity": _Kind(
         lambda a, cx: inequalities.check_l1_contractivity(
             a["f"], cx.batch, ts=a["grid"], lsh_status=a["lsh_status"], **cx.gate,
@@ -183,7 +200,7 @@ _CHECKS = {
             cx.batch, a["lambda"], cx.extra[a["batch"]],
             z_threshold=cx.gate["z_threshold"]).as_dict(),
         required=("lambda", "batch"), types={"lambda": float}, needs_field=False,
-        validate=_names_extra_batch),
+        positive=("lambda",), validate=_names_extra_batch),
     "tail": _Kind(_run_tail, needs_field=False),
     "algebra-validate": _Kind(_run_algebra_validate, needs_batch=False,
                               needs_field=False),
@@ -193,7 +210,8 @@ _CHECKS = {
         needs_batch=False, needs_field=False),
     "lsh": _Kind(
         _run_lsh, optional={"points": "grid", "grid_n": 1000, "radius": 3.0, "tol": 1e-9},
-        types={"grid_n": int, "radius": float, "tol": float}, needs_batch=False),
+        types={"grid_n": int, "radius": float, "tol": float}, needs_batch=False,
+        positive=("grid_n", "radius")),
 }
 
 
@@ -302,7 +320,9 @@ def validate_config(config: dict) -> dict:
                 raise ConfigError(f"{where} needs {key!r}")
         for key, conv in kind.types.items():
             if key in chk:
-                _converted(conv, chk[key], where, key)
+                value = _converted(conv, chk[key], where, key)
+                if key in kind.positive and value <= 0:
+                    raise ConfigError(f"{where}: {key!r} must be > 0, got {chk[key]!r}")
         if kind.needs_batch and out["heat"] is None:
             raise ConfigError(f"{where} needs a 'heat' section")
         if kind.needs_field and chk.get("field") not in out["fields"]:

@@ -28,6 +28,7 @@ from .calculus import (
     Var,
     compose_dilation,
     evaluate_batch,
+    frame_jets,
     horizontal_jets,
 )
 from .errors import DomainError, ParameterError
@@ -68,12 +69,14 @@ def _as_points(points, algebra: StratifiedAlgebra | None):
 
 
 def check_lsh(f: ScalarField, points, tol: float = DEFAULT_TOL,
-              algebra: StratifiedAlgebra | None = None) -> LshVerdict:
+              algebra: StratifiedAlgebra | None = None, frame=None) -> LshVerdict:
     """Evaluate Delta log f over the points; cross-check the ratio form.
 
-    The two routes share nothing past the field tree: one differentiates
-    log f by the jet chain rule, the other assembles
-    (Delta f - |grad f|^2/f) / f from jets of f itself.
+    The two routes share nothing past the field tree and the frame jets of
+    the points: one differentiates log f by the jet chain rule, the other
+    assembles (Delta f - |grad f|^2/f) / f from jets of f itself. ``frame``
+    is ``frame_jets`` of the points, when the caller has it; otherwise it
+    is built once here for both routes.
     """
     alg, pts = _as_points(points, algebra)
     try:
@@ -88,14 +91,16 @@ def check_lsh(f: ScalarField, points, tol: float = DEFAULT_TOL,
             detail=f"f <= 0 at point index {bad}",
         )
 
+    if frame is None:
+        frame = frame_jets(alg, pts)
     n = pts.shape[0]
     delta_log = np.zeros(n)
-    for jet in horizontal_jets(Log(f), alg, pts):
+    for jet in horizontal_jets(Log(f), alg, pts, frame):
         delta_log += np.broadcast_to(np.asarray(jet.d2, dtype=float), (n,))
 
     lap = np.zeros(n)
     grad_sq = np.zeros(n)
-    for jet in horizontal_jets(f, alg, pts):
+    for jet in horizontal_jets(f, alg, pts, frame):
         lap += np.broadcast_to(np.asarray(jet.d2, dtype=float), (n,))
         grad_sq += np.broadcast_to(np.asarray(jet.d1 * jet.d1, dtype=float), (n,))
     lemma = (lap - grad_sq / vals) / vals

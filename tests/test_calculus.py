@@ -88,6 +88,40 @@ def test_left_right_agree_at_identity(h3):
         assert np.isclose(l.d1, r.d1, atol=1e-12)
 
 
+def _bytes(jet):
+    return [np.asarray(c, dtype=float).tobytes() for c in (jet.val, jet.d1, jet.d2)]
+
+
+@pytest.mark.parametrize("name", ["heisenberg(1)", "engel", "euclidean(2)"])
+def test_shared_frame_jets_match_per_call_route(name):
+    alg = algebra.builtin(name)
+    pts = rand_points(alg, 300, seed=4, scale=1.0)
+    # positive, and reaching the top layer and both first-layer directions
+    f = calc.Sum(calc.Exp(calc.Prod(calc.Const(0.7), calc.x(1, 1))),
+                 calc.Pow(calc.x(alg.step, 1), 2.0),
+                 calc.Pow(calc.x(1, 1) * calc.x(1, 2), 2.0), calc.Const(2.0))
+    fields = [f, calc.Log(f), calc.compose_dilation(f, 1.5)]
+    frame = calc.frame_jets(alg, pts)
+    before = [[_bytes(jet) for jet in gamma] for gamma in frame]
+
+    basis = alg.orthonormal_v1_frame()
+    for g in fields:
+        # the per-call route: one curve_jet, hence one frame jet, per direction
+        per_call = []
+        for i in range(alg.dim_v1):
+            xi = np.zeros(alg.dim)
+            xi[: alg.dim_v1] = basis[:, i]
+            per_call.append(calc.curve_jet(g, alg, pts, xi))
+        shared = calc.horizontal_jets(g, alg, pts, frame)
+        assert len(shared) == alg.dim_v1
+        for a, b in zip(shared, per_call):
+            assert _bytes(a) == _bytes(b)
+        assert [_bytes(j) for j in calc.horizontal_jets(g, alg, pts)] == \
+            [_bytes(j) for j in shared]
+    # no field evaluation may write into the shared frame
+    assert [[_bytes(jet) for jet in gamma] for gamma in frame] == before
+
+
 # -- sub-Laplacian, sub-gradient, Euler field -------------------------------------
 
 

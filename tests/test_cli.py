@@ -1,6 +1,8 @@
 import copy
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -104,6 +106,19 @@ BAD_CONFIGS = {
     "list-batch": ({"extra_batches": {"b": {"s": 0.25, "n": 100, "seed": 1}},
                     "checks": [{"check": "scaling", "lambda": 2.0, "batch": []}]},
                    ["checks[0]", "'batch' must be a string"]),
+    "zero-lambda": ({"extra_batches": {"b": {"s": 0.25, "n": 100, "seed": 1}},
+                     "checks": [{"check": "scaling", "lambda": 0, "batch": "b"}]},
+                    ["checks[0]", "scaling", "'lambda'", "> 0"]),
+    "negative-lambda": ({"extra_batches": {"b": {"s": 0.25, "n": 100, "seed": 1}},
+                         "checks": [{"check": "scaling", "lambda": -2.0, "batch": "b"}]},
+                        ["checks[0]", "scaling", "'lambda'", "> 0"]),
+    "zero-grid-n": ({"checks": [{"check": "lsh", "field": "f", "grid_n": 0}]},
+                    ["checks[0]", "lsh", "'grid_n'", "> 0"]),
+    "negative-radius": ({"checks": [{"check": "time-space", "field": "f"},
+                                    {"check": "lsh", "field": "f", "radius": -1}]},
+                        ["checks[1]", "lsh", "'radius'", "> 0"]),
+    "zero-sweep-c": ({"checks": [{"check": "alpha-sweep", "field": "f", "q": 2, "c": 0}]},
+                     ["checks[0]", "alpha-sweep", "'c'", "> 0"]),
 }
 
 
@@ -278,6 +293,72 @@ def test_run_covers_every_check_kind():
     for rep in reports:
         assert {"check", "name", "verdict"} <= set(rep)
         assert rep["verdict"] != "error", rep
+
+
+def lsh_grid_config(checks):
+    return {
+        "algebra": "heisenberg(1)",
+        "fields": {name: {"library": name} for name in ("expx1", "coshx1", "gauss-neg")},
+        "heat": {"s": 1.0, "n": 200, "steps": 8, "seed": 5},
+        "checks": checks,
+    }
+
+
+# three checks on one grid (radius 3 and 3.0 are the same grid), one on another
+SHARED_GRID_CHECKS = [
+    {"check": "lsh", "field": "expx1", "grid_n": 3000},
+    {"check": "lsh", "field": "gauss-neg", "grid_n": 3000, "radius": 3},
+    {"check": "time-space", "field": "expx1"},
+    {"check": "lsh", "field": "coshx1", "grid_n": 3000, "tol": 1e-7},
+    {"check": "lsh", "field": "expx1", "grid_n": 500},
+]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_lsh_checks_sharing_a_grid_match_lone_runs(threads, monkeypatch):
+    monkeypatch.setenv("CARNOT_THREADS", threads)
+    shared = cli.run(lsh_grid_config(SHARED_GRID_CHECKS))["reports"]
+    for chk, rep in zip(SHARED_GRID_CHECKS, shared):
+        if chk["check"] == "lsh":
+            alone = cli.run(lsh_grid_config([chk]))["reports"][0]
+            assert json.dumps(rep, sort_keys=True) == json.dumps(alone, sort_keys=True)
+    assert [r["verdict"] for r in shared] == ["holds", "violated", "holds", "holds", "holds"]
+
+
+def test_run_builds_each_lsh_grid_and_frame_once(monkeypatch):
+    calls = {"grid_points": [], "frame_jets": [], "multiply_jets": []}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name].append(1)  # one atomic append per call, from any thread
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(cli.lsh, "grid_points")
+    counting(cli.calculus, "frame_jets")
+    counting(cli.calculus, "multiply_jets")
+    config = lsh_grid_config([c for c in SHARED_GRID_CHECKS if c["check"] == "lsh"])
+    del config["heat"]
+    # more workers than cores, switching threads as often as possible
+    monkeypatch.setenv("CARNOT_THREADS", "8")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        manifests = []
+        runner = threading.Thread(target=lambda: manifests.append(cli.run(config)))
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert [r["verdict"] for r in manifests[0]["reports"]] == \
+        ["holds", "violated", "holds", "holds"]
+    # two frames of dim_v1 = 2 directions each, and no other group product
+    assert {name: len(c) for name, c in calls.items()} == \
+        {"grid_points": 2, "frame_jets": 2, "multiply_jets": 4}
 
 
 def test_run_writes_manifest_and_csv(tmp_path):

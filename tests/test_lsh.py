@@ -158,3 +158,29 @@ def test_check_lsh_accepts_group_elements_and_batches(h3, h3_batch_s1):
     assert v.is_lsh_consistent
     v2 = lsh.check_lsh(calc.Exp(calc.x(1, 1)), h3_batch_s1)
     assert v2.is_lsh_consistent and v2.n_points == h3_batch_s1.n_samples
+
+
+def test_check_lsh_builds_one_frame_for_both_routes(h3, h3_grid, monkeypatch):
+    builds, products = [], []
+    frame_jets, multiply_jets = calc.frame_jets, calc.multiply_jets
+
+    def counting_frame_jets(*args):
+        builds.append(1)
+        return frame_jets(*args)
+
+    def counting_multiply_jets(*args):
+        products.append(1)
+        return multiply_jets(*args)
+
+    monkeypatch.setattr(lsh, "frame_jets", counting_frame_jets)
+    monkeypatch.setattr(calc, "multiply_jets", counting_multiply_jets)
+    f = lib_by_name(h3)["coshx1"].field
+    own = lsh.check_lsh(f, h3_grid, algebra=h3)
+    assert (len(builds), len(products)) == (1, h3.dim_v1)
+
+    frame = calc.frame_jets(h3, h3_grid)
+    builds.clear()
+    products.clear()
+    given = lsh.check_lsh(f, h3_grid, algebra=h3, frame=frame)
+    assert (len(builds), len(products)) == (0, 0)
+    assert given.as_dict() == own.as_dict()
