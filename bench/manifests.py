@@ -1,0 +1,169 @@
+"""Fingerprint, or compare, what checkouts of carnot print.
+
+    python3 bench/manifests.py [--checkout DIR [--checkout DIR]]
+
+The entries are:
+
+- each shipped preset and each benchmark workload at seeds 0 and 7
+  (``perfbench/workloads.config_for``), run by ``cli.run`` at
+  ``CARNOT_THREADS`` 1 and 2; the output is ``manifest_canonical_bytes``;
+- ``carnot check KIND`` for each kind and ``carnot sweep alpha``, at small n;
+  the output is stdout.
+
+With one checkout (by default the one holding this script) it prints, per
+entry, the exit code and the sha256 of the output. With two it prints both
+exit codes and whether the outputs are byte-identical; for each entry that
+differs, it lists the JSON paths that differ (trailing list indices folded
+into ``[*]``), how many values differ there and the largest relative
+difference of those that are numbers. It exits 1 when any entry differs.
+Each checkout runs in its own process, with ``PYTHONPATH`` at its ``src``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib.util
+import json
+import math
+import os
+import re
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PRESETS = ("gaussian-sharpness", "heisenberg-time-space", "heisenberg-slsi-sweep",
+           "htype-classify", "engel-exploratory", "heat-kernel-identities")
+WORKLOAD_SEEDS = (0, 7)
+THREADS = ("1", "2")
+CHECK_KINDS = ("lsi", "slsi", "shc", "time-space", "chain", "contractivity", "lsh")
+CLI_ARGS = ["--algebra", "heisenberg(1)", "--field", "@expx1", "--n", "4000",
+            "--steps", "16", "--seed", "3"]
+
+# Runs in a checkout's process: reads the run jobs from stdin, prints one JSON
+# line {"entry", "exit", "text"} per job.
+RUNNER = """
+import json, os, sys
+from carnot import cli
+where = os.path.dirname(os.path.abspath(cli.__file__))
+if where != os.path.join(sys.argv[1], "carnot"):
+    raise SystemExit(f"imported carnot from {where}, not from {sys.argv[1]}")
+for job in json.load(sys.stdin):
+    os.environ["CARNOT_THREADS"] = job["threads"]
+    config = cli.preset(job["preset"]) if "preset" in job else job["config"]
+    manifest = cli.run(config)
+    print(json.dumps({"entry": job["entry"], "exit": manifest["exit_code"],
+                      "text": cli.manifest_canonical_bytes(manifest).decode()}),
+          flush=True)
+"""
+
+
+def run_jobs() -> list:
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    jobs = []
+    for threads in THREADS:
+        jobs += [{"entry": f"preset {name} threads={threads}", "preset": name,
+                  "threads": threads} for name in PRESETS]
+        jobs += [{"entry": f"workload {name} seed={seed} threads={threads}",
+                  "config": workloads.config_for(name, seed), "threads": threads}
+                 for name in workloads.WORKLOADS for seed in WORKLOAD_SEEDS]
+    return jobs
+
+
+def cli_commands() -> dict:
+    commands = {f"carnot check {kind}": ["check", kind, *CLI_ARGS] for kind in CHECK_KINDS}
+    commands["carnot sweep alpha"] = ["sweep", "alpha", *CLI_ARGS]
+    return commands
+
+
+def outputs(checkout: str) -> dict:
+    """entry -> (exit code, output text) for one checkout."""
+    src = os.path.join(os.path.abspath(checkout), "src")
+    env = {**os.environ, "PYTHONPATH": src, "CARNOT_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", RUNNER, src], env=env, text=True,
+                          input=json.dumps(run_jobs()), capture_output=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"runs in {checkout} failed ({proc.returncode}):\n{proc.stderr}")
+    out = {}
+    for line in proc.stdout.splitlines():
+        rec = json.loads(line)
+        out[rec["entry"]] = rec["exit"], rec["text"]
+    for entry, argv in cli_commands().items():
+        proc = subprocess.run([sys.executable, "-m", "carnot", *argv], env=env,
+                              text=True, capture_output=True)
+        out[entry] = proc.returncode, proc.stdout
+    return out
+
+
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def leaf_diffs(a, b, path="$"):
+    """Yields (path, relative difference or None) for each value that differs."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            if key in a and key in b:
+                yield from leaf_diffs(a[key], b[key], f"{path}.{key}")
+            else:
+                yield f"{path}.{key}", None
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from leaf_diffs(x, y, f"{path}[{i}]")
+    elif _number(a) and _number(b):
+        if a != b and not (math.isnan(a) and math.isnan(b)):
+            scale = max(abs(a), abs(b))
+            yield path, abs(a - b) / scale if math.isfinite(scale) else None
+        elif type(a) is not type(b):  # 1 and 1.0 print differently
+            yield path, 0.0
+    elif a != b or type(a) is not type(b):
+        yield path, None
+
+
+def diff_summary(text_a: str, text_b: str) -> list:
+    """[(path, number of values that differ, max relative difference or None)]."""
+    try:
+        a, b = json.loads(text_a), json.loads(text_b)
+    except json.JSONDecodeError:
+        return [("(not JSON)", 1, None)]
+    groups: dict = {}
+    for path, rel in leaf_diffs(a, b):
+        key = re.sub(r"(\[\d+\])+$", "[*]", path)
+        count, worst = groups.get(key, (0, 0.0))
+        groups[key] = count + 1, None if rel is None or worst is None else max(worst, rel)
+    return [(key, count, worst) for key, (count, worst) in groups.items()]
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    ap.add_argument("--checkout", action="append",
+                    help="checkout to run (give two to compare); default: this one")
+    args = ap.parse_args(argv)
+    checkouts = args.checkout or [ROOT]
+    if len(checkouts) > 2:
+        ap.error("give at most two checkouts")
+    results = [outputs(c) for c in checkouts]
+    if len(results) == 1:
+        for entry, (code, text) in results[0].items():
+            print(f"{code}  {hashlib.sha256(text.encode()).hexdigest()}  {entry}")
+        return 0
+    first, second = results
+    differ = 0
+    for entry, (code_a, text_a) in first.items():
+        code_b, text_b = second[entry]
+        same = code_a == code_b and text_a == text_b
+        differ += not same
+        print(f"{'same' if same else 'DIFF'}  exit {code_a}/{code_b}  {entry}")
+        if text_a != text_b:
+            for path, count, worst in diff_summary(text_a, text_b):
+                rel = "n/a" if worst is None else f"{worst:.2g}"
+                print(f"    {path}: {count} differ, max relative {rel}")
+    print(f"{differ} of {len(first)} entries differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

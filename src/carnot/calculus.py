@@ -380,24 +380,24 @@ def horizontal_jets(f, algebra, coords, frame=None):
     return [_ensure_jet(f._eval(EvalContext(algebra, gamma))) for gamma in frame]
 
 
-def sub_gradient_sq_batch(f, algebra, coords) -> np.ndarray:
-    """|grad f|^2 = sum_i (xi_i~ f)^2 over an orthonormal V_1 frame."""
-    jets = horizontal_jets(f, algebra, coords)
+def horizontal_sums(f, algebra, coords, frame=None):
+    """(|grad f|^2, Delta f) = sum_i ((xi_i~ f)^2, xi_i~^2 f) over an orthonormal
+    V_1 frame; ``frame`` is ``frame_jets(algebra, coords)``, when the caller has it.
+    """
     n = np.atleast_2d(coords).shape[0]
-    acc = np.zeros(n)
-    for jet in jets:
-        acc = acc + np.broadcast_to(np.asarray(jet.d1 * jet.d1, dtype=float), (n,))
-    return acc
+    grad_sq, lap = np.zeros(n), np.zeros(n)
+    for jet in horizontal_jets(f, algebra, coords, frame):
+        grad_sq += np.broadcast_to(np.asarray(jet.d1 * jet.d1, dtype=float), (n,))
+        lap += np.broadcast_to(np.asarray(jet.d2, dtype=float), (n,))
+    return grad_sq, lap
+
+
+def sub_gradient_sq_batch(f, algebra, coords) -> np.ndarray:
+    return horizontal_sums(f, algebra, coords)[0]
 
 
 def sub_laplacian_batch(f, algebra, coords) -> np.ndarray:
-    """Delta f = sum_i xi_i~^2 f over an orthonormal V_1 frame."""
-    jets = horizontal_jets(f, algebra, coords)
-    n = np.atleast_2d(coords).shape[0]
-    acc = np.zeros(n)
-    for jet in jets:
-        acc = acc + np.broadcast_to(np.asarray(jet.d2, dtype=float), (n,))
-    return acc
+    return horizontal_sums(f, algebra, coords)[1]
 
 
 def sub_gradient_sq(f, point: GroupElement) -> float:

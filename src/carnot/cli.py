@@ -60,6 +60,7 @@ class _Context:
     batch: object
     extra: dict
     gate: dict  # z_threshold and abs_floor of the verdict rule
+    seed: int  # the config's heat seed, or 0; seeds the lsh grids
     lsh_grids: dict = dataclass_field(default_factory=dict)
     lock: threading.Lock = dataclass_field(default_factory=threading.Lock)
 
@@ -71,8 +72,7 @@ class _Context:
         """
         with self.lock:
             if (n, radius) not in self.lsh_grids:
-                pts = lsh.grid_points(self.alg, n, radius,
-                                      seed=self.batch.seed if self.batch else 0)
+                pts = lsh.grid_points(self.alg, n, radius, seed=self.seed)
                 self.lsh_grids[n, radius] = pts, calculus.frame_jets(self.alg, pts)
             return self.lsh_grids[n, radius]
 
@@ -149,6 +149,15 @@ def _p_at_most_q(chk, config):
     return None
 
 
+def _lsh_options(chk, config):
+    if chk.get("points", "grid") != "grid":
+        return (f"'points' must be \"grid\", got {chk['points']!r}; "
+                "points from a file need carnot check lsh --points FILE")
+    if float(chk.get("tol", 0.0)) < 0:
+        return f"'tol' must be >= 0, got {chk['tol']!r}"
+    return None
+
+
 def _names_extra_batch(chk, config):
     if chk["batch"] not in config["extra_batches"]:
         return "needs 'batch' naming an extra batch"
@@ -211,7 +220,7 @@ _CHECKS = {
     "lsh": _Kind(
         _run_lsh, optional={"points": "grid", "grid_n": 1000, "radius": 3.0, "tol": 1e-9},
         types={"grid_n": int, "radius": float, "tol": float}, needs_batch=False,
-        positive=("grid_n", "radius")),
+        positive=("grid_n", "radius"), validate=_lsh_options),
 }
 
 
@@ -374,9 +383,9 @@ def run(config: dict) -> dict:
     }
     timings = {}
     batch = None
-    if config["heat"] is not None:
+    hc = config["heat"]
+    if hc is not None and any(_CHECKS[c["check"]].needs_batch for c in config["checks"]):
         t0 = time.perf_counter()
-        hc = config["heat"]
         batch = heat.sample(alg, hc["s"], hc["n"], hc["steps"], hc["seed"],
                             tilt=hc.get("tilt"))
         timings["sampling"] = time.perf_counter() - t0
@@ -388,7 +397,8 @@ def run(config: dict) -> dict:
 
     thresholds = config["thresholds"]
     cx = _Context(alg, fields, batch, extra, {"z_threshold": thresholds["z"],
-                                              "abs_floor": thresholds["abs_floor"]})
+                                              "abs_floor": thresholds["abs_floor"]},
+                  hc["seed"] if hc else 0)
     n_workers = max(1, int(os.environ.get("CARNOT_THREADS", "1")))
     tasks = list(enumerate(config["checks"]))
 
@@ -621,50 +631,44 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--tilt", help="comma separated first-layer tilt vector")
     p_sample.add_argument("--out", required=True, help="CSV output path")
 
-    p_check = sub.add_parser("check", help="run one check")
+    # flags of the one-check commands, ``check`` and ``sweep alpha``
+    one_check = argparse.ArgumentParser(add_help=False)
+    one_check.add_argument("--algebra", required=True)
+    one_check.add_argument("--field", required=True,
+                           help="prefix expression or @library-name")
+    one_check.add_argument("--param", action="append",
+                           help="name=value for expression parameters")
+    one_check.add_argument("--s", type=float, default=1.0)
+    one_check.add_argument("--n", type=int, default=100_000)
+    one_check.add_argument("--steps", type=int, default=512)
+    one_check.add_argument("--seed", type=int, default=0)
+    one_check.add_argument("--beta", type=float, default=0.0)
+    one_check.add_argument("--grid", help="comma separated t grid")
+    one_check.add_argument("--out")
+
+    p_check = sub.add_parser("check", help="run one check", parents=[one_check])
     # alpha-sweep has its own subcommand, ``sweep alpha``
     p_check.add_argument("kind", choices=[k for k, kind in _CHECKS.items()
                                           if kind.needs_field and k != "alpha-sweep"])
-    p_check.add_argument("--algebra", required=True)
-    p_check.add_argument("--field", required=True,
-                         help="prefix expression or @library-name")
-    p_check.add_argument("--param", action="append",
-                         help="name=value for expression parameters")
-    p_check.add_argument("--s", type=float, default=1.0)
-    p_check.add_argument("--n", type=int, default=100_000)
-    p_check.add_argument("--steps", type=int, default=512)
-    p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--tilt")
     p_check.add_argument("--c", type=float, default=0.5)
-    p_check.add_argument("--beta", type=float, default=0.0)
     p_check.add_argument("--form", choices=["L1", "L2"], default="L1")
     p_check.add_argument("--p", type=float, default=1.0)
     p_check.add_argument("--q", type=float, default=4.0)
     p_check.add_argument("--t", default="tJ")
     p_check.add_argument("--exploratory", action="store_true")
-    p_check.add_argument("--grid", help="comma separated t grid")
     p_check.add_argument("--points", default="grid", help="grid (default)")
     p_check.add_argument("--grid-n", type=int, default=1000)
     p_check.add_argument("--radius", type=float, default=3.0)
     p_check.add_argument("--tol", type=float, default=1e-9)
-    p_check.add_argument("--out")
 
     p_sweep = sub.add_parser("sweep", help="parameter sweeps")
     sweep_sub = p_sweep.add_subparsers(dest="sweep_command", required=True)
-    p_alpha = sweep_sub.add_parser("alpha", help="alpha(t) monotonicity sweep")
-    for flag, kw in [
-        ("--algebra", {"required": True}), ("--field", {"required": True}),
-        ("--param", {"action": "append"}),
-        ("--s", {"type": float, "default": 1.0}),
-        ("--n", {"type": int, "default": 100_000}),
-        ("--steps", {"type": int, "default": 512}),
-        ("--seed", {"type": int, "default": 0}),
-        ("--c", {"type": float, "default": 1.0}),
-        ("--beta", {"type": float, "default": 0.0}),
-        ("--q", {"type": float, "default": math.e}),
-        ("--grid", {}), ("--out", {}),
-    ]:
-        p_alpha.add_argument(flag, **kw)
+    p_alpha = sweep_sub.add_parser("alpha", help="alpha(t) monotonicity sweep",
+                                   parents=[one_check])
+    p_alpha.add_argument("--c", type=float, default=1.0)
+    p_alpha.add_argument("--q", type=float, default=math.e)
+    p_alpha.set_defaults(kind="alpha-sweep")
 
     p_run = sub.add_parser("run", help="execute an experiment config")
     p_run.add_argument("config", help="path to JSON config")
@@ -727,22 +731,6 @@ def _cmd_check(args) -> int:
     return manifest["exit_code"]
 
 
-def _cmd_sweep_alpha(args) -> int:
-    config = {
-        "algebra": args.algebra,
-        "fields": {"f": _field_from_args(args)},
-        "heat": _heat_config_from_args(args),
-        "checks": [{
-            "check": "alpha-sweep", "field": "f", "q": args.q, "c": args.c,
-            "beta": args.beta,
-            **({"grid": _grid_from_arg(args.grid)} if args.grid else {}),
-        }],
-    }
-    manifest = run(config)
-    _emit(manifest["reports"][0], args)
-    return manifest["exit_code"]
-
-
 def _cmd_run(args) -> int:
     with open(args.config) as fh:
         config = json.load(fh)
@@ -777,10 +765,8 @@ def main(argv=None) -> int:
             return _cmd_algebra(args)
         if args.command == "sample":
             return _cmd_sample(args)
-        if args.command == "check":
+        if args.command in ("check", "sweep"):
             return _cmd_check(args)
-        if args.command == "sweep":
-            return _cmd_sweep_alpha(args)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "preset":

@@ -38,6 +38,7 @@ from .calculus import (
     dilation_pullback,
     euler_derivative_batch,
     evaluate_batch,
+    horizontal_sums,
     sub_gradient_sq_batch,
     sub_laplacian_batch,
 )
@@ -81,13 +82,29 @@ def lsi_mode(algebra: StratifiedAlgebra) -> str:
 # -- per-sample building blocks -------------------------------------------------
 
 
+def _se(infl: np.ndarray) -> float:
+    """Standard error of the mean of per-sample influences."""
+    return float(infl.std(ddof=1) / math.sqrt(infl.size))
+
+
 def _mean_se(arr: np.ndarray):
-    n = arr.size
-    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return float(arr.mean()), _se(arr) if arr.size > 1 else 0.0
 
 
 def _values(f, batch: HeatSampleBatch) -> np.ndarray:
     return evaluate_batch(f, batch.algebra, batch.samples)
+
+
+def _positive_values(f, batch: HeatSampleBatch, what: str) -> np.ndarray:
+    """f on the batch; ``what`` is the requirement a non-positive value breaks."""
+    v = _values(f, batch)
+    if np.any(v <= 0):
+        raise ParameterError(f"{what}; violated at sample {int(np.argmax(v <= 0))}")
+    return v
+
+
+def _batch_params(batch: HeatSampleBatch) -> dict:
+    return {"s": batch.s, "n": batch.n_samples, "steps": batch.n_steps, "seed": batch.seed}
 
 
 def _heavy(*contribs) -> bool:
@@ -102,8 +119,7 @@ def estimate(functional: str, f: ScalarField, batch: HeatSampleBatch,
     grad_sq, euler (int Ef), laplacian (int Delta f).
     """
     w = batch.weights
-    n = batch.n_samples
-    params = {"s": batch.s, "n": n, "steps": batch.n_steps, "seed": batch.seed}
+    params = _batch_params(batch)
     if functional == "l1":
         val, se = _mean_se(w * _values(f, batch))
     elif functional == "lp":
@@ -115,18 +131,10 @@ def estimate(functional: str, f: ScalarField, batch: HeatSampleBatch,
         se = se_m * val / (p * m) if m > 0 else float("nan")
         params["p"] = p
     elif functional == "entropy":
-        v = _values(f, batch)
-        if np.any(v <= 0):
-            raise ParameterError(
-                f"entropy needs f > 0; violated at sample {int(np.argmax(v <= 0))}"
-            )
+        v = _positive_values(f, batch, "entropy needs f > 0")
         val, se = _mean_se(w * v * np.log(v))
     elif functional == "dirichlet":
-        v = _values(f, batch)
-        if np.any(v <= 0):
-            raise ParameterError(
-                f"dirichlet form needs f > 0; violated at sample {int(np.argmax(v <= 0))}"
-            )
+        v = _positive_values(f, batch, "dirichlet form needs f > 0")
         g = sub_gradient_sq_batch(f, batch.algebra, batch.samples)
         val, se = _mean_se(w * g / v)
     elif functional == "grad_sq":
@@ -138,7 +146,7 @@ def estimate(functional: str, f: ScalarField, batch: HeatSampleBatch,
         val, se = _mean_se(w * sub_laplacian_batch(f, batch.algebra, batch.samples))
     else:
         raise ParameterError(f"unknown functional id {functional!r}")
-    return FunctionalEstimate(functional, val, se, n, params)
+    return FunctionalEstimate(functional, val, se, batch.n_samples, params)
 
 
 def _warn_if_not_lsh(f, batch, lsh_status, notes, check_points: int = 128):
@@ -173,13 +181,8 @@ def check_lsi(f: ScalarField, batch: HeatSampleBatch, c: float, beta: float,
     if beta < 0 or c < 0:
         raise ParameterError("constants c, beta must be >= 0")
     w = batch.weights
-    n = batch.n_samples
     s = batch.s
-    v = _values(f, batch)
-    if np.any(v <= 0):
-        raise ParameterError(
-            f"LSI check needs f > 0 on samples; violated at sample {int(np.argmax(v <= 0))}"
-        )
+    v = _positive_values(f, batch, "LSI check needs f > 0 on samples")
     gsq = sub_gradient_sq_batch(f, batch.algebra, batch.samples)
     logv = np.log(v)
     if form == "L1":
@@ -210,12 +213,10 @@ def check_lsi(f: ScalarField, batch: HeatSampleBatch, c: float, beta: float,
         heavy = _heavy(ent2, g2, wf2)
     else:
         raise ParameterError(f"form must be 'L1' or 'L2', got {form!r}")
-    se = float(infl.std(ddof=1) / math.sqrt(n))
     return CheckReport.from_margin(
-        f"lsi-{form.lower()}", lhs, rhs, se,
+        f"lsi-{form.lower()}", lhs, rhs, _se(infl),
         mode=lsi_mode(batch.algebra),
-        params={"c": c, "beta": beta, "s": s, "n": n, "form": form,
-                "steps": batch.n_steps, "seed": batch.seed},
+        params={"c": c, "beta": beta, "form": form, **_batch_params(batch)},
         heavy_tail=heavy, z_threshold=z_threshold, abs_floor=abs_floor,
     )
 
@@ -230,12 +231,7 @@ def check_slsi(f: ScalarField, batch: HeatSampleBatch, c: float, beta: float,
     notes: list = []
     _warn_if_not_lsh(f, batch, lsh_status, notes)
     w = batch.weights
-    n = batch.n_samples
-    v = _values(f, batch)
-    if np.any(v <= 0):
-        raise ParameterError(
-            f"sLSI check needs f > 0 on samples; violated at sample {int(np.argmax(v <= 0))}"
-        )
+    v = _positive_values(f, batch, "sLSI check needs f > 0 on samples")
     ent = w * v * np.log(v)
     ef = w * euler_derivative_batch(f, batch.algebra, batch.samples)
     wf = w * v
@@ -243,12 +239,10 @@ def check_slsi(f: ScalarField, batch: HeatSampleBatch, c: float, beta: float,
     lhs = L
     rhs = c * E + m1 * math.log(m1) + beta * m1
     infl = c * (ef - E) + (math.log(m1) + 1.0 + beta) * (wf - m1) - (ent - L)
-    se = float(infl.std(ddof=1) / math.sqrt(n))
     return CheckReport.from_margin(
-        "slsi", lhs, rhs, se,
+        "slsi", lhs, rhs, _se(infl),
         mode=lsi_mode(batch.algebra),
-        params={"c": c, "beta": beta, "s": batch.s, "n": n,
-                "steps": batch.n_steps, "seed": batch.seed},
+        params={"c": c, "beta": beta, **_batch_params(batch)},
         notes=notes, heavy_tail=_heavy(ent, ef, wf),
         z_threshold=z_threshold, abs_floor=abs_floor,
     )
@@ -259,17 +253,19 @@ def check_time_space(f: ScalarField, batch: HeatSampleBatch,
                      abs_floor: float = ABS_FLOOR) -> CheckReport:
     """Equality int Ef rho_s dm = (s/2) int Delta f rho_s dm (two-sided)."""
     w = batch.weights
-    n = batch.n_samples
-    s = batch.s
     ef = w * euler_derivative_batch(f, batch.algebra, batch.samples)
     lap = w * sub_laplacian_batch(f, batch.algebra, batch.samples)
+    return _time_space(batch, ef, lap, z_threshold, abs_floor)
+
+
+def _time_space(batch, ef, lap, z_threshold, abs_floor) -> CheckReport:
+    """The time-space report from the weighted Ef and Delta f per sample."""
+    s = batch.s
     E, D = float(np.mean(ef)), float(np.mean(lap))
     infl = (ef - E) - (s / 2.0) * (lap - D)
-    se = float(infl.std(ddof=1) / math.sqrt(n))
     return CheckReport.from_margin(
-        "time-space", E, (s / 2.0) * D, se, two_sided=True,
-        mode=lsi_mode(batch.algebra),
-        params={"s": s, "n": n, "steps": batch.n_steps, "seed": batch.seed},
+        "time-space", E, (s / 2.0) * D, _se(infl), two_sided=True,
+        mode=lsi_mode(batch.algebra), params=_batch_params(batch),
         heavy_tail=_heavy(ef, lap),
         z_threshold=z_threshold, abs_floor=abs_floor,
     )
@@ -287,23 +283,20 @@ def check_lsi_implies_slsi_chain(f: ScalarField, batch: HeatSampleBatch,
     notes: list = []
     _warn_if_not_lsh(f, batch, lsh_status, notes)
     w = batch.weights
-    n = batch.n_samples
-    v = _values(f, batch)
-    if np.any(v <= 0):
-        raise ParameterError(
-            f"chain check needs f > 0 on samples; violated at sample {int(np.argmax(v <= 0))}"
-        )
-    dir_ = w * sub_gradient_sq_batch(f, batch.algebra, batch.samples) / v
-    lap = w * sub_laplacian_batch(f, batch.algebra, batch.samples)
+    v = _positive_values(f, batch, "chain check needs f > 0 on samples")
+    # one frame and one jet evaluation of f give both sums, for both checks
+    gsq, lap = horizontal_sums(f, batch.algebra, batch.samples)
+    dir_ = w * gsq / v
+    lap = w * lap
     G, D = float(np.mean(dir_)), float(np.mean(lap))
-    infl1 = (lap - D) - (dir_ - G)
-    se1 = float(infl1.std(ddof=1) / math.sqrt(n))
+    se1 = _se((lap - D) - (dir_ - G))
     ineq = CheckReport.from_margin(
         "chain-dirichlet-vs-laplacian", G, D, se1,
         mode=lsi_mode(batch.algebra), heavy_tail=_heavy(dir_, lap),
         z_threshold=z_threshold, abs_floor=abs_floor,
     )
-    ts = check_time_space(f, batch, z_threshold=z_threshold, abs_floor=abs_floor)
+    ef = w * euler_derivative_batch(f, batch.algebra, batch.samples)
+    ts = _time_space(batch, ef, lap, z_threshold, abs_floor)
 
     if VERDICT_VIOLATED in (ineq.verdict, ts.verdict):
         verdict = VERDICT_VIOLATED
@@ -315,8 +308,7 @@ def check_lsi_implies_slsi_chain(f: ScalarField, batch: HeatSampleBatch,
         name="lsi-implies-slsi-chain",
         lhs=G, rhs=D, margin=ineq.margin, stderr=se1, z=ineq.z,
         verdict=verdict, two_sided=False, mode=lsi_mode(batch.algebra),
-        params={"s": batch.s, "n": n, "steps": batch.n_steps, "seed": batch.seed},
-        notes=notes,
+        params=_batch_params(batch), notes=notes,
         details={"inequality": ineq.as_dict(), "time_space": ts.as_dict()},
     )
     return report
@@ -346,7 +338,6 @@ def check_shc(f: ScalarField, batch: HeatSampleBatch, p: float, q: float,
     _warn_if_not_lsh(f, batch, lsh_status, notes)
     m_pq = defect_m(p, q, beta)
     w = batch.weights
-    n = batch.n_samples
     ft = dilation_pullback(f, t)
     u = w * _values(ft, batch) ** q
     vv = w * _values(f, batch) ** p
@@ -357,13 +348,11 @@ def check_shc(f: ScalarField, batch: HeatSampleBatch, p: float, q: float,
         m_pq * (1.0 / p) * mv ** (1.0 / p - 1.0) * (vv - mv)
         - (1.0 / q) * mu ** (1.0 / q - 1.0) * (u - mu)
     )
-    se = float(infl.std(ddof=1) / math.sqrt(n))
     return CheckReport.from_margin(
-        "shc", lhs, rhs, se,
+        "shc", lhs, rhs, _se(infl),
         mode=lsi_mode(batch.algebra),
         params={"p": p, "q": q, "t": t, "t_J": t_j, "M": m_pq, "c": c,
-                "beta": beta, "s": batch.s, "n": n, "steps": batch.n_steps,
-                "seed": batch.seed, "exploratory": exploratory},
+                "beta": beta, **_batch_params(batch), "exploratory": exploratory},
         notes=notes, heavy_tail=_heavy(u, vv),
         z_threshold=z_threshold, abs_floor=abs_floor,
     )
@@ -372,13 +361,36 @@ def check_shc(f: ScalarField, batch: HeatSampleBatch, p: float, q: float,
 # -- sweeps ----------------------------------------------------------------------
 
 
-def _monotone_verdicts(values, diff_ses, z_threshold, abs_floor):
-    values = np.asarray(values)
-    diffs = np.diff(values)
+def _sweep(name, f, batch, ts, r_of, m_of, params, notes, z_threshold,
+           abs_floor) -> SweepReport:
+    """alpha(t) = M(t)^{-1} |e^{-tE} f|_{r(t)} over the sorted t grid.
+
+    The verdict is "holds" when alpha is non-increasing within
+    z_threshold standard errors of each step plus abs_floor.
+    """
+    ts = np.asarray(sorted(float(t) for t in ts))
+    w = batch.weights
+    values, stderrs, infls = [], [], []
+    for t in ts:
+        r, m_t = r_of(t), m_of(t)
+        u = w * _values(dilation_pullback(f, t), batch) ** r
+        m = float(np.mean(u))
+        values.append(m ** (1.0 / r) / m_t)
+        dval = (1.0 / r) * m ** (1.0 / r - 1.0) / m_t
+        infls.append(dval * (u - m))
+        stderrs.append(_se(infls[-1]))
+    diff_ses = [_se(b - a) for a, b in zip(infls, infls[1:])]
     tol = z_threshold * np.asarray(diff_ses) + abs_floor
-    nonincreasing = bool(np.all(diffs <= tol))
-    nondecreasing = bool(np.all(diffs >= -tol))
-    return nonincreasing, nondecreasing
+    diffs = np.diff(np.asarray(values))
+    noninc = bool(np.all(diffs <= tol))
+    return SweepReport(
+        name=name,
+        ts=ts.tolist(), values=values, stderrs=stderrs, diff_stderrs=diff_ses,
+        monotone_nonincreasing=noninc, monotone_nondecreasing=bool(np.all(diffs >= -tol)),
+        verdict=VERDICT_HOLDS if noninc else VERDICT_VIOLATED,
+        mode=lsi_mode(batch.algebra), params={**params, **_batch_params(batch)},
+        notes=notes,
+    )
 
 
 def sweep_alpha(f: ScalarField, batch: HeatSampleBatch, c: float, beta: float,
@@ -395,38 +407,10 @@ def sweep_alpha(f: ScalarField, batch: HeatSampleBatch, c: float, beta: float,
     notes: list = []
     _warn_if_not_lsh(f, batch, lsh_status, notes)
     t_j = janson_time(1.0, q, c)
-    if ts is None:
-        ts = np.linspace(0.0, t_j, 9)
-    ts = np.asarray(sorted(float(t) for t in ts))
-    w = batch.weights
-    n = batch.n_samples
-    values, stderrs, infls = [], [], []
-    for t in ts:
-        r = math.exp(t / c)
-        m_t = math.exp(beta * (1.0 - math.exp(-t / c)))
-        ft = dilation_pullback(f, t)
-        u = w * _values(ft, batch) ** r
-        m = float(np.mean(u))
-        val = m ** (1.0 / r) / m_t
-        dval = (1.0 / r) * m ** (1.0 / r - 1.0) / m_t
-        infl = dval * (u - m)
-        values.append(val)
-        stderrs.append(float(infl.std(ddof=1) / math.sqrt(n)))
-        infls.append(infl)
-    diff_ses = [
-        float((infls[i + 1] - infls[i]).std(ddof=1) / math.sqrt(n))
-        for i in range(len(ts) - 1)
-    ]
-    noninc, nondec = _monotone_verdicts(values, diff_ses, z_threshold, abs_floor)
-    return SweepReport(
-        name="alpha-sweep",
-        ts=ts.tolist(), values=values, stderrs=stderrs, diff_stderrs=diff_ses,
-        monotone_nonincreasing=noninc, monotone_nondecreasing=nondec,
-        verdict=VERDICT_HOLDS if noninc else VERDICT_VIOLATED,
-        mode=lsi_mode(batch.algebra),
-        params={"c": c, "beta": beta, "q": q, "t_J": t_j, "s": batch.s,
-                "n": n, "steps": batch.n_steps, "seed": batch.seed},
-        notes=notes,
+    return _sweep(
+        "alpha-sweep", f, batch, np.linspace(0.0, t_j, 9) if ts is None else ts,
+        lambda t: math.exp(t / c), lambda t: math.exp(beta * (1.0 - math.exp(-t / c))),
+        {"c": c, "beta": beta, "q": q, "t_J": t_j}, notes, z_threshold, abs_floor,
     )
 
 
@@ -437,29 +421,7 @@ def check_l1_contractivity(f: ScalarField, batch: HeatSampleBatch, ts=None,
     """|e^{-tE} f|_1 over a t grid; non-increasing for log-subharmonic f."""
     notes: list = []
     _warn_if_not_lsh(f, batch, lsh_status, notes)
-    if ts is None:
-        ts = np.linspace(0.0, 1.0, 9)
-    ts = np.asarray(sorted(float(t) for t in ts))
-    w = batch.weights
-    n = batch.n_samples
-    values, stderrs, infls = [], [], []
-    for t in ts:
-        u = w * _values(dilation_pullback(f, t), batch)
-        m = float(np.mean(u))
-        values.append(m)
-        stderrs.append(float(u.std(ddof=1) / math.sqrt(n)))
-        infls.append(u - m)
-    diff_ses = [
-        float((infls[i + 1] - infls[i]).std(ddof=1) / math.sqrt(n))
-        for i in range(len(ts) - 1)
-    ]
-    noninc, nondec = _monotone_verdicts(values, diff_ses, z_threshold, abs_floor)
-    return SweepReport(
-        name="l1-contractivity",
-        ts=ts.tolist(), values=values, stderrs=stderrs, diff_stderrs=diff_ses,
-        monotone_nonincreasing=noninc, monotone_nondecreasing=nondec,
-        verdict=VERDICT_HOLDS if noninc else VERDICT_VIOLATED,
-        mode=lsi_mode(batch.algebra),
-        params={"s": batch.s, "n": n, "steps": batch.n_steps, "seed": batch.seed},
-        notes=notes,
+    return _sweep(
+        "l1-contractivity", f, batch, np.linspace(0.0, 1.0, 9) if ts is None else ts,
+        lambda t: 1.0, lambda t: 1.0, {}, notes, z_threshold, abs_floor,
     )

@@ -29,7 +29,7 @@ from .calculus import (
     compose_dilation,
     evaluate_batch,
     frame_jets,
-    horizontal_jets,
+    horizontal_sums,
 )
 from .errors import DomainError, ParameterError
 from .group import GroupElement
@@ -93,16 +93,8 @@ def check_lsh(f: ScalarField, points, tol: float = DEFAULT_TOL,
 
     if frame is None:
         frame = frame_jets(alg, pts)
-    n = pts.shape[0]
-    delta_log = np.zeros(n)
-    for jet in horizontal_jets(Log(f), alg, pts, frame):
-        delta_log += np.broadcast_to(np.asarray(jet.d2, dtype=float), (n,))
-
-    lap = np.zeros(n)
-    grad_sq = np.zeros(n)
-    for jet in horizontal_jets(f, alg, pts, frame):
-        lap += np.broadcast_to(np.asarray(jet.d2, dtype=float), (n,))
-        grad_sq += np.broadcast_to(np.asarray(jet.d1 * jet.d1, dtype=float), (n,))
+    _, delta_log = horizontal_sums(Log(f), alg, pts, frame)
+    grad_sq, lap = horizontal_sums(f, alg, pts, frame)
     lemma = (lap - grad_sq / vals) / vals
 
     i_worst = int(np.argmin(delta_log))
@@ -118,7 +110,7 @@ def check_lsh(f: ScalarField, points, tol: float = DEFAULT_TOL,
         tolerance=tol,
         min_lemma_margin=min_lm,
         routes_agree=(v1 == v2),
-        n_points=n,
+        n_points=pts.shape[0],
     )
 
 

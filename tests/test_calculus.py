@@ -116,6 +116,14 @@ def test_shared_frame_jets_match_per_call_route(name):
         assert len(shared) == alg.dim_v1
         for a, b in zip(shared, per_call):
             assert _bytes(a) == _bytes(b)
+        grad_sq, lap = np.zeros(len(pts)), np.zeros(len(pts))
+        for jet in per_call:
+            grad_sq += np.broadcast_to(np.asarray(jet.d1 * jet.d1, dtype=float), grad_sq.shape)
+            lap += np.broadcast_to(np.asarray(jet.d2, dtype=float), lap.shape)
+        sums = calc.horizontal_sums(g, alg, pts, frame)
+        assert [a.tobytes() for a in sums] == [grad_sq.tobytes(), lap.tobytes()]
+        assert calc.sub_gradient_sq_batch(g, alg, pts).tobytes() == grad_sq.tobytes()
+        assert calc.sub_laplacian_batch(g, alg, pts).tobytes() == lap.tobytes()
         assert [_bytes(j) for j in calc.horizontal_jets(g, alg, pts)] == \
             [_bytes(j) for j in shared]
     # no field evaluation may write into the shared frame

@@ -119,6 +119,11 @@ BAD_CONFIGS = {
                         ["checks[1]", "lsh", "'radius'", "> 0"]),
     "zero-sweep-c": ({"checks": [{"check": "alpha-sweep", "field": "f", "q": 2, "c": 0}]},
                      ["checks[0]", "alpha-sweep", "'c'", "> 0"]),
+    "lsh-points-file": ({"checks": [{"check": "lsh", "field": "f", "points": "batch.csv"}]},
+                        ["checks[0]", "lsh", "'points'", "carnot check lsh --points FILE"]),
+    "negative-lsh-tol": ({"checks": [{"check": "time-space", "field": "f"},
+                                     {"check": "lsh", "field": "f", "tol": -5}]},
+                         ["checks[1]", "lsh", "'tol'", ">= 0"]),
 }
 
 
@@ -144,6 +149,11 @@ def test_zero_log_sobolev_constant_still_validates():
     # c = 0 is in the domain of check_lsi and check_slsi
     cli.validate_config(small_time_space_config(
         checks=[{"check": "slsi", "field": "f", "c": 0}]))
+
+
+def test_zero_lsh_tolerance_and_grid_points_still_validate():
+    cli.validate_config(small_time_space_config(
+        checks=[{"check": "lsh", "field": "f", "tol": 0, "points": "grid"}]))
 
 
 def test_unexpected_exception_exits_3_with_one_line(monkeypatch, capsys):
@@ -477,6 +487,51 @@ def test_cli_sweep_alpha(capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["monotone_nonincreasing"] is True
     assert len(rep["ts"]) == len(rep["values"]) == len(rep["stderrs"])
+
+
+def test_cli_sweep_alpha_prints_the_run_report(capsys):
+    argv = ["--algebra", "heisenberg(1)", "--field", "(exp x_1_1)", "--n", "2000",
+            "--steps", "16", "--seed", "6", "--grid", "0,0.5,1"]
+    rc = cli.main(["sweep", "alpha", *argv])
+    report = cli.run({
+        "algebra": "heisenberg(1)",
+        "fields": {"f": {"expr": "(exp x_1_1)", "params": {}}},
+        "heat": {"s": 1.0, "n": 2000, "steps": 16, "seed": 6},
+        "checks": [{"check": "alpha-sweep", "field": "f", "q": math.e, "c": 1.0,
+                    "beta": 0.0, "grid": [0.0, 0.5, 1.0]}],
+    })["reports"][0]
+    assert capsys.readouterr().out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert rc == 0
+
+
+def test_one_check_commands_keep_their_flags_and_defaults():
+    parser = cli.build_parser()
+    required = ["--algebra", "a", "--field", "f"]
+    shared = {"algebra": "a", "field": "f", "param": None, "s": 1.0, "n": 100_000,
+              "steps": 512, "seed": 0, "beta": 0.0, "grid": None, "out": None}
+    check = vars(parser.parse_args(["check", "lsi", *required]))
+    assert check == {**shared, "command": "check", "kind": "lsi", "tilt": None,
+                     "c": 0.5, "form": "L1", "p": 1.0, "q": 4.0, "t": "tJ",
+                     "exploratory": False, "points": "grid", "grid_n": 1000,
+                     "radius": 3.0, "tol": 1e-9}
+    sweep = vars(parser.parse_args(["sweep", "alpha", *required]))
+    assert sweep == {**shared, "command": "sweep", "sweep_command": "alpha",
+                     "kind": "alpha-sweep", "c": 1.0, "q": math.e}
+
+
+def test_cli_check_lsh_draws_no_heat_batch(monkeypatch, capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(cli.heat, "sample", no_sampling)
+    assert cli.main(["check", "lsh", "--algebra", "heisenberg(1)",
+                     "--field", "@expx1", "--seed", "5"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    alg = cli.algebra_mod.builtin("heisenberg(1)")
+    want = cli.lsh.check_lsh(cli.lsh.library_field(alg, "expx1").field,
+                             cli.lsh.grid_points(alg, 1000, 3.0, seed=5), algebra=alg)
+    assert rep["worst_point"] == want.as_dict()["worst_point"]
+    assert rep["n_points"] == 1000
 
 
 def test_cli_preset_show_write_run(tmp_path, capsys):

@@ -171,6 +171,23 @@ def test_chain_check(h3_batch_s1, h3):
     assert neg.verdict == "violated"  # Delta f - |grad f|^2/f = -2f < 0
 
 
+def test_chain_builds_one_frame(h3_batch_s1, monkeypatch):
+    calls = []
+    original = calc.frame_jets
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(calc, "frame_jets", counted)
+    rep = ineq.check_lsi_implies_slsi_chain(calc.Exp(calc.x(1, 1)), h3_batch_s1,
+                                            lsh_status="lsh")
+    # both sums, for the inequality and for the time-space part, on one frame
+    assert len(calls) == 1
+    alone = ineq.check_time_space(calc.Exp(calc.x(1, 1)), h3_batch_s1)
+    assert rep.details["time_space"] == alone.as_dict()
+
+
 # -- sHC ----------------------------------------------------------------------------
 
 
@@ -299,6 +316,18 @@ def test_l1_contractivity_h3(h3_batch_s1, h3):
     # closed form: E[exp(-e^{-2t} x1^2)] = 1/sqrt(1 + e^{-2t} s)
     for t, v, se in zip(neg.ts, neg.values, neg.stderrs):
         assert abs(v - 1.0 / math.sqrt(1 + math.exp(-2 * t))) < 4 * se + 1e-9
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda f, batch: ineq.check_l1_contractivity(f, batch),
+    lambda f, batch: ineq.sweep_alpha(f, batch, 1.0, 0.0, 2.0),
+], ids=["contractivity", "alpha-sweep"])
+def test_sweep_lsh_spot_check_warns_at_caller(sweep, h3_batch_s1, h3):
+    bad = lsh.library_field(h3, "gauss-neg")
+    with pytest.warns(UserWarning, match="spot check") as record:
+        rep = sweep(bad.field, h3_batch_s1)
+    assert [w.filename for w in record] == [__file__]
+    assert rep.notes == ["LSH spot check: violated"]
 
 
 def test_l1_contractivity_constant(r1_batch_s2):
