@@ -7,8 +7,12 @@ The entries are:
 - each shipped preset and each benchmark workload at seeds 0 and 7
   (``perfbench/workloads.config_for``), run by ``cli.run`` at
   ``CARNOT_THREADS`` 1 and 2; the output is ``manifest_canonical_bytes``;
-- ``carnot check KIND`` for each kind and ``carnot sweep alpha``, at small n;
-  the output is stdout.
+- ``heat.sample`` on each builtin algebra, plain and once tilted, and
+  ``heat.coupled_refinement`` at steps [4, 16, 64] on three of them, at small
+  n; the output is the samples (and log weights) as JSON lists, whose repr
+  floats round-trip, so equal outputs mean equal bits;
+- ``carnot check KIND`` for each kind, ``carnot check lsi --form L2`` and
+  ``carnot sweep alpha``, at small n; the output is stdout.
 
 With one checkout (by default the one holding this script) it prints, per
 entry, the exit code and the sha256 of the output. With two it prints both
@@ -39,16 +43,33 @@ THREADS = ("1", "2")
 CHECK_KINDS = ("lsi", "slsi", "shc", "time-space", "chain", "contractivity", "lsh")
 CLI_ARGS = ["--algebra", "heisenberg(1)", "--field", "@expx1", "--n", "4000",
             "--steps", "16", "--seed", "3"]
+SAMPLE_ALGEBRAS = ("euclidean(1)", "euclidean(3)", "heisenberg(1)", "heisenberg(2)", "engel")
+SAMPLE_KW = {"s": 1.3, "n_samples": 300, "seed": 5}
+TILTED = ("heisenberg(1)", [0.5, -1.0])
+REFINE_ALGEBRAS = ("heisenberg(1)", "engel", "euclidean(1)")
+REFINE_STEPS = [4, 16, 64]
 
-# Runs in a checkout's process: reads the run jobs from stdin, prints one JSON
+# Runs in a checkout's process: reads the jobs from stdin, prints one JSON
 # line {"entry", "exit", "text"} per job.
 RUNNER = """
 import json, os, sys
-from carnot import cli
+from carnot import algebra, cli, heat
 where = os.path.dirname(os.path.abspath(cli.__file__))
 if where != os.path.join(sys.argv[1], "carnot"):
     raise SystemExit(f"imported carnot from {where}, not from {sys.argv[1]}")
 for job in json.load(sys.stdin):
+    if "sample" in job or "refine" in job:
+        kw = job.get("sample") or job["refine"]
+        alg = algebra.builtin(kw.pop("algebra"))
+        if "sample" in job:
+            b = heat.sample(alg, **kw)
+            arrays = {"samples": b.samples, "log_weights": b.log_weights}
+        else:
+            arrays = {f"k={k}": b.samples
+                      for k, b in heat.coupled_refinement(alg, **kw).items()}
+        text = json.dumps({k: v.tolist() for k, v in arrays.items() if v is not None})
+        print(json.dumps({"entry": job["entry"], "exit": 0, "text": text}), flush=True)
+        continue
     os.environ["CARNOT_THREADS"] = job["threads"]
     config = cli.preset(job["preset"]) if "preset" in job else job["config"]
     manifest = cli.run(config)
@@ -70,11 +91,19 @@ def run_jobs() -> list:
         jobs += [{"entry": f"workload {name} seed={seed} threads={threads}",
                   "config": workloads.config_for(name, seed), "threads": threads}
                  for name in workloads.WORKLOADS for seed in WORKLOAD_SEEDS]
+    samples = [(name, None) for name in SAMPLE_ALGEBRAS] + [TILTED]
+    jobs += [{"entry": f"heat.sample {name}" + (f" tilt={tilt}" if tilt else ""),
+              "sample": {"algebra": name, "n_steps": 33, "tilt": tilt, **SAMPLE_KW}}
+             for name, tilt in samples]
+    jobs += [{"entry": f"heat.coupled_refinement {name} {REFINE_STEPS}",
+              "refine": {"algebra": name, "steps_list": REFINE_STEPS, **SAMPLE_KW}}
+             for name in REFINE_ALGEBRAS]
     return jobs
 
 
 def cli_commands() -> dict:
     commands = {f"carnot check {kind}": ["check", kind, *CLI_ARGS] for kind in CHECK_KINDS}
+    commands["carnot check lsi --form L2"] = ["check", "lsi", "--form", "L2", *CLI_ARGS]
     commands["carnot sweep alpha"] = ["sweep", "alpha", *CLI_ARGS]
     return commands
 

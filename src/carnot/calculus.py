@@ -38,10 +38,6 @@ class Jet2:
     d1: object
     d2: object
 
-    @staticmethod
-    def constant(v):
-        return Jet2(v, 0.0, 0.0)
-
     def __add__(self, other):
         if isinstance(other, Jet2):
             return Jet2(self.val + other.val, self.d1 + other.d1, self.d2 + other.d2)
@@ -80,10 +76,7 @@ class Jet2:
 
     def pow(self, p: float):
         v = self.val
-        if float(p).is_integer():
-            _require_nonzero_if_negative_power(v, p)
-        else:
-            _require_positive(v, f"power {p}")
+        _require_power_domain(v, p)
         vp = v ** p
         # p = 0 and p = 1 leave out the terms whose coefficient is zero: their
         # power of v is negative, infinite at v = 0, and would give 0 * inf
@@ -103,8 +96,11 @@ def _require_positive(v, what: str):
         raise DomainError(f"{what} of non-positive value at sample {bad}")
 
 
-def _require_nonzero_if_negative_power(v, p):
-    if p < 0:
+def _require_power_domain(v, p):
+    """v ** p needs v != 0 for a negative integer p and v > 0 for a fractional p."""
+    if not float(p).is_integer():
+        _require_positive(v, f"power {p}")
+    elif p < 0:
         arr = np.asarray(v)
         if np.any(arr == 0):
             bad = int(np.argmax(arr == 0)) if arr.ndim else 0
@@ -125,10 +121,7 @@ def _log(v):
 def _pow(v, p):
     if isinstance(v, Jet2):
         return v.pow(p)
-    if float(p).is_integer():
-        _require_nonzero_if_negative_power(v, p)
-    else:
-        _require_positive(v, f"power {p}")
+    _require_power_domain(v, p)
     return v ** p
 
 
@@ -293,10 +286,6 @@ def compose_dilation(f: ScalarField, lam: float) -> ScalarField:
 # -- evaluation ---------------------------------------------------------------
 
 
-def _coords_of(x) -> np.ndarray:
-    return x.coords if isinstance(x, GroupElement) else np.asarray(x, dtype=float)
-
-
 def evaluate(f: ScalarField, point: GroupElement) -> float:
     ctx = EvalContext(point.algebra, list(point.coords))
     return float(f._eval(ctx))
@@ -317,26 +306,21 @@ def _ensure_jet(out) -> Jet2:
     return out if isinstance(out, Jet2) else Jet2(out, 0.0, 0.0)
 
 
-def _point_jets(coords_cols):
-    return [Jet2(c, 0.0, 0.0) for c in coords_cols]
-
-
-def _direction_jets(xi):
-    return [Jet2(0.0, float(a), 0.0) for a in xi]
+def _curve(algebra, coords, xi, side: str = "left"):
+    """Coordinate jets of t -> x exp(t xi), or exp(t xi) x for side='right'."""
+    coords = np.atleast_2d(np.asarray(coords, dtype=float))
+    xj = [Jet2(coords[:, i], 0.0, 0.0) for i in range(algebra.dim)]
+    yj = [Jet2(0.0, float(a), 0.0) for a in np.asarray(xi, dtype=float)]
+    if side == "left":
+        return multiply_jets(algebra, xj, yj)
+    if side == "right":
+        return multiply_jets(algebra, yj, xj)
+    raise ParameterError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def curve_jet(f, algebra, coords, xi, side: str = "left") -> Jet2:
     """2-jet of t -> f(x exp(t xi)) (or exp(t xi) x for side='right')."""
-    coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    xj = _point_jets([coords[:, i] for i in range(algebra.dim)])
-    yj = _direction_jets(np.asarray(xi, dtype=float))
-    if side == "left":
-        gamma = multiply_jets(algebra, xj, yj)
-    elif side == "right":
-        gamma = multiply_jets(algebra, yj, xj)
-    else:
-        raise ParameterError(f"side must be 'left' or 'right', got {side!r}")
-    return _ensure_jet(f._eval(EvalContext(algebra, gamma)))
+    return _ensure_jet(f._eval(EvalContext(algebra, _curve(algebra, coords, xi, side))))
 
 
 def _scalarize(jet: Jet2) -> Jet2:
@@ -359,15 +343,9 @@ def frame_jets(algebra, coords):
     frame serves every field evaluated on the same points. Field evaluation
     never writes into them.
     """
-    coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    xj = _point_jets([coords[:, i] for i in range(algebra.dim)])
-    basis = algebra.orthonormal_v1_frame()
-    frame = []
-    for i in range(algebra.dim_v1):
-        xi = np.zeros(algebra.dim)
-        xi[: algebra.dim_v1] = basis[:, i]
-        frame.append(multiply_jets(algebra, xj, _direction_jets(xi)))
-    return frame
+    upper = algebra.dim - algebra.dim_v1
+    return [_curve(algebra, coords, np.pad(xi, (0, upper)))
+            for xi in algebra.orthonormal_v1_frame().T]
 
 
 def horizontal_jets(f, algebra, coords, frame=None):

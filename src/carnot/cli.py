@@ -390,7 +390,8 @@ def run(config: dict) -> dict:
                             tilt=hc.get("tilt"))
         timings["sampling"] = time.perf_counter() - t0
     extra = {}
-    for name, bc in config["extra_batches"].items():
+    for name in dict.fromkeys(c["batch"] for c in config["checks"] if "batch" in c):
+        bc = config["extra_batches"][name]
         t0 = time.perf_counter()
         extra[name] = heat.sample(alg, bc["s"], bc["n"], bc["steps"], bc["seed"])
         timings[f"sampling.{name}"] = time.perf_counter() - t0
@@ -594,14 +595,14 @@ def _emit(obj, args) -> None:
         print(text)
 
 
-def _grid_from_arg(grid: str) -> list:
-    return [float(v) for v in grid.split(",")]
+def _csv_floats(text: str) -> list:
+    return [float(v) for v in text.split(",")]
 
 
 def _heat_config_from_args(args):
     hc = {"s": args.s, "n": args.n, "steps": args.steps, "seed": args.seed}
     if getattr(args, "tilt", None):
-        hc["tilt"] = [float(v) for v in args.tilt.split(",")]
+        hc["tilt"] = _csv_floats(args.tilt)
     return hc
 
 
@@ -695,7 +696,7 @@ def _cmd_algebra(args) -> int:
 
 def _cmd_sample(args) -> int:
     alg = algebra_mod.resolve(args.algebra)
-    tilt = [float(v) for v in args.tilt.split(",")] if args.tilt else None
+    tilt = _csv_floats(args.tilt) if args.tilt else None
     batch = heat.sample(alg, args.s, args.n, args.steps, args.seed, tilt=tilt)
     batch.save_csv(args.out)
     print(f"wrote {args.n} samples to {args.out}")
@@ -724,21 +725,25 @@ def _cmd_check(args) -> int:
         if key == "grid":
             if not value:
                 continue
-            value = _grid_from_arg(value)
+            value = _csv_floats(value)
         chk[key] = value
     manifest = run({**config, "checks": [chk]})
     _emit(manifest["reports"][0], args)
     return manifest["exit_code"]
 
 
-def _cmd_run(args) -> int:
-    with open(args.config) as fh:
-        config = json.load(fh)
-    if args.out_dir:
-        config["output"] = {"dir": args.out_dir}
+def _run_and_print(config: dict, out_dir) -> int:
+    if out_dir:
+        config["output"] = {"dir": out_dir}
     manifest = run(config)
     print(json.dumps(manifest, sort_keys=True, indent=2))
     return manifest["exit_code"]
+
+
+def _cmd_run(args) -> int:
+    with open(args.config) as fh:
+        config = json.load(fh)
+    return _run_and_print(config, args.out_dir)
 
 
 def _cmd_preset(args) -> int:
@@ -749,11 +754,7 @@ def _cmd_preset(args) -> int:
         print(f"wrote preset {args.name} to {args.write}")
         return EXIT_OK
     if args.run:
-        if args.out_dir:
-            config["output"] = {"dir": args.out_dir}
-        manifest = run(config)
-        print(json.dumps(manifest, sort_keys=True, indent=2))
-        return manifest["exit_code"]
+        return _run_and_print(config, args.out_dir)
     print(json.dumps(config, sort_keys=True, indent=2))
     return EXIT_OK
 

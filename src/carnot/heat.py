@@ -76,9 +76,6 @@ class HeatSampleBatch:
     def is_tilted(self) -> bool:
         return self.tilt is not None
 
-    def first_layer(self) -> np.ndarray:
-        return self.samples[:, : self.algebra.dim_v1]
-
     def save_csv(self, path: str):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -142,12 +139,16 @@ def _increments(algebra: StratifiedAlgebra, s: float, n_samples: int,
 def _walk(algebra: StratifiedAlgebra, inc: np.ndarray) -> np.ndarray:
     """Endpoints X_k = X_{k-1} exp(inc_k . xi) of walks from e, for (m, k, d1) inc.
 
-    The walk runs on columns: X is dim contiguous (m,) arrays, and a step is
-    its d1 increment columns with None for the upper layers, which
-    multiply_jets skips.  Blocks of steps are transposed to step-major order
-    tile by tile, which keeps the copies cache-sized.
+    An abelian walk is a plain sum of increments.  Otherwise X is dim
+    contiguous (m,) arrays, and a step is its d1 increment columns with None
+    for the upper layers, which multiply_jets skips.  Blocks of steps are
+    transposed to step-major order tile by tile, keeping the copies cache-sized.
     """
     m, n_steps, d1 = inc.shape
+    if not algebra.sparse:
+        X = np.zeros((m, algebra.dim))
+        X[:, :d1] = inc.sum(axis=1)
+        return X
     X = [np.zeros(m) for _ in range(algebra.dim)]
     upper = [None] * (algebra.dim - d1)
     buf = np.empty((min(_TILE_STEPS, n_steps), d1, m))
@@ -161,6 +162,23 @@ def _walk(algebra: StratifiedAlgebra, inc: np.ndarray) -> np.ndarray:
     return np.column_stack(X)
 
 
+def _endpoints(algebra: StratifiedAlgebra, s: float, n_samples: int, steps_list,
+               seed: int, shift=None) -> dict:
+    """Walk endpoints {k: (n_samples, dim)} for the sorted step counts steps_list,
+    all driven by the finest walk's increments (plus ``shift``): a k-step walk
+    takes their sums over blocks of finest // k.
+    """
+    finest = steps_list[-1]
+    out = {k: np.empty((n_samples, algebra.dim)) for k in steps_list}
+    for lo, hi, inc in _increments(algebra, s, n_samples, finest, seed, shift):
+        for k in steps_list:
+            # the finest walk takes inc as it is, without a copy
+            inc_k = inc if k == finest else (
+                inc.reshape(hi - lo, k, finest // k, algebra.dim_v1).sum(axis=2))
+            out[k][lo:hi] = _walk(algebra, inc_k)
+    return out
+
+
 def sample(algebra: StratifiedAlgebra, s: float, n_samples: int,
            n_steps: int = 512, seed: int = 0, tilt=None) -> HeatSampleBatch:
     """Draw n_samples from rho_s dm with a n_steps-step horizontal walk."""
@@ -171,14 +189,7 @@ def sample(algebra: StratifiedAlgebra, s: float, n_samples: int,
         if tilt.shape != (d1,):
             raise ParameterError(f"tilt must have shape ({d1},), got {tilt.shape}")
     shift = None if tilt is None else tilt * (s / n_steps / 2.0)
-
-    out = np.zeros((n_samples, algebra.dim))
-    for lo, hi, inc in _increments(algebra, s, n_samples, n_steps, seed, shift):
-        if algebra.sparse:
-            out[lo:hi] = _walk(algebra, inc)
-        else:
-            # abelian: the walk is a plain sum of increments
-            out[lo:hi, :d1] = inc.sum(axis=1)
+    out = _endpoints(algebra, s, n_samples, [n_steps], seed, shift)[n_steps]
 
     log_w = None
     if tilt is not None:
@@ -204,47 +215,33 @@ def coupled_refinement(algebra: StratifiedAlgebra, s: float, n_samples: int,
         _validate_params(s, n_samples, k)
         if finest % k:
             raise ParameterError(f"{k} does not divide finest step count {finest}")
-    d1 = algebra.dim_v1
-    batches = {
-        k: np.empty((n_samples, algebra.dim)) for k in steps_list
-    }
-    for lo, hi, fine_inc in _increments(algebra, s, n_samples, finest, seed):
-        for k in steps_list:
-            inc = fine_inc.reshape(hi - lo, k, finest // k, d1).sum(axis=2)
-            batches[k][lo:hi] = _walk(algebra, inc)
-
     return {
         k: HeatSampleBatch(algebra=algebra, s=float(s), n_samples=n_samples,
-                           n_steps=k, seed=int(seed), samples=batches[k])
-        for k in steps_list
+                           n_steps=k, seed=int(seed), samples=X)
+        for k, X in _endpoints(algebra, s, n_samples, steps_list, seed).items()
     }
 
 
 # -- empirical distribution checks ---------------------------------------------
 
 
-def _moment_z_paired(A: np.ndarray, B: np.ndarray, labels, orders=(1, 2, 3)):
-    """z-scores of mean(A^r - B^r) for samples paired row by row."""
-    zs = {}
-    n = A.shape[0]
-    for c, label in enumerate(labels):
-        for r in orders:
-            d = A[:, c] ** r - B[:, c] ** r
-            sd = float(d.std(ddof=1))
-            zs[f"{label}^{r}"] = float(d.mean() / (sd / math.sqrt(n))) if sd > 0 else 0.0
-    return zs
+def _moment_z(A: np.ndarray, B: np.ndarray, labels, z_of) -> dict:
+    """z_of(a, b) for the powers 1-3 of each coordinate column of A and B."""
+    return {f"{label}^{r}": z_of(A[:, c] ** r, B[:, c] ** r)
+            for c, label in enumerate(labels) for r in (1, 2, 3)}
 
 
-def _moment_z_unpaired(A: np.ndarray, B: np.ndarray, labels, orders=(1, 2, 3)):
-    zs = {}
-    na, nb = A.shape[0], B.shape[0]
-    for c, label in enumerate(labels):
-        for r in orders:
-            a = A[:, c] ** r
-            b = B[:, c] ** r
-            se = math.sqrt(a.var(ddof=1) / na + b.var(ddof=1) / nb)
-            zs[f"{label}^{r}"] = float((a.mean() - b.mean()) / se) if se > 0 else 0.0
-    return zs
+def _paired_z(a: np.ndarray, b: np.ndarray) -> float:
+    """z-score of mean(a - b) for samples paired row by row."""
+    d = a - b
+    sd = float(d.std(ddof=1))
+    return float(d.mean() / (sd / math.sqrt(d.size))) if sd > 0 else 0.0
+
+
+def _unpaired_z(a: np.ndarray, b: np.ndarray) -> float:
+    """z-score of mean(a) - mean(b) for independent samples."""
+    se = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
+    return float((a.mean() - b.mean()) / se) if se > 0 else 0.0
 
 
 def _energy_z(A: np.ndarray, B: np.ndarray, seed: int, n_perm: int = 100,
@@ -297,11 +294,11 @@ def _require_untilted(batch: HeatSampleBatch, what: str):
         raise ParameterError(f"{what} requires an untilted batch")
 
 
-def _two_sample(A: np.ndarray, B: np.ndarray, moment_z, energy_seed: int, *,
+def _two_sample(A: np.ndarray, B: np.ndarray, z_of, energy_seed: int, *,
                 labels, z_threshold: float, name: str, n: int,
                 params: dict) -> TwoSampleReport:
     """Moment and energy z-scores of A against B, one verdict over all."""
-    zs = moment_z(A, B, labels)
+    zs = _moment_z(A, B, labels, z_of)
     ez = _energy_z(A, B, energy_seed)
     worst = max(abs(v) for v in [*zs.values(), ez])
     return TwoSampleReport(
@@ -325,7 +322,7 @@ def empirical_check_inverse_symmetry(batch: HeatSampleBatch,
     """
     _require_untilted(batch, "inverse-symmetry check")
     return _two_sample(
-        batch.samples, -batch.samples, _moment_z_paired, batch.seed,
+        batch.samples, -batch.samples, _paired_z, batch.seed,
         labels=batch.algebra.coordinate_labels(), z_threshold=z_threshold,
         name="heat-inverse-symmetry", n=batch.n_samples,
         params={"s": batch.s, "steps": batch.n_steps, "seed": batch.seed},
@@ -347,7 +344,7 @@ def empirical_check_scaling(batch_s: HeatSampleBatch, lam: float,
         )
     return _two_sample(
         dilate_batch(batch_s.algebra, 1.0 / lam, batch_s.samples), batch_sp.samples,
-        _moment_z_unpaired, batch_s.seed ^ batch_sp.seed,
+        _unpaired_z, batch_s.seed ^ batch_sp.seed,
         labels=batch_s.algebra.coordinate_labels(), z_threshold=z_threshold,
         name="heat-scaling", n=min(batch_s.n_samples, batch_sp.n_samples),
         params={"s": batch_s.s, "lambda": lam, "s_prime": batch_sp.s},

@@ -174,6 +174,24 @@ def _warn_if_not_lsh(f, batch, lsh_status, notes, check_points: int = 128):
 # -- inequality checks -----------------------------------------------------------
 
 
+def _entropy_check(name, batch, ent, x, wf, k, h, beta, params, notes,
+                   z_threshold, abs_floor) -> CheckReport:
+    """Ent <= k X + h (m log m + beta m), the entropy inequality behind LSI and sLSI.
+
+    Ent, X and m are the means of the weighted per-sample entropy, energy and
+    mass terms ent, x and wf; the stderr is that of the margin's influence
+    k (x - X) + h (log m + 1 + beta)(wf - m) - (ent - Ent).
+    """
+    m, L, X = float(np.mean(wf)), float(np.mean(ent)), float(np.mean(x))
+    rhs = k * X + h * m * math.log(m) + h * beta * m
+    infl = k * (x - X) + h * (math.log(m) + 1.0 + beta) * (wf - m) - (ent - L)
+    return CheckReport.from_margin(
+        name, L, rhs, _se(infl), mode=lsi_mode(batch.algebra), params=params,
+        notes=notes, heavy_tail=_heavy(ent, x, wf),
+        z_threshold=z_threshold, abs_floor=abs_floor,
+    )
+
+
 def check_lsi(f: ScalarField, batch: HeatSampleBatch, c: float, beta: float,
               form: str = "L1", z_threshold: float = Z_THRESHOLD,
               abs_floor: float = ABS_FLOOR) -> CheckReport:
@@ -181,44 +199,18 @@ def check_lsi(f: ScalarField, batch: HeatSampleBatch, c: float, beta: float,
     if beta < 0 or c < 0:
         raise ParameterError("constants c, beta must be >= 0")
     w = batch.weights
-    s = batch.s
     v = _positive_values(f, batch, "LSI check needs f > 0 on samples")
     gsq = sub_gradient_sq_batch(f, batch.algebra, batch.samples)
     logv = np.log(v)
     if form == "L1":
-        ent = w * v * logv
-        dir_ = w * gsq / v
-        wf = w * v
-        m1, L, G = float(np.mean(wf)), float(np.mean(ent)), float(np.mean(dir_))
-        lhs = L
-        rhs = (c * s / 2.0) * G + m1 * math.log(m1) + beta * m1
-        infl = (
-            (c * s / 2.0) * (dir_ - G)
-            + (math.log(m1) + 1.0 + beta) * (wf - m1)
-            - (ent - L)
-        )
-        heavy = _heavy(ent, dir_, wf)
+        terms = w * v * logv, w * gsq / v, w * v, c * batch.s / 2.0, 1.0
     elif form == "L2":
-        ent2 = w * v * v * logv
-        g2 = w * gsq
-        wf2 = w * v * v
-        m2, L, G = float(np.mean(wf2)), float(np.mean(ent2)), float(np.mean(g2))
-        lhs = L
-        rhs = c * s * G + 0.5 * m2 * math.log(m2) + 0.5 * beta * m2
-        infl = (
-            c * s * (g2 - G)
-            + 0.5 * (math.log(m2) + 1.0 + beta) * (wf2 - m2)
-            - (ent2 - L)
-        )
-        heavy = _heavy(ent2, g2, wf2)
+        terms = w * v * v * logv, w * gsq, w * v * v, c * batch.s, 0.5
     else:
         raise ParameterError(f"form must be 'L1' or 'L2', got {form!r}")
-    return CheckReport.from_margin(
-        f"lsi-{form.lower()}", lhs, rhs, _se(infl),
-        mode=lsi_mode(batch.algebra),
-        params={"c": c, "beta": beta, "form": form, **_batch_params(batch)},
-        heavy_tail=heavy, z_threshold=z_threshold, abs_floor=abs_floor,
-    )
+    return _entropy_check(f"lsi-{form.lower()}", batch, *terms, beta,
+                          {"c": c, "beta": beta, "form": form, **_batch_params(batch)},
+                          [], z_threshold, abs_floor)
 
 
 def check_slsi(f: ScalarField, batch: HeatSampleBatch, c: float, beta: float,
@@ -232,20 +224,10 @@ def check_slsi(f: ScalarField, batch: HeatSampleBatch, c: float, beta: float,
     _warn_if_not_lsh(f, batch, lsh_status, notes)
     w = batch.weights
     v = _positive_values(f, batch, "sLSI check needs f > 0 on samples")
-    ent = w * v * np.log(v)
     ef = w * euler_derivative_batch(f, batch.algebra, batch.samples)
-    wf = w * v
-    m1, L, E = float(np.mean(wf)), float(np.mean(ent)), float(np.mean(ef))
-    lhs = L
-    rhs = c * E + m1 * math.log(m1) + beta * m1
-    infl = c * (ef - E) + (math.log(m1) + 1.0 + beta) * (wf - m1) - (ent - L)
-    return CheckReport.from_margin(
-        "slsi", lhs, rhs, _se(infl),
-        mode=lsi_mode(batch.algebra),
-        params={"c": c, "beta": beta, **_batch_params(batch)},
-        notes=notes, heavy_tail=_heavy(ent, ef, wf),
-        z_threshold=z_threshold, abs_floor=abs_floor,
-    )
+    return _entropy_check("slsi", batch, w * v * np.log(v), ef, w * v, c, 1.0, beta,
+                          {"c": c, "beta": beta, **_batch_params(batch)}, notes,
+                          z_threshold, abs_floor)
 
 
 def check_time_space(f: ScalarField, batch: HeatSampleBatch,

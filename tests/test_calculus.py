@@ -333,3 +333,20 @@ def test_domain_errors_name_the_sample(r1):
     # integer powers of negative values are fine
     out = calc.evaluate_batch(calc.Pow(calc.x(1, 1), 3.0), r1, P)
     assert np.allclose(out, [1.0, -8.0, 27.0])
+
+
+@pytest.mark.parametrize("expr, bad", [("(pow x_1_1 -1)", 0.0), ("(pow x_1_1 0.5)", -2.0)])
+def test_power_domain_is_one_rule_on_values_and_jets(r1, expr, bad):
+    # v ** p needs v != 0 for negative integer p and v > 0 for fractional p;
+    # plain values and jets break it with the same message
+    f = calc.parse_field(expr)
+    P = np.array([[1.0], [bad]])
+    messages = []
+    for route in (calc.evaluate_batch, calc.sub_laplacian_batch):
+        with pytest.raises(DomainError, match="sample 1") as exc:
+            route(f, r1, P)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    with pytest.raises(DomainError) as exc:
+        calc.evaluate(f, group.GroupElement(r1, np.array([bad])))
+    assert str(exc.value) == messages[0].replace("sample 1", "sample 0")

@@ -226,6 +226,8 @@ def test_run_reproducible_and_thread_invariant(monkeypatch):
 def test_timings_cover_extra_batches():
     config = small_time_space_config(
         extra_batches={"b": {"s": 0.25, "n": 200, "steps": 8, "seed": 1}})
+    # an extra batch is drawn, and timed, only when a check names it
+    config["checks"].append({"check": "scaling", "lambda": 2.0, "batch": "b"})
     timings = cli.run(config)["timings"]
     assert {"sampling", "sampling.b", "check_0", "total"} <= set(timings)
     assert timings["total"] >= timings["sampling"] + timings["sampling.b"]
@@ -532,6 +534,31 @@ def test_cli_check_lsh_draws_no_heat_batch(monkeypatch, capsys):
                              cli.lsh.grid_points(alg, 1000, 3.0, seed=5), algebra=alg)
     assert rep["worst_point"] == want.as_dict()["worst_point"]
     assert rep["n_points"] == 1000
+
+
+def test_unused_extra_batch_is_not_drawn(monkeypatch):
+    calls = []
+    real_sample = cli.heat.sample
+
+    def counting_sample(*args, **kwargs):
+        calls.append(args)
+        return real_sample(*args, **kwargs)
+
+    monkeypatch.setattr(cli.heat, "sample", counting_sample)
+    config = {
+        "algebra": "heisenberg(1)",
+        "fields": {"f": {"expr": "(pow x_1_1 2)"}},
+        "heat": {"s": 1.0, "n": 500, "steps": 8, "seed": 1},
+        "extra_batches": {"unused": {"s": 1.0, "n": 300, "steps": 8, "seed": 2}},
+        "checks": [{"check": "time-space", "field": "f"}],
+    }
+    manifest = cli.run(config)
+    assert len(calls) == 1
+    assert "sampling.unused" not in manifest["timings"]
+    # the config still embeds the batch, and the reports do not depend on it
+    assert manifest["config"]["extra_batches"]["unused"]["n"] == 300
+    without = cli.run({k: v for k, v in config.items() if k != "extra_batches"})
+    assert manifest["reports"] == without["reports"]
 
 
 def test_cli_preset_show_write_run(tmp_path, capsys):

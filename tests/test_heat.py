@@ -129,6 +129,17 @@ def test_coupled_refinement_bytes_match_per_path_reference(h3, monkeypatch):
         assert got[k].samples.tobytes() == _reference_walk(h3, inc).tobytes(), k
 
 
+@pytest.mark.parametrize("k", [8, 33])
+@pytest.mark.parametrize("name", ["euclidean(1)", "euclidean(3)", "heisenberg(1)",
+                                  "heisenberg(2)", "engel"])
+def test_coupled_refinement_of_one_count_is_sample(name, k, monkeypatch):
+    # one sampler kernel: a one-count refinement is the plain batch, byte for byte
+    monkeypatch.setattr(carnot.heat, "_CHUNK_BUDGET", 1)
+    alg = algebra.builtin(name)
+    got = heat.coupled_refinement(alg, 1.3, 600, [k], seed=23)[k].samples
+    assert got.tobytes() == heat.sample(alg, 1.3, 600, k, seed=23).samples.tobytes()
+
+
 def test_sample_peak_memory_is_bounded(h3):
     # chunks of at most _CHUNK_BUDGET increments bound the sampler's working set
     tracemalloc.start()

@@ -1,12 +1,13 @@
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from carnot import calculus as calc, heat, inequalities as ineq, lsh
+from carnot import algebra, calculus as calc, heat, inequalities as ineq, lsh
 from carnot.errors import ParameterError
-from carnot.reports import MODE_EXPLORATORY, MODE_VERIFIED
+from carnot.reports import MODE_EXPLORATORY, MODE_VERIFIED, CheckReport
 
 
 def exp_ax(a):
@@ -90,6 +91,57 @@ def test_lsi_l2_form_equals_l1_on_square(r1_batch_s2_tilt2):
     r1_ = ineq.check_lsi(f_sq, r1_batch_s2_tilt2, 0.5, 0.3, form="L1")
     assert np.isclose(r1_.margin, 2.0 * r2.margin, rtol=1e-9, atol=1e-12)
     assert np.isclose(r1_.stderr, 2.0 * r2.stderr, rtol=1e-9, atol=1e-12)
+
+
+def _entropy_reports_reference(f, batch, c, beta):
+    """LSI L1, LSI L2 and sLSI reports, each from its own hand-written formula."""
+    w, s = batch.weights, batch.s
+    v = calc.evaluate_batch(f, batch.algebra, batch.samples)
+    gsq = calc.sub_gradient_sq_batch(f, batch.algebra, batch.samples)
+    ef = w * calc.euler_derivative_batch(f, batch.algebra, batch.samples)
+    logv = np.log(v)
+
+    def report(name, lhs, rhs, infl, heavy, **form):
+        return CheckReport.from_margin(
+            name, lhs, rhs, ineq._se(infl), mode=ineq.lsi_mode(batch.algebra),
+            params={"c": c, "beta": beta, **form, **ineq._batch_params(batch)},
+            heavy_tail=heavy)
+
+    ent, dir_, wf = w * v * logv, w * gsq / v, w * v
+    m1, L, G = float(np.mean(wf)), float(np.mean(ent)), float(np.mean(dir_))
+    l1 = report(
+        "lsi-l1", L, (c * s / 2.0) * G + m1 * math.log(m1) + beta * m1,
+        (c * s / 2.0) * (dir_ - G) + (math.log(m1) + 1.0 + beta) * (wf - m1) - (ent - L),
+        ineq._heavy(ent, dir_, wf), form="L1")
+    ent2, g2, wf2 = w * v * v * logv, w * gsq, w * v * v
+    m2, L2, G2 = float(np.mean(wf2)), float(np.mean(ent2)), float(np.mean(g2))
+    l2 = report(
+        "lsi-l2", L2, c * s * G2 + 0.5 * m2 * math.log(m2) + 0.5 * beta * m2,
+        c * s * (g2 - G2) + 0.5 * (math.log(m2) + 1.0 + beta) * (wf2 - m2) - (ent2 - L2),
+        ineq._heavy(ent2, g2, wf2), form="L2")
+    E = float(np.mean(ef))
+    slsi = report(
+        "slsi", L, c * E + m1 * math.log(m1) + beta * m1,
+        c * (ef - E) + (math.log(m1) + 1.0 + beta) * (wf - m1) - (ent - L),
+        ineq._heavy(ent, ef, wf))
+    return l1, l2, slsi
+
+
+@pytest.mark.parametrize("case", ["heisenberg(1)", "euclidean(1)-tilted", "engel"])
+def test_entropy_checks_match_hand_written_formulas(case):
+    # one entropy-inequality core gives the three checks' reports bit for bit
+    alg = algebra.builtin(case.removesuffix("-tilted"))
+    tilt = [1.5] if case.endswith("-tilted") else None
+    batch = heat.sample(alg, 0.8, 3000, 16, seed=61, tilt=tilt)
+    f = calc.parse_field("(exp (+ (* 0.7 x_1_1) (* 0.2 x_1_2 x_1_2)))"
+                         if alg.dim_v1 > 1 else "(exp (* 1.3 x_1_1))")
+    for c, beta in [(0.7, 0.3), (0.5, 0.0)]:
+        want = _entropy_reports_reference(f, batch, c, beta)
+        got = (ineq.check_lsi(f, batch, c, beta, form="L1"),
+               ineq.check_lsi(f, batch, c, beta, form="L2"),
+               ineq.check_slsi(f, batch, c, beta, lsh_status="lsh"))
+        for g, w in zip(got, want):
+            assert json.dumps(g.as_dict()) == json.dumps(w.as_dict()), (case, g.name)
 
 
 def test_slsi_positive_margin_on_h3(h3_batch_s1):
