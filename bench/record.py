@@ -9,8 +9,11 @@ this script), one after the other, and writes ``BENCH_<tag>.json`` at the
 root of the checkout holding this script. Per workload the file holds the
 end-to-end metrics, the quartiles of the program's raw wall times and of its
 ratios to the reference copy, the per-layer medians, whether the runs passed
-the benchmark's correctness gate, and run.py's environment block. To record
-a "before", point ``--checkout`` at a copy of the earlier commit.
+the benchmark's correctness gate, and run.py's environment block. For each
+shipped preset it then runs ``cli.run`` once in a fresh process at
+``CARNOT_THREADS=1`` and records the manifest's ``timings["total"]``, its
+exit code and the process's peak RSS. To record a "before", point
+``--checkout`` at a copy of the earlier commit.
 """
 
 from __future__ import annotations
@@ -21,7 +24,20 @@ import os
 import subprocess
 import sys
 
+from manifests import PRESETS
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Runs one preset in a checkout's process; prints {"total_s", "exit_code",
+# "peak_rss_mb"} as one JSON line.
+PRESET_RUNNER = """
+import json, resource, sys
+from carnot import cli
+manifest = cli.run(cli.preset(sys.argv[1]))
+print(json.dumps({"total_s": manifest["timings"]["total"],
+                  "exit_code": manifest["exit_code"],
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
 
 
 def run_py(checkout: str, workload: str, trace: bool) -> tuple[dict, dict, dict]:
@@ -33,6 +49,24 @@ def run_py(checkout: str, workload: str, trace: bool) -> tuple[dict, dict, dict]
         raise SystemExit(f"{' '.join(cmd)} failed ({proc.returncode}):\n{proc.stderr}")
     env, summary, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-3:])
     return env["environment"], summary["summary"], result
+
+
+def run_preset(checkout: str, name: str) -> dict:
+    env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src"), "CARNOT_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", PRESET_RUNNER, name], cwd=checkout,
+                          env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"preset {name} failed ({proc.returncode}):\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def record_presets(checkout: str) -> dict:
+    out = {}
+    for name in PRESETS:
+        out[name] = run_preset(checkout, name)
+        print(f"{name}: total {out[name]['total_s']:.3f} s, "
+              f"peak RSS {out[name]['peak_rss_mb']:.1f} MB", file=sys.stderr)
+    return out
 
 
 def record(checkout: str) -> dict:
@@ -59,7 +93,9 @@ def main(argv=None) -> int:
     ap.add_argument("--tag", required=True)
     ap.add_argument("--checkout", default=ROOT)
     args = ap.parse_args(argv)
-    bench = {"tag": args.tag, "workloads": record(os.path.abspath(args.checkout))}
+    checkout = os.path.abspath(args.checkout)
+    bench = {"tag": args.tag, "workloads": record(checkout),
+             "presets": record_presets(checkout)}
     path = os.path.join(ROOT, f"BENCH_{args.tag}.json")
     with open(path, "w") as fh:
         fh.write(json.dumps(bench, indent=2, sort_keys=True) + "\n")

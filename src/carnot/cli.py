@@ -453,11 +453,16 @@ def run(config: dict) -> dict:
     return manifest
 
 
+def _json_text(obj) -> str:
+    """Strict JSON (no NaN or Infinity tokens), keys sorted, indented."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+
+
 def manifest_canonical_bytes(manifest: dict) -> bytes:
     """Manifest serialization with the timing block stripped (wall-clock
     noise is the one legitimately irreproducible part)."""
     stripped = {k: v for k, v in manifest.items() if k != "timings"}
-    return json.dumps(stripped, sort_keys=True, indent=2).encode()
+    return _json_text(stripped).encode()
 
 
 def _write_outputs(manifest: dict, config: dict):
@@ -466,7 +471,7 @@ def _write_outputs(manifest: dict, config: dict):
         return
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "manifest.json"), "w") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, indent=2))
+        fh.write(_json_text(manifest))
     for i, rep in enumerate(manifest["reports"]):
         if _CHECKS[rep["check"]].csv and rep["verdict"] != VERDICT_ERROR:
             path = os.path.join(outdir, f"{rep['check']}-{i}.csv")
@@ -587,7 +592,7 @@ def _field_from_args(args):
 
 
 def _emit(obj, args) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2)
+    text = _json_text(obj)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -736,7 +741,7 @@ def _run_and_print(config: dict, out_dir) -> int:
     if out_dir:
         config["output"] = {"dir": out_dir}
     manifest = run(config)
-    print(json.dumps(manifest, sort_keys=True, indent=2))
+    print(_json_text(manifest))
     return manifest["exit_code"]
 
 
@@ -750,12 +755,12 @@ def _cmd_preset(args) -> int:
     config = preset(args.name)
     if args.write:
         with open(args.write, "w") as fh:
-            fh.write(json.dumps(config, sort_keys=True, indent=2))
+            fh.write(_json_text(config))
         print(f"wrote preset {args.name} to {args.write}")
         return EXIT_OK
     if args.run:
         return _run_and_print(config, args.out_dir)
-    print(json.dumps(config, sort_keys=True, indent=2))
+    print(_json_text(config))
     return EXIT_OK
 
 

@@ -244,6 +244,30 @@ def _unpaired_z(a: np.ndarray, b: np.ndarray) -> float:
     return float((a.mean() - b.mean()) / se) if se > 0 else 0.0
 
 
+def _distance_matrix(points: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of points, exactly symmetric.
+
+    Built in row blocks, one coordinate at a time and in place, so no
+    (rows, n, dim) difference array is made; below dim 8 the squares are
+    summed in the same order as by a sum over the last axis.  The block
+    buffer is freed on return, before the caller's BLAS product.
+    """
+    n = points.shape[0]
+    D = np.empty((n, n))
+    sq = np.empty((_DIST_ROWS, n))
+    for r0 in range(0, n, _DIST_ROWS):
+        rows = points[r0:r0 + _DIST_ROWS]
+        block, term = D[r0:r0 + len(rows)], sq[:len(rows)]
+        np.subtract(rows[:, 0, None], points[None, :, 0], out=block)
+        np.square(block, out=block)
+        for k in range(1, points.shape[1]):
+            np.subtract(rows[:, k, None], points[None, :, k], out=term)
+            np.square(term, out=term)
+            block += term
+        np.sqrt(block, out=block)
+    return D
+
+
 def _energy_z(A: np.ndarray, B: np.ndarray, seed: int, n_perm: int = 100,
               cap: int = 512) -> float:
     """Permutation z-score of the energy distance between two samples.
@@ -257,9 +281,10 @@ def _energy_z(A: np.ndarray, B: np.ndarray, seed: int, n_perm: int = 100,
 
     so one product R = D U over the columns of all splits (column 0 the
     observed one) gives every statistic at once, with t'U = 1'R since D is
-    symmetric.  The product runs through einsum's own loop rather than BLAS,
-    whose threads and persistent work buffers would raise peak memory and
-    tie the run to the BLAS thread count; it costs tens of milliseconds.
+    symmetric.  The product is one BLAS matrix product: each entry of R is
+    reduced within one thread, so R does not depend on the BLAS thread count,
+    and it is an order of magnitude faster than einsum's loop, the more so as
+    n_perm grows.
     """
     rng = np.random.Generator(np.random.Philox(key=[seed, 2 ** 32]))
     if A.shape[0] > cap:
@@ -269,16 +294,12 @@ def _energy_z(A: np.ndarray, B: np.ndarray, seed: int, n_perm: int = 100,
     pooled = np.vstack([A, B])
     na, ntot = A.shape[0], pooled.shape[0]
     nb = ntot - na
-    # row blocks bound the (rows, ntot, dim) temporaries
-    D = np.empty((ntot, ntot))
-    for r0 in range(0, ntot, _DIST_ROWS):
-        diff = pooled[r0:r0 + _DIST_ROWS, None, :] - pooled[None, :, :]
-        D[r0:r0 + _DIST_ROWS] = np.sqrt((diff ** 2).sum(axis=2))
+    D = _distance_matrix(pooled)
     U = np.zeros((ntot, 1 + n_perm))
     U[:na, 0] = 1.0
     for i in range(n_perm):
         U[rng.permutation(ntot)[:na], 1 + i] = 1.0
-    R = np.einsum("ij,jk->ik", D, U)
+    R = D @ U
     tu = R.sum(axis=0)
     s_aa = np.einsum("ij,ij->j", U, R)
     s_ab = tu - s_aa

@@ -163,9 +163,11 @@ def _warn_if_not_lsh(f, batch, lsh_status, notes, check_points: int = 128):
     pts = batch.samples[: min(check_points, batch.n_samples)]
     verdict = check_lsh(f, pts, tol=1e-7, algebra=batch.algebra)
     if verdict.verdict != LSH_CONSISTENT:
+        why = (verdict.detail if verdict.min_delta_log is None
+               else f"min Delta log f = {verdict.min_delta_log:.3g}")
         warnings.warn(
             "check asserted only for log-subharmonic functions; spot check "
-            f"gave {verdict.verdict} (min Delta log f = {verdict.min_delta_log:.3g})",
+            f"gave {verdict.verdict} ({why})",
             stacklevel=3,
         )
         notes.append(f"LSH spot check: {verdict.verdict}")

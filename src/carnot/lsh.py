@@ -45,10 +45,10 @@ DEFAULT_TOL = 1e-9
 @dataclass
 class LshVerdict(Report):
     verdict: str
-    min_delta_log: float
+    min_delta_log: float | None  # None on a domain error: not evaluated
     worst_point: np.ndarray | None
     tolerance: float
-    min_lemma_margin: float
+    min_lemma_margin: float | None
     routes_agree: bool
     n_points: int
     detail: str = ""
@@ -82,12 +82,12 @@ def check_lsh(f: ScalarField, points, tol: float = DEFAULT_TOL,
     try:
         vals = evaluate_batch(f, alg, pts)
     except DomainError as exc:
-        return LshVerdict(LSH_DOMAIN_ERROR, np.nan, None, tol, np.nan, True,
+        return LshVerdict(LSH_DOMAIN_ERROR, None, None, tol, None, True,
                           pts.shape[0], detail=str(exc))
     if np.any(vals <= 0):
         bad = int(np.argmax(vals <= 0))
         return LshVerdict(
-            LSH_DOMAIN_ERROR, np.nan, pts[bad], tol, np.nan, True, pts.shape[0],
+            LSH_DOMAIN_ERROR, None, pts[bad], tol, None, True, pts.shape[0],
             detail=f"f <= 0 at point index {bad}",
         )
 

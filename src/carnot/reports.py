@@ -15,6 +15,7 @@ trustworthy at the given sample size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -63,9 +64,17 @@ class Report:
 
 
 def _plain(value):
-    """JSON-ready copy: ndarrays become float lists, nested reports dicts."""
+    """JSON-ready copy: ndarrays become float lists, nested reports dicts.
+
+    JSON has no NaN or infinity. A NaN becomes None (null); an infinity,
+    such as the z of a nonzero margin with zero stderr, becomes the string
+    "inf" or "-inf", which float() reads back.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        return None if math.isnan(value) else ("inf" if value > 0 else "-inf")
     if isinstance(value, np.ndarray):
-        return np.asarray(value, dtype=float).tolist()
+        value = np.asarray(value, dtype=float)
+        return value.tolist() if np.isfinite(value).all() else _plain(value.tolist())
     if isinstance(value, Report):
         return value.as_dict()
     if isinstance(value, dict):

@@ -395,6 +395,29 @@ def test_run_writes_manifest_and_csv(tmp_path):
         assert stderr > 0  # no bare point estimates
 
 
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_domain_error_manifest_is_strict_json(tmp_path, capsys):
+    # f = x_1_1 + 1 is <= 0 on part of the grid, so min Delta log f and the
+    # lemma margin do not exist
+    config = {"algebra": "heisenberg(1)", "fields": {"f": {"expr": "(+ x_1_1 1)"}},
+              "checks": [{"check": "lsh", "field": "f", "grid_n": 50}]}
+    manifest = cli.run(config)
+    rep = _strict_json(cli.manifest_canonical_bytes(manifest))["reports"][0]
+    assert rep["lsh_verdict"] == "domain-error"
+    assert rep["min_delta_log"] is None and rep["min_lemma_margin"] is None
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    printed = _strict_json(capsys.readouterr().out)
+    saved = _strict_json((tmp_path / "out" / "manifest.json").read_text())
+    assert printed["reports"] == saved["reports"] == [rep]
+
+
 # -- presets -------------------------------------------------------------------------
 
 

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -252,8 +255,8 @@ def _energy_z_reference(A, B, seed, n_perm=100, cap=512):
     return float((obs - null.mean()) / sd) if sd > 0 else 0.0
 
 
-def _gaussian(n, seed, scale=1.0):
-    return scale * np.random.default_rng(seed).standard_normal((n, 3))
+def _gaussian(n, seed, scale=1.0, dim=3):
+    return scale * np.random.default_rng(seed).standard_normal((n, dim))
 
 
 _SAME = _gaussian(200, seed=3)
@@ -263,7 +266,14 @@ _SAME = _gaussian(200, seed=3)
     (_gaussian(600, seed=1), _gaussian(600, seed=2, scale=1.1)),  # both above cap
     (_gaussian(300, seed=1), _gaussian(170, seed=2, scale=1.3)),  # no subsample
     (_SAME, _SAME),
-], ids=["equal-above-cap", "unequal-below-cap", "identical"])
+    (_gaussian(700, seed=4, dim=1), _gaussian(400, seed=5, scale=1.2, dim=1)),
+    (_gaussian(250, seed=6, dim=4), _gaussian(300, seed=7, scale=1.2, dim=4)),
+    (_gaussian(300, seed=8, dim=5), _gaussian(220, seed=9, scale=1.15, dim=5)),
+    # from dim 8 on, the in-place coordinate sum differs from a sum over the
+    # last axis in the last bits
+    (_gaussian(260, seed=10, dim=9), _gaussian(240, seed=11, scale=1.1, dim=9)),
+], ids=["equal-above-cap", "unequal-below-cap", "identical", "dim1", "dim4", "dim5",
+        "dim9"])
 def test_energy_z_matches_permutation_loop(A, B):
     want = _energy_z_reference(A, B, seed=17)
     assert abs(heat._energy_z(A, B, seed=17) - want) <= 1e-9
@@ -289,6 +299,32 @@ def test_energy_z_thread_invariant(monkeypatch):
         monkeypatch.setenv("CARNOT_THREADS", threads)
         zs.append([rep["energy_z"] for rep in cli.run(config)["reports"]])
     assert zs[0] == zs[1]
+
+
+_ENERGY_BYTES = """
+import sys
+import numpy as np
+from carnot import heat
+rng = np.random.default_rng(12)
+A = rng.standard_normal((600, 3))
+B = 1.1 * rng.standard_normal((550, 3))
+sys.stdout.write(np.float64(heat._energy_z(A, B, seed=5)).tobytes().hex())
+"""
+
+
+def test_energy_z_blas_thread_invariant():
+    # the split statistics are one BLAS product; its bytes must not depend on
+    # how many threads BLAS runs
+    src = os.path.dirname(os.path.dirname(os.path.abspath(heat.__file__)))
+    out = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", _ENERGY_BYTES], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout)
+    assert out[0] == out[1] != ""
 
 
 def test_tail_profile_r1_matches_gaussian_oracle(r1, r1_batch_s2):

@@ -1,7 +1,11 @@
+import json
+import math
+
 import numpy as np
 
 from carnot.reports import (
     CheckReport,
+    FunctionalEstimate,
     decide_verdict,
     heavy_tail_fraction,
 )
@@ -39,6 +43,20 @@ def test_from_margin_records_z_and_notes():
     assert any("heavy tail" in note for note in rep.notes)
     d = rep.as_dict()
     assert {"lhs", "rhs", "margin", "stderr", "z", "verdict"} <= set(d)
+
+
+def test_non_finite_values_are_encoded_for_strict_json():
+    # a nonzero margin with zero stderr has an infinite z
+    for rhs, want in ((2.0, "inf"), (0.0, "-inf")):
+        rep = CheckReport.from_margin("demo", lhs=1.0, rhs=rhs, stderr=0.0)
+        assert rep.z == float(want)
+        d = rep.as_dict()
+        assert d["z"] == want
+        json.dumps(d, allow_nan=False)
+    est = FunctionalEstimate("lp", 0.0, math.nan, 10,
+                             params={"curve": np.array([1.0, np.nan, -np.inf])})
+    assert est.as_dict()["stderr"] is None
+    assert est.as_dict()["params"]["curve"] == [1.0, None, "-inf"]
 
 
 def test_heavy_tail_fraction():
