@@ -299,6 +299,9 @@ def validate_config(config: dict) -> dict:
         _reject_unknown(fd, _FIELD_KEYS, f"fields.{name}")
         if ("expr" in fd) == ("library" in fd):
             raise ConfigError(f"fields.{name} needs exactly one of 'expr' or 'library'")
+        where = f"fields.{name}.params"
+        for key, value in _object(fd.get("params") or {}, where).items():
+            _converted(float, value, where, key)
         out["fields"][name] = dict(fd)
     if "heat" in config and config["heat"] is not None:
         _reject_unknown(config["heat"], _HEAT_KEYS, "heat")

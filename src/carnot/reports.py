@@ -73,8 +73,7 @@ def _plain(value):
     if isinstance(value, float) and not math.isfinite(value):
         return None if math.isnan(value) else ("inf" if value > 0 else "-inf")
     if isinstance(value, np.ndarray):
-        value = np.asarray(value, dtype=float)
-        return value.tolist() if np.isfinite(value).all() else _plain(value.tolist())
+        return _plain(np.asarray(value, dtype=float).tolist())
     if isinstance(value, Report):
         return value.as_dict()
     if isinstance(value, dict):

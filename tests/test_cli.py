@@ -95,6 +95,10 @@ BAD_CONFIGS = {
     "inf-tilt-entry": ({"heat": {"s": 1.0, "n": 100, "seed": 1, "tilt": [0.0, "-inf"]}},
                        ["heat", "'tilt'", "finite"]),
     "nan-threshold": ({"thresholds": {"z": math.nan}}, ["thresholds", "'z'", "finite"]),
+    "overflow-param": ({"fields": {"f": {"expr": "(* a x_1_1)", "params": {"a": 1e999}}}},
+                       ["fields.f.params", "'a'", "finite"]),
+    "string-param": ({"fields": {"f": {"expr": "(* a x_1_1)", "params": {"a": "abc"}}}},
+                     ["fields.f.params", "'a'", "numeric"]),
     "int-check": ({"checks": [5]}, ["checks[0] must be an object"]),
     "list-heat": ({"heat": [1.0, 100]}, ["heat must be an object"]),
     "string-field": ({"fields": {"f": "(pow x_1_1 2)"}}, ["fields.f must be an object"]),
@@ -143,6 +147,23 @@ def test_bad_check_keys_exit_3_before_sampling(case, tmp_path, monkeypatch, caps
     assert "Traceback" not in err
     for word in words:
         assert word in err
+
+
+def test_overflowing_param_literal_exits_3_before_sampling(tmp_path, monkeypatch, capsys):
+    # json reads the literal 1e999 as inf; no manifest may be started
+    path = tmp_path / "bad.json"
+    path.write_text('{"algebra": "heisenberg(1)", "fields": {"f": {"expr": "(* a x_1_1)", '
+                    '"params": {"a": 1e999}}}, "heat": {"s": 1.0, "n": 100, "seed": 1}, '
+                    '"checks": [{"check": "time-space", "field": "f"}]}')
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(cli.heat, "sample", no_sampling)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out-dir", str(out)]) == 3
+    assert "fields.f.params" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_zero_log_sobolev_constant_still_validates():
@@ -416,6 +437,22 @@ def test_domain_error_manifest_is_strict_json(tmp_path, capsys):
     printed = _strict_json(capsys.readouterr().out)
     saved = _strict_json((tmp_path / "out" / "manifest.json").read_text())
     assert printed["reports"] == saved["reports"] == [rep]
+
+
+def test_slsi_spot_check_domain_error_is_a_per_check_error():
+    # f = x_1_1 + 1 is <= 0 on part of the batch: the LSH spot check finds no
+    # min Delta log f to print, and the f > 0 check then fails the one check
+    config = small_time_space_config(
+        fields={"f": {"expr": "(+ x_1_1 1)"}},
+        heat={"s": 1.0, "n": 2000, "steps": 16, "seed": 5},
+        checks=[{"check": "slsi", "field": "f", "c": 1.0},
+                {"check": "time-space", "field": "f"}])
+    with pytest.warns(UserWarning, match="f <= 0 at point index"):
+        manifest = cli.run(config)
+    slsi, time_space = manifest["reports"]
+    assert slsi["verdict"] == cli.VERDICT_ERROR and "f > 0" in slsi["error"]
+    assert time_space["verdict"] != cli.VERDICT_ERROR
+    _strict_json(cli.manifest_canonical_bytes(manifest))
 
 
 # -- presets -------------------------------------------------------------------------
