@@ -12,7 +12,10 @@ ratios to the reference copy, the per-layer medians, whether the runs passed
 the benchmark's correctness gate, and run.py's environment block. For each
 shipped preset it then runs ``cli.run`` once in a fresh process at
 ``CARNOT_THREADS=1`` and records the manifest's ``timings["total"]``, its
-exit code and the process's peak RSS. To record a "before", point
+exit code and the process's peak RSS. Last it runs the Tier-1 suite,
+``python -m pytest -q --continue-on-collection-errors``, once in one child
+process in the checkout, and records its wall time, its passed and failed
+counts, its exit code and the child's peak RSS. To record a "before", point
 ``--checkout`` at a copy of the earlier commit.
 """
 
@@ -21,8 +24,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import time
 
 from manifests import PRESETS
 
@@ -69,6 +75,28 @@ def record_presets(checkout: str) -> dict:
     return out
 
 
+def record_tier1(checkout: str) -> dict:
+    """Wall time, counts, exit code and peak RSS of one Tier-1 pytest process."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src")}
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    with tempfile.TemporaryFile("w+") as out:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen(cmd, cwd=checkout, env=env, stdout=out,
+                                stderr=subprocess.STDOUT, text=True)
+        # wait4 gives the resource use of this child alone
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - t0
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        summary = out.read().strip().splitlines()[-1]
+    counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed)", summary)}
+    result = {"wall_s": wall, "passed": counts.get("passed", 0),
+              "failed": counts.get("failed", 0), "exit_code": proc.returncode,
+              "peak_rss_mb": usage.ru_maxrss / 1024}
+    print(f"tier-1: {summary}; peak RSS {result['peak_rss_mb']:.1f} MB", file=sys.stderr)
+    return result
+
+
 def record(checkout: str) -> dict:
     with open(os.path.join(checkout, "BENCHMARK.json")) as fh:
         names = [w["name"] for w in json.load(fh)["workloads"]]
@@ -95,7 +123,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     checkout = os.path.abspath(args.checkout)
     bench = {"tag": args.tag, "workloads": record(checkout),
-             "presets": record_presets(checkout)}
+             "presets": record_presets(checkout), "tier1": record_tier1(checkout)}
     path = os.path.join(ROOT, f"BENCH_{args.tag}.json")
     with open(path, "w") as fh:
         fh.write(json.dumps(bench, indent=2, sort_keys=True) + "\n")

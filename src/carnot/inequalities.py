@@ -5,7 +5,8 @@ measure rho_s dm, estimated by (weighted) sample means over one common
 batch.  Both sides of every inequality are evaluated on the same samples
 (common random numbers), and combined standard errors are computed from
 per-sample influence functions, so correlations between the two sides are
-accounted for.
+accounted for.  One core, ``_delta_method``, gives every margin, sweep point
+and norm its influence and stderr; ``_margin_report`` adds heavy tail and mode.
 
 Checked statements, for user-supplied constants c, beta >= 0:
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -83,12 +85,10 @@ def lsi_mode(algebra: StratifiedAlgebra) -> str:
 
 
 def _se(infl: np.ndarray) -> float:
-    """Standard error of the mean of per-sample influences."""
+    """Standard error of the mean of per-sample influences; NaN below two samples."""
+    if infl.size < 2:
+        return math.nan
     return float(infl.std(ddof=1) / math.sqrt(infl.size))
-
-
-def _mean_se(arr: np.ndarray):
-    return float(arr.mean()), _se(arr) if arr.size > 1 else 0.0
 
 
 def _values(f, batch: HeatSampleBatch) -> np.ndarray:
@@ -98,7 +98,7 @@ def _values(f, batch: HeatSampleBatch) -> np.ndarray:
 def _positive_values(f, batch: HeatSampleBatch, what: str) -> np.ndarray:
     """f on the batch; ``what`` is the requirement a non-positive value breaks."""
     v = _values(f, batch)
-    if np.any(v <= 0):
+    if (v <= 0).any():
         raise ParameterError(f"{what}; violated at sample {int(np.argmax(v <= 0))}")
     return v
 
@@ -111,6 +111,27 @@ def _heavy(*contribs) -> bool:
     return any(heavy_tail_fraction(c) > HEAVY_TAIL_FRACTION for c in contribs)
 
 
+def _delta_method(cols, sides):
+    """(lhs, rhs, influence, stderr) of a margin rhs - lhs, or of lhs if rhs is None.
+
+    ``cols`` are a check's weighted per-sample columns and ``sides(*means)``
+    returns (lhs, rhs, grad) from their means, grad being the gradient of
+    the margin in the means.  The influence is sum_i grad_i (col_i - mean_i).
+    """
+    means = [float(c.mean()) for c in cols]
+    lhs, rhs, grad = sides(*means)
+    terms = [g * (c - m) for g, c, m in zip(grad, cols, means)]
+    infl = sum(terms[1:], terms[0])
+    return lhs, rhs, infl, _se(infl)
+
+
+def _margin_report(name, batch: HeatSampleBatch, cols, sides, **kw) -> CheckReport:
+    """The report of one margin, with the columns' heavy-tail flag and the mode."""
+    lhs, rhs, _, stderr = _delta_method(cols, sides)
+    return CheckReport.from_margin(name, lhs, rhs, stderr, heavy_tail=_heavy(*cols),
+                                   mode=lsi_mode(batch.algebra), **kw)
+
+
 def estimate(functional: str, f: ScalarField, batch: HeatSampleBatch,
              p: float | None = None) -> FunctionalEstimate:
     """Estimate one functional of f against rho_s dm.
@@ -120,57 +141,55 @@ def estimate(functional: str, f: ScalarField, batch: HeatSampleBatch,
     """
     w = batch.weights
     params = _batch_params(batch)
-    if functional == "l1":
-        val, se = _mean_se(w * _values(f, batch))
-    elif functional == "lp":
+    if functional == "lp":
         if p is None or p <= 0:
             raise ParameterError("lp functional needs p > 0")
-        u = w * _values(f, batch) ** p
-        m, se_m = _mean_se(u)
-        val = m ** (1.0 / p)
-        se = se_m * val / (p * m) if m > 0 else float("nan")
+        val, _, _, se = _delta_method([w * _values(f, batch) ** p], lambda m: (
+            m ** (1.0 / p), None, [(1.0 / p) * m ** (1.0 / p - 1.0) if m > 0 else math.nan]))
         params["p"] = p
+        return FunctionalEstimate(functional, val, se, batch.n_samples, params)
+    if functional == "l1":
+        col = w * _values(f, batch)
     elif functional == "entropy":
         v = _positive_values(f, batch, "entropy needs f > 0")
-        val, se = _mean_se(w * v * np.log(v))
+        col = w * v * np.log(v)
     elif functional == "dirichlet":
         v = _positive_values(f, batch, "dirichlet form needs f > 0")
-        g = sub_gradient_sq_batch(f, batch.algebra, batch.samples)
-        val, se = _mean_se(w * g / v)
+        col = w * sub_gradient_sq_batch(f, batch.algebra, batch.samples) / v
     elif functional == "grad_sq":
-        g = sub_gradient_sq_batch(f, batch.algebra, batch.samples)
-        val, se = _mean_se(w * g)
+        col = w * sub_gradient_sq_batch(f, batch.algebra, batch.samples)
     elif functional == "euler":
-        val, se = _mean_se(w * euler_derivative_batch(f, batch.algebra, batch.samples))
+        col = w * euler_derivative_batch(f, batch.algebra, batch.samples)
     elif functional == "laplacian":
-        val, se = _mean_se(w * sub_laplacian_batch(f, batch.algebra, batch.samples))
+        col = w * sub_laplacian_batch(f, batch.algebra, batch.samples)
     else:
         raise ParameterError(f"unknown functional id {functional!r}")
-    return FunctionalEstimate(functional, val, se, batch.n_samples, params)
+    return FunctionalEstimate(functional, float(col.mean()), _se(col), batch.n_samples, params)
 
 
-def _warn_if_not_lsh(f, batch, lsh_status, notes, check_points: int = 128):
-    """sLSI/sHC facts are asserted for LSH functions only; warn otherwise."""
+def _warn_if_not_lsh(f, batch, lsh_status, check_points: int = 128) -> list:
+    """sLSI/sHC facts are asserted for LSH functions only; warn and note otherwise."""
     if lsh_status is not None:
-        if lsh_status != "lsh":
-            warnings.warn(
-                "check asserted only for log-subharmonic functions; "
-                f"field has LSH status {lsh_status!r}",
-                stacklevel=3,
-            )
-            notes.append(f"field LSH status: {lsh_status}")
-        return
-    pts = batch.samples[: min(check_points, batch.n_samples)]
-    verdict = check_lsh(f, pts, tol=1e-7, algebra=batch.algebra)
-    if verdict.verdict != LSH_CONSISTENT:
-        why = (verdict.detail if verdict.min_delta_log is None
-               else f"min Delta log f = {verdict.min_delta_log:.3g}")
+        if lsh_status == "lsh":
+            return []
         warnings.warn(
-            "check asserted only for log-subharmonic functions; spot check "
-            f"gave {verdict.verdict} ({why})",
+            "check asserted only for log-subharmonic functions; "
+            f"field has LSH status {lsh_status!r}",
             stacklevel=3,
         )
-        notes.append(f"LSH spot check: {verdict.verdict}")
+        return [f"field LSH status: {lsh_status}"]
+    pts = batch.samples[: min(check_points, batch.n_samples)]
+    verdict = check_lsh(f, pts, tol=1e-7, algebra=batch.algebra)
+    if verdict.verdict == LSH_CONSISTENT:
+        return []
+    why = (verdict.detail if verdict.min_delta_log is None
+           else f"min Delta log f = {verdict.min_delta_log:.3g}")
+    warnings.warn(
+        "check asserted only for log-subharmonic functions; spot check "
+        f"gave {verdict.verdict} ({why})",
+        stacklevel=3,
+    )
+    return [f"LSH spot check: {verdict.verdict}"]
 
 
 # -- inequality checks -----------------------------------------------------------
@@ -181,17 +200,12 @@ def _entropy_check(name, batch, ent, x, wf, k, h, beta, params, notes,
     """Ent <= k X + h (m log m + beta m), the entropy inequality behind LSI and sLSI.
 
     Ent, X and m are the means of the weighted per-sample entropy, energy and
-    mass terms ent, x and wf; the stderr is that of the margin's influence
-    k (x - X) + h (log m + 1 + beta)(wf - m) - (ent - Ent).
+    mass terms ent, x and wf.
     """
-    m, L, X = float(np.mean(wf)), float(np.mean(ent)), float(np.mean(x))
-    rhs = k * X + h * m * math.log(m) + h * beta * m
-    infl = k * (x - X) + h * (math.log(m) + 1.0 + beta) * (wf - m) - (ent - L)
-    return CheckReport.from_margin(
-        name, L, rhs, _se(infl), mode=lsi_mode(batch.algebra), params=params,
-        notes=notes, heavy_tail=_heavy(ent, x, wf),
-        z_threshold=z_threshold, abs_floor=abs_floor,
-    )
+    return _margin_report(name, batch, (x, wf, ent), lambda X, m, L: (
+        L, k * X + h * m * math.log(m) + h * beta * m,
+        (k, h * (math.log(m) + 1.0 + beta), -1.0)),
+        params=params, notes=notes, z_threshold=z_threshold, abs_floor=abs_floor)
 
 
 def check_lsi(f: ScalarField, batch: HeatSampleBatch, c: float, beta: float,
@@ -222,8 +236,7 @@ def check_slsi(f: ScalarField, batch: HeatSampleBatch, c: float, beta: float,
     """Strong LSI: entropy <= c int Ef + |f|_1 log |f|_1 + beta |f|_1."""
     if beta < 0 or c < 0:
         raise ParameterError("constants c, beta must be >= 0")
-    notes: list = []
-    _warn_if_not_lsh(f, batch, lsh_status, notes)
+    notes = _warn_if_not_lsh(f, batch, lsh_status)
     w = batch.weights
     v = _positive_values(f, batch, "sLSI check needs f > 0 on samples")
     ef = w * euler_derivative_batch(f, batch.algebra, batch.samples)
@@ -244,15 +257,11 @@ def check_time_space(f: ScalarField, batch: HeatSampleBatch,
 
 def _time_space(batch, ef, lap, z_threshold, abs_floor) -> CheckReport:
     """The time-space report from the weighted Ef and Delta f per sample."""
-    s = batch.s
-    E, D = float(np.mean(ef)), float(np.mean(lap))
-    infl = (ef - E) - (s / 2.0) * (lap - D)
-    return CheckReport.from_margin(
-        "time-space", E, (s / 2.0) * D, _se(infl), two_sided=True,
-        mode=lsi_mode(batch.algebra), params=_batch_params(batch),
-        heavy_tail=_heavy(ef, lap),
-        z_threshold=z_threshold, abs_floor=abs_floor,
-    )
+    half_s = batch.s / 2.0
+    return _margin_report("time-space", batch, (ef, lap),
+                          lambda E, D: (E, half_s * D, (1.0, -half_s)), two_sided=True,
+                          params=_batch_params(batch),
+                          z_threshold=z_threshold, abs_floor=abs_floor)
 
 
 def check_lsi_implies_slsi_chain(f: ScalarField, batch: HeatSampleBatch,
@@ -264,21 +273,15 @@ def check_lsi_implies_slsi_chain(f: ScalarField, batch: HeatSampleBatch,
     int |grad f|^2/f <= int Delta f   together with the time-space equality
     int Ef = (s/2) int Delta f, reported as one chained check.
     """
-    notes: list = []
-    _warn_if_not_lsh(f, batch, lsh_status, notes)
+    notes = _warn_if_not_lsh(f, batch, lsh_status)
     w = batch.weights
     v = _positive_values(f, batch, "chain check needs f > 0 on samples")
     # one frame and one jet evaluation of f give both sums, for both checks
     gsq, lap = horizontal_sums(f, batch.algebra, batch.samples)
-    dir_ = w * gsq / v
     lap = w * lap
-    G, D = float(np.mean(dir_)), float(np.mean(lap))
-    se1 = _se((lap - D) - (dir_ - G))
-    ineq = CheckReport.from_margin(
-        "chain-dirichlet-vs-laplacian", G, D, se1,
-        mode=lsi_mode(batch.algebra), heavy_tail=_heavy(dir_, lap),
-        z_threshold=z_threshold, abs_floor=abs_floor,
-    )
+    ineq = _margin_report("chain-dirichlet-vs-laplacian", batch, (lap, w * gsq / v),
+                          lambda D, G: (G, D, (1.0, -1.0)),
+                          z_threshold=z_threshold, abs_floor=abs_floor)
     ef = w * euler_derivative_batch(f, batch.algebra, batch.samples)
     ts = _time_space(batch, ef, lap, z_threshold, abs_floor)
 
@@ -288,14 +291,11 @@ def check_lsi_implies_slsi_chain(f: ScalarField, batch: HeatSampleBatch,
         verdict = VERDICT_INCONCLUSIVE
     else:
         verdict = VERDICT_HOLDS
-    report = CheckReport(
-        name="lsi-implies-slsi-chain",
-        lhs=G, rhs=D, margin=ineq.margin, stderr=se1, z=ineq.z,
-        verdict=verdict, two_sided=False, mode=lsi_mode(batch.algebra),
+    return replace(
+        ineq, name="lsi-implies-slsi-chain", verdict=verdict,
         params=_batch_params(batch), notes=notes,
         details={"inequality": ineq.as_dict(), "time_space": ts.as_dict()},
     )
-    return report
 
 
 def check_shc(f: ScalarField, batch: HeatSampleBatch, p: float, q: float,
@@ -318,27 +318,19 @@ def check_shc(f: ScalarField, batch: HeatSampleBatch, p: float, q: float,
         raise ParameterError(
             f"t={t} is below Janson's time t_J={t_j}; pass exploratory=True to probe"
         )
-    notes: list = []
-    _warn_if_not_lsh(f, batch, lsh_status, notes)
+    notes = _warn_if_not_lsh(f, batch, lsh_status)
     m_pq = defect_m(p, q, beta)
     w = batch.weights
-    ft = dilation_pullback(f, t)
-    u = w * _values(ft, batch) ** q
-    vv = w * _values(f, batch) ** p
-    mu, mv = float(np.mean(u)), float(np.mean(vv))
-    lhs = mu ** (1.0 / q)
-    rhs = m_pq * mv ** (1.0 / p)
-    infl = (
-        m_pq * (1.0 / p) * mv ** (1.0 / p - 1.0) * (vv - mv)
-        - (1.0 / q) * mu ** (1.0 / q - 1.0) * (u - mu)
-    )
-    return CheckReport.from_margin(
-        "shc", lhs, rhs, _se(infl),
-        mode=lsi_mode(batch.algebra),
+    vv = w * _positive_values(f, batch, "sHC check needs f > 0 on samples") ** p
+    u = w * _positive_values(dilation_pullback(f, t), batch,
+                             "sHC check needs e^(-tE) f > 0 on samples") ** q
+    return _margin_report(
+        "shc", batch, (vv, u), lambda mv, mu: (
+            mu ** (1.0 / q), m_pq * mv ** (1.0 / p),
+            (m_pq * (1.0 / p) * mv ** (1.0 / p - 1.0), -((1.0 / q) * mu ** (1.0 / q - 1.0)))),
         params={"p": p, "q": q, "t": t, "t_J": t_j, "M": m_pq, "c": c,
                 "beta": beta, **_batch_params(batch), "exploratory": exploratory},
-        notes=notes, heavy_tail=_heavy(u, vv),
-        z_threshold=z_threshold, abs_floor=abs_floor,
+        notes=notes, z_threshold=z_threshold, abs_floor=abs_floor,
     )
 
 
@@ -350,30 +342,34 @@ def _sweep(name, f, batch, ts, r_of, m_of, params, notes, z_threshold,
     """alpha(t) = M(t)^{-1} |e^{-tE} f|_{r(t)} over the sorted t grid.
 
     The verdict is "holds" when alpha is non-increasing within
-    z_threshold standard errors of each step plus abs_floor.
+    z_threshold standard errors of each step plus abs_floor, and
+    "inconclusive" when a step's standard error is NaN, as from fewer than
+    two samples.
     """
     ts = np.asarray(sorted(float(t) for t in ts))
     w = batch.weights
     values, stderrs, infls = [], [], []
     for t in ts:
         r, m_t = r_of(t), m_of(t)
-        u = w * _values(dilation_pullback(f, t), batch) ** r
-        m = float(np.mean(u))
-        values.append(m ** (1.0 / r) / m_t)
-        dval = (1.0 / r) * m ** (1.0 / r - 1.0) / m_t
-        infls.append(dval * (u - m))
-        stderrs.append(_se(infls[-1]))
+        v = _positive_values(dilation_pullback(f, t), batch,
+                             f"{name} needs e^(-tE) f > 0 on samples at t = {t:g}")
+        value, _, infl, se = _delta_method([w * v ** r], lambda m: (
+            m ** (1.0 / r) / m_t, None, [(1.0 / r) * m ** (1.0 / r - 1.0) / m_t]))
+        values.append(value)
+        stderrs.append(se)
+        infls.append(infl)
     diff_ses = [_se(b - a) for a, b in zip(infls, infls[1:])]
     tol = z_threshold * np.asarray(diff_ses) + abs_floor
     diffs = np.diff(np.asarray(values))
     noninc = bool(np.all(diffs <= tol))
+    verdict = (VERDICT_INCONCLUSIVE if np.isnan(tol).any()
+               else VERDICT_HOLDS if noninc else VERDICT_VIOLATED)
     return SweepReport(
         name=name,
         ts=ts.tolist(), values=values, stderrs=stderrs, diff_stderrs=diff_ses,
         monotone_nonincreasing=noninc, monotone_nondecreasing=bool(np.all(diffs >= -tol)),
-        verdict=VERDICT_HOLDS if noninc else VERDICT_VIOLATED,
-        mode=lsi_mode(batch.algebra), params={**params, **_batch_params(batch)},
-        notes=notes,
+        verdict=verdict, mode=lsi_mode(batch.algebra),
+        params={**params, **_batch_params(batch)}, notes=notes,
     )
 
 
@@ -388,8 +384,7 @@ def sweep_alpha(f: ScalarField, batch: HeatSampleBatch, c: float, beta: float,
     """
     if q < 1:
         raise ParameterError(f"q must be >= 1, got {q}")
-    notes: list = []
-    _warn_if_not_lsh(f, batch, lsh_status, notes)
+    notes = _warn_if_not_lsh(f, batch, lsh_status)
     t_j = janson_time(1.0, q, c)
     return _sweep(
         "alpha-sweep", f, batch, np.linspace(0.0, t_j, 9) if ts is None else ts,
@@ -403,8 +398,7 @@ def check_l1_contractivity(f: ScalarField, batch: HeatSampleBatch, ts=None,
                            z_threshold: float = Z_THRESHOLD,
                            abs_floor: float = ABS_FLOOR) -> SweepReport:
     """|e^{-tE} f|_1 over a t grid; non-increasing for log-subharmonic f."""
-    notes: list = []
-    _warn_if_not_lsh(f, batch, lsh_status, notes)
+    notes = _warn_if_not_lsh(f, batch, lsh_status)
     return _sweep(
         "l1-contractivity", f, batch, np.linspace(0.0, 1.0, 9) if ts is None else ts,
         lambda t: 1.0, lambda t: 1.0, {}, notes, z_threshold, abs_floor,

@@ -7,6 +7,7 @@ by a z-score rule with an absolute floor:
   holds iff margin >= -z_threshold * stderr; violated iff margin is below
   that and |margin| exceeds the absolute floor; otherwise inconclusive.
 - two-sided (equality): same with |margin| <= z_threshold * stderr.
+- a NaN stderr, as from fewer than two samples, is inconclusive, with z NaN.
 
 A heavy-tail diagnostic can force a report to "inconclusive": if the top
 0.1% of samples contributes more than 20% of a mean, the estimate is not
@@ -37,6 +38,8 @@ MODE_EXPLORATORY = "exploratory"
 def decide_verdict(margin: float, stderr: float, two_sided: bool = False,
                    z_threshold: float = Z_THRESHOLD,
                    abs_floor: float = ABS_FLOOR) -> str:
+    if math.isnan(stderr):
+        return VERDICT_INCONCLUSIVE
     gap = abs(margin) if two_sided else -margin
     if gap <= z_threshold * stderr:
         return VERDICT_HOLDS
@@ -117,7 +120,7 @@ class CheckReport(Report):
                     heavy_tail=False,
                     z_threshold=Z_THRESHOLD, abs_floor=ABS_FLOOR):
         margin = rhs - lhs
-        z = margin / stderr if stderr > 0 else (0.0 if margin == 0 else np.sign(margin) * np.inf)
+        z = margin / stderr if stderr != 0 else (0.0 if margin == 0 else np.sign(margin) * np.inf)
         verdict = decide_verdict(margin, stderr, two_sided, z_threshold, abs_floor)
         notes = list(notes or [])
         if heavy_tail:

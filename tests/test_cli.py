@@ -455,6 +455,31 @@ def test_slsi_spot_check_domain_error_is_a_per_check_error():
     _strict_json(cli.manifest_canonical_bytes(manifest))
 
 
+NON_POSITIVE_CHECKS = {
+    "shc-zero": ("(* x_1_1 0)", {"check": "shc", "p": 1.0, "q": 2.0, "c": 1.0}),
+    "shc-signed": ("x_1_1", {"check": "shc", "p": 1.5, "q": 4.0, "c": 1.0}),
+    "alpha-sweep-zero": ("(* x_1_1 0)", {"check": "alpha-sweep", "q": math.e, "c": 1.0}),
+    "contractivity-signed": ("x_1_1", {"check": "contractivity"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_POSITIVE_CHECKS))
+def test_shc_and_sweeps_need_positive_f(case):
+    # f = 0 would divide by zero in the influence and a sign-changing f has
+    # no real norm: each must fail its own check only, not the whole run
+    expr, chk = NON_POSITIVE_CHECKS[case]
+    config = small_time_space_config(
+        fields={"bad": {"expr": expr}, "good": {"library": "expx1"}},
+        heat={"s": 1.0, "n": 2000, "steps": 8, "seed": 1},
+        checks=[{**chk, "field": "bad"}, {**chk, "field": "good"}])
+    with pytest.warns(UserWarning, match="f <= 0 at point index"):
+        manifest = cli.run(config)
+    bad, good = manifest["reports"]
+    assert bad["verdict"] == cli.VERDICT_ERROR and "f > 0" in bad["error"]
+    assert good["verdict"] == "holds"
+    assert manifest["exit_code"] == 3
+
+
 # -- presets -------------------------------------------------------------------------
 
 

@@ -7,7 +7,16 @@ import pytest
 
 from carnot import algebra, calculus as calc, heat, inequalities as ineq, lsh
 from carnot.errors import ParameterError
-from carnot.reports import MODE_EXPLORATORY, MODE_VERIFIED, CheckReport
+from carnot.reports import (
+    ABS_FLOOR,
+    HEAVY_TAIL_FRACTION,
+    MODE_EXPLORATORY,
+    MODE_VERIFIED,
+    Z_THRESHOLD,
+    CheckReport,
+    SweepReport,
+    heavy_tail_fraction,
+)
 
 
 def exp_ax(a):
@@ -93,53 +102,136 @@ def test_lsi_l2_form_equals_l1_on_square(r1_batch_s2_tilt2):
     assert np.isclose(r1_.stderr, 2.0 * r2.stderr, rtol=1e-9, atol=1e-12)
 
 
-def _entropy_reports_reference(f, batch, c, beta):
-    """LSI L1, LSI L2 and sLSI reports, each from its own hand-written formula."""
-    w, s = batch.weights, batch.s
-    v = calc.evaluate_batch(f, batch.algebra, batch.samples)
-    gsq = calc.sub_gradient_sq_batch(f, batch.algebra, batch.samples)
-    ef = w * calc.euler_derivative_batch(f, batch.algebra, batch.samples)
+def _se(infl):
+    return float(infl.std(ddof=1) / math.sqrt(infl.size))
+
+
+def _heavy(*contribs):
+    return any(heavy_tail_fraction(c) > HEAVY_TAIL_FRACTION for c in contribs)
+
+
+def _reports_reference(f, batch, c, beta):
+    """Every margin check's report, each from its own hand-written formula.
+
+    LSI L1 and L2, sLSI, time-space, the chain, sHC, the alpha sweep and L1
+    contractivity, at p = 1.5, q = 3 and t = t_J + 0.1 for sHC.
+    """
+    w, s, alg = batch.weights, batch.s, batch.algebra
+    mode, bp = ineq.lsi_mode(alg), ineq._batch_params(batch)
+    v = calc.evaluate_batch(f, alg, batch.samples)
+    gsq = calc.sub_gradient_sq_batch(f, alg, batch.samples)
+    ef = w * calc.euler_derivative_batch(f, alg, batch.samples)
     logv = np.log(v)
 
     def report(name, lhs, rhs, infl, heavy, **form):
         return CheckReport.from_margin(
-            name, lhs, rhs, ineq._se(infl), mode=ineq.lsi_mode(batch.algebra),
-            params={"c": c, "beta": beta, **form, **ineq._batch_params(batch)},
-            heavy_tail=heavy)
+            name, lhs, rhs, _se(infl), mode=mode,
+            params={"c": c, "beta": beta, **form, **bp}, heavy_tail=heavy)
 
     ent, dir_, wf = w * v * logv, w * gsq / v, w * v
     m1, L, G = float(np.mean(wf)), float(np.mean(ent)), float(np.mean(dir_))
     l1 = report(
         "lsi-l1", L, (c * s / 2.0) * G + m1 * math.log(m1) + beta * m1,
         (c * s / 2.0) * (dir_ - G) + (math.log(m1) + 1.0 + beta) * (wf - m1) - (ent - L),
-        ineq._heavy(ent, dir_, wf), form="L1")
+        _heavy(ent, dir_, wf), form="L1")
     ent2, g2, wf2 = w * v * v * logv, w * gsq, w * v * v
     m2, L2, G2 = float(np.mean(wf2)), float(np.mean(ent2)), float(np.mean(g2))
     l2 = report(
         "lsi-l2", L2, c * s * G2 + 0.5 * m2 * math.log(m2) + 0.5 * beta * m2,
         c * s * (g2 - G2) + 0.5 * (math.log(m2) + 1.0 + beta) * (wf2 - m2) - (ent2 - L2),
-        ineq._heavy(ent2, g2, wf2), form="L2")
+        _heavy(ent2, g2, wf2), form="L2")
     E = float(np.mean(ef))
     slsi = report(
         "slsi", L, c * E + m1 * math.log(m1) + beta * m1,
         c * (ef - E) + (math.log(m1) + 1.0 + beta) * (wf - m1) - (ent - L),
-        ineq._heavy(ent, ef, wf))
-    return l1, l2, slsi
+        _heavy(ent, ef, wf))
+
+    def time_space(lap):
+        D = float(np.mean(lap))
+        return CheckReport.from_margin(
+            "time-space", E, (s / 2.0) * D, _se((ef - E) - (s / 2.0) * (lap - D)),
+            two_sided=True, mode=mode, params=bp, heavy_tail=_heavy(ef, lap))
+
+    ts = time_space(w * calc.sub_laplacian_batch(f, alg, batch.samples))
+    hgsq, hlap = calc.horizontal_sums(f, alg, batch.samples)
+    cdir, clap = w * hgsq / v, w * hlap
+    CG, CD = float(np.mean(cdir)), float(np.mean(clap))
+    se1 = _se((clap - CD) - (cdir - CG))
+    cineq = CheckReport.from_margin("chain-dirichlet-vs-laplacian", CG, CD, se1,
+                                    mode=mode, heavy_tail=_heavy(cdir, clap))
+    cts = time_space(clap)
+    verdicts = (cineq.verdict, cts.verdict)
+    chain = CheckReport(
+        name="lsi-implies-slsi-chain", lhs=CG, rhs=CD, margin=cineq.margin, stderr=se1,
+        z=cineq.z, verdict=("violated" if "violated" in verdicts else "inconclusive"
+                            if "inconclusive" in verdicts else "holds"),
+        two_sided=False, mode=mode, params=bp, notes=[],
+        details={"inequality": cineq.as_dict(), "time_space": cts.as_dict()})
+
+    p, q = 1.5, 3.0
+    t_j = c * math.log(q / p)
+    t, m_pq = t_j + 0.1, math.exp(beta * (1.0 / p - 1.0 / q))
+    u = w * calc.evaluate_batch(calc.dilation_pullback(f, t), alg, batch.samples) ** q
+    vv = w * v ** p
+    mu, mv = float(np.mean(u)), float(np.mean(vv))
+    shc = CheckReport.from_margin(
+        "shc", mu ** (1.0 / q), m_pq * mv ** (1.0 / p),
+        _se(m_pq * (1.0 / p) * mv ** (1.0 / p - 1.0) * (vv - mv)
+            - (1.0 / q) * mu ** (1.0 / q - 1.0) * (u - mu)),
+        mode=mode, params={"p": p, "q": q, "t": t, "t_J": t_j, "M": m_pq, "c": c,
+                           "beta": beta, **bp, "exploratory": False},
+        heavy_tail=_heavy(u, vv))
+
+    def sweep(name, ts, r_of, m_of, params):
+        values, stderrs, infls = [], [], []
+        for t in ts:
+            r, m_t = r_of(t), m_of(t)
+            u = w * calc.evaluate_batch(calc.dilation_pullback(f, t), alg,
+                                        batch.samples) ** r
+            m = float(np.mean(u))
+            values.append(m ** (1.0 / r) / m_t)
+            infls.append((1.0 / r) * m ** (1.0 / r - 1.0) / m_t * (u - m))
+            stderrs.append(_se(infls[-1]))
+        diff_ses = [_se(b - a) for a, b in zip(infls, infls[1:])]
+        tol = Z_THRESHOLD * np.asarray(diff_ses) + ABS_FLOOR
+        diffs = np.diff(np.asarray(values))
+        noninc = bool(np.all(diffs <= tol))
+        return SweepReport(
+            name=name, ts=ts.tolist(), values=values, stderrs=stderrs,
+            diff_stderrs=diff_ses, monotone_nonincreasing=noninc,
+            monotone_nondecreasing=bool(np.all(diffs >= -tol)),
+            verdict="holds" if noninc else "violated", mode=mode,
+            params={**params, **bp}, notes=[])
+
+    q_tj = c * math.log(math.e)
+    alpha = sweep("alpha-sweep", np.linspace(0.0, q_tj, 9), lambda t: math.exp(t / c),
+                  lambda t: math.exp(beta * (1.0 - math.exp(-t / c))),
+                  {"c": c, "beta": beta, "q": math.e, "t_J": q_tj})
+    contraction = sweep("l1-contractivity", np.linspace(0.0, 1.0, 9),
+                        lambda t: 1.0, lambda t: 1.0, {})
+    return l1, l2, slsi, ts, chain, shc, alpha, contraction
 
 
 @pytest.mark.parametrize("case", ["heisenberg(1)", "euclidean(1)-tilted", "engel"])
 def test_entropy_checks_match_hand_written_formulas(case):
-    # one entropy-inequality core gives the three checks' reports bit for bit
+    # one influence-function core gives every margin check's report bit for bit
     alg = algebra.builtin(case.removesuffix("-tilted"))
     tilt = [1.5] if case.endswith("-tilted") else None
     batch = heat.sample(alg, 0.8, 3000, 16, seed=61, tilt=tilt)
     f = calc.parse_field("(exp (+ (* 0.7 x_1_1) (* 0.2 x_1_2 x_1_2)))"
                          if alg.dim_v1 > 1 else "(exp (* 1.3 x_1_1))")
     for c, beta in [(0.7, 0.3), (0.5, 0.0)]:
-        want = _entropy_reports_reference(f, batch, c, beta)
+        want = _reports_reference(f, batch, c, beta)
+        t_shc = c * math.log(3.0 / 1.5) + 0.1
         got = (ineq.check_lsi(f, batch, c, beta, form="L1"),
                ineq.check_lsi(f, batch, c, beta, form="L2"),
-               ineq.check_slsi(f, batch, c, beta, lsh_status="lsh"))
+               ineq.check_slsi(f, batch, c, beta, lsh_status="lsh"),
+               ineq.check_time_space(f, batch),
+               ineq.check_lsi_implies_slsi_chain(f, batch, lsh_status="lsh"),
+               ineq.check_shc(f, batch, 1.5, 3.0, t_shc, c, beta, lsh_status="lsh"),
+               ineq.sweep_alpha(f, batch, c, beta, math.e, lsh_status="lsh"),
+               ineq.check_l1_contractivity(f, batch, lsh_status="lsh"))
+        assert len(got) == len(want)
         for g, w in zip(got, want):
             assert json.dumps(g.as_dict()) == json.dumps(w.as_dict()), (case, g.name)
 

@@ -1,8 +1,10 @@
 import json
 import math
+import warnings
 
 import numpy as np
 
+from carnot import algebra, calculus as calc, cli, heat, inequalities as ineq
 from carnot.reports import (
     CheckReport,
     FunctionalEstimate,
@@ -66,3 +68,31 @@ def test_heavy_tail_fraction():
     spiked[0] = 1e7
     assert heavy_tail_fraction(spiked) > 0.9
     assert heavy_tail_fraction(np.zeros(100)) == 0.0
+
+
+def test_nan_stderr_is_inconclusive_with_nan_z():
+    assert decide_verdict(-1.0, math.nan) == "inconclusive"
+    assert decide_verdict(1.0, math.nan, two_sided=True) == "inconclusive"
+    rep = CheckReport.from_margin("demo", lhs=2.0, rhs=1.0, stderr=math.nan)
+    assert math.isnan(rep.z) and rep.verdict == "inconclusive"
+    assert rep.as_dict()["z"] is None
+
+
+def test_one_sample_stderr_is_nan_without_warnings(capsys):
+    # one sample has no stderr: NaN everywhere, inconclusive, and no numpy
+    # RuntimeWarning from a ddof=1 spread of one value
+    argv = ["--algebra", "heisenberg(1)", "--field", "@expx1", "--n", "1",
+            "--steps", "8", "--seed", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["check", "slsi", *argv]) == 2
+        rep = json.loads(capsys.readouterr().out)
+        batch = heat.sample(algebra.builtin("heisenberg(1)"), 1.0, 1, 8, seed=1)
+        f = calc.parse_field("(exp x_1_1)")
+        estimates = [ineq.estimate("l1", f, batch), ineq.estimate("lp", f, batch, p=2.0)]
+        sweep = ineq.check_l1_contractivity(f, batch, lsh_status="lsh")
+    assert rep["stderr"] is None and rep["z"] is None
+    assert rep["verdict"] == "inconclusive"
+    assert all(math.isnan(est.stderr) for est in estimates)
+    assert all(math.isnan(se) for se in sweep.stderrs + sweep.diff_stderrs)
+    assert sweep.verdict == "inconclusive"
