@@ -26,6 +26,10 @@ from .reports import Report
 # "exact" means below these.
 AXIOM_TOL = 1e-12
 PARTIAL_ISOMETRY_TOL = 1e-10
+# H-type classification tests the V_2 basis and this many random directions,
+# drawn from the Philox stream keyed by [_H_TYPE_SEED, 0]
+_H_TYPE_RANDOM_DIRECTIONS = 32
+_H_TYPE_SEED = 0
 
 
 class StratifiedAlgebra:
@@ -276,13 +280,13 @@ def j_matrix(algebra: StratifiedAlgebra, z, v2_metric=None) -> np.ndarray:
     return J
 
 
-def classify_h_type(algebra: StratifiedAlgebra, v2_metric=None, n_random=32,
-                    seed=0) -> HTypeVerdict:
+def classify_h_type(algebra: StratifiedAlgebra, v2_metric=None) -> HTypeVerdict:
     """Decide the H-type property: every unit z in V_2 gives a partial isometry.
 
     Partial isometry is tested as P = J_z^T J_z being an orthogonal projection
     (P^2 = P, P = P^T) within ``PARTIAL_ISOMETRY_TOL``.  Tests the orthonormal
-    V_2 basis directions plus ``n_random`` seeded random unit vectors.
+    V_2 basis directions plus ``_H_TYPE_RANDOM_DIRECTIONS`` seeded random unit
+    vectors.
     """
     if algebra.step != 2:
         raise NotStepTwoError(
@@ -294,9 +298,9 @@ def classify_h_type(algebra: StratifiedAlgebra, v2_metric=None, n_random=32,
     L2 = np.linalg.cholesky(g2)
     frame2 = np.linalg.inv(L2).T
 
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    rng = np.random.Generator(np.random.Philox(key=[_H_TYPE_SEED, 0]))
     zs = [frame2[:, k] for k in range(d2)]
-    for _ in range(n_random):
+    for _ in range(_H_TYPE_RANDOM_DIRECTIONS):
         raw = rng.standard_normal(d2)
         coeff = raw / math.sqrt(float(raw @ raw))
         zs.append(frame2 @ coeff)  # unit under g2

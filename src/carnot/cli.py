@@ -31,14 +31,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 from . import __version__, algebra as algebra_mod, calculus, heat, inequalities, lsh
 from .errors import CarnotError, ConfigError
-from .reports import (
-    ABS_FLOOR,
-    MODE_EXPLORATORY,
-    VERDICT_HOLDS,
-    VERDICT_INCONCLUSIVE,
-    VERDICT_VIOLATED,
-    Z_THRESHOLD,
-)
+from .reports import MODE_EXPLORATORY, VERDICT_HOLDS, VERDICT_INCONCLUSIVE, VERDICT_VIOLATED
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -59,7 +52,6 @@ class _Context:
     fields: dict
     batch: object
     extra: dict
-    gate: dict  # z_threshold and abs_floor of the verdict rule
     seed: int  # the config's heat seed, or 0; seeds the lsh grids
     lsh_grids: dict = dataclass_field(default_factory=dict)
     lock: threading.Lock = dataclass_field(default_factory=threading.Lock)
@@ -119,8 +111,7 @@ def _run_shc(a, cx):
     t = inequalities.janson_time(a["p"], a["q"], a["c"]) if a["t"] == "tJ" else a["t"]
     return inequalities.check_shc(
         a["f"], cx.batch, a["p"], a["q"], t, a["c"], a["beta"],
-        exploratory=a["exploratory"], lsh_status=a["lsh_status"], **cx.gate,
-    ).as_dict()
+        exploratory=a["exploratory"], lsh_status=a["lsh_status"]).as_dict()
 
 
 def _run_lsh(a, cx):
@@ -169,13 +160,11 @@ _C_BETA = {"c": float, "beta": float}
 _CHECKS = {
     "lsi": _Kind(
         lambda a, cx: inequalities.check_lsi(
-            a["f"], cx.batch, a["c"], a["beta"], form=a["form"], **cx.gate,
-        ).as_dict(),
+            a["f"], cx.batch, a["c"], a["beta"], form=a["form"]).as_dict(),
         required=("c",), optional={"beta": 0.0, "form": "L1"}, types=_C_BETA),
     "slsi": _Kind(
         lambda a, cx: inequalities.check_slsi(
-            a["f"], cx.batch, a["c"], a["beta"], lsh_status=a["lsh_status"], **cx.gate,
-        ).as_dict(),
+            a["f"], cx.batch, a["c"], a["beta"], lsh_status=a["lsh_status"]).as_dict(),
         required=("c",), optional={"beta": 0.0}, types=_C_BETA),
     "shc": _Kind(
         _run_shc, required=("p", "q", "c"),
@@ -183,31 +172,26 @@ _CHECKS = {
         types={**_C_BETA, "p": float, "q": float, "t": _tj_or_float, "exploratory": bool},
         validate=_p_at_most_q),
     "time-space": _Kind(
-        lambda a, cx: inequalities.check_time_space(a["f"], cx.batch, **cx.gate).as_dict()),
+        lambda a, cx: inequalities.check_time_space(a["f"], cx.batch).as_dict()),
     "chain": _Kind(
         lambda a, cx: inequalities.check_lsi_implies_slsi_chain(
-            a["f"], cx.batch, lsh_status=a["lsh_status"], **cx.gate,
-        ).as_dict()),
+            a["f"], cx.batch, lsh_status=a["lsh_status"]).as_dict()),
     "alpha-sweep": _Kind(
         lambda a, cx: inequalities.sweep_alpha(
             a["f"], cx.batch, a["c"], a["beta"], a["q"], ts=a["grid"],
-            lsh_status=a["lsh_status"], **cx.gate,
-        ).as_dict(),
+            lsh_status=a["lsh_status"]).as_dict(),
         required=("q", "c"), optional={"beta": 0.0, "grid": None},
         types={**_C_BETA, "q": float, "grid": _floats}, csv=True, positive=("c",)),
     "contractivity": _Kind(
         lambda a, cx: inequalities.check_l1_contractivity(
-            a["f"], cx.batch, ts=a["grid"], lsh_status=a["lsh_status"], **cx.gate,
-        ).as_dict(),
+            a["f"], cx.batch, ts=a["grid"], lsh_status=a["lsh_status"]).as_dict(),
         optional={"grid": None}, types={"grid": _floats}, csv=True),
     "inverse-symmetry": _Kind(
-        lambda a, cx: heat.empirical_check_inverse_symmetry(
-            cx.batch, z_threshold=cx.gate["z_threshold"]).as_dict(),
+        lambda a, cx: heat.empirical_check_inverse_symmetry(cx.batch).as_dict(),
         needs_field=False),
     "scaling": _Kind(
         lambda a, cx: heat.empirical_check_scaling(
-            cx.batch, a["lambda"], cx.extra[a["batch"]],
-            z_threshold=cx.gate["z_threshold"]).as_dict(),
+            cx.batch, a["lambda"], cx.extra[a["batch"]]).as_dict(),
         required=("lambda", "batch"), types={"lambda": float}, needs_field=False,
         positive=("lambda",), validate=_names_extra_batch),
     "tail": _Kind(_run_tail, needs_field=False),
@@ -227,10 +211,9 @@ _CHECKS = {
 # -- config validation ----------------------------------------------------------
 
 _TOP_KEYS = {"name", "algebra", "fields", "heat", "extra_batches", "checks",
-             "thresholds", "exploratory", "output"}
+             "exploratory", "output"}
 _HEAT_KEYS = {"s", "n", "steps", "seed", "tilt"}
 _FIELD_KEYS = {"expr", "params", "library"}
-_THRESHOLD_KEYS = {"z", "abs_floor"}
 # check keys whose value names a kind, a field or an extra batch
 _NAME_KEYS = ("check", "field", "batch")
 
@@ -285,16 +268,10 @@ def validate_config(config: dict) -> dict:
         "heat": None,
         "extra_batches": {},
         "checks": [],
-        "thresholds": {"z": Z_THRESHOLD, "abs_floor": ABS_FLOOR},
         "exploratory": bool(config.get("exploratory", False)),
         "output": config.get("output", {}),
     }
     _object(out["output"] or {}, "output")
-    if "thresholds" in config:
-        _reject_unknown(config["thresholds"], _THRESHOLD_KEYS, "thresholds")
-        for key, value in config["thresholds"].items():
-            _converted(float, value, "thresholds", key)
-        out["thresholds"].update(config["thresholds"])
     for name, fd in _object(config.get("fields") or {}, "fields").items():
         _reject_unknown(fd, _FIELD_KEYS, f"fields.{name}")
         if ("expr" in fd) == ("library" in fd):
@@ -399,10 +376,7 @@ def run(config: dict) -> dict:
         extra[name] = heat.sample(alg, bc["s"], bc["n"], bc["steps"], bc["seed"])
         timings[f"sampling.{name}"] = time.perf_counter() - t0
 
-    thresholds = config["thresholds"]
-    cx = _Context(alg, fields, batch, extra, {"z_threshold": thresholds["z"],
-                                              "abs_floor": thresholds["abs_floor"]},
-                  hc["seed"] if hc else 0)
+    cx = _Context(alg, fields, batch, extra, hc["seed"] if hc else 0)
     n_workers = max(1, int(os.environ.get("CARNOT_THREADS", "1")))
     tasks = list(enumerate(config["checks"]))
 

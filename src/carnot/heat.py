@@ -42,7 +42,13 @@ import numpy as np
 from .algebra import StratifiedAlgebra
 from .errors import ParameterError, StructureError
 from .group import dilate_batch, homogeneous_norm_batch, multiply_jets
-from .reports import TailReport, TwoSampleReport, VERDICT_HOLDS, VERDICT_VIOLATED
+from .reports import (
+    TailReport,
+    TwoSampleReport,
+    VERDICT_HOLDS,
+    VERDICT_VIOLATED,
+    Z_THRESHOLD,
+)
 
 # upper bound on increments (floats) per chunk of paths
 _CHUNK_BUDGET = 2 ** 20
@@ -51,6 +57,11 @@ _TILE_PATHS = 256
 _TILE_STEPS = 32
 # pooled points per row block of the energy test's distance matrix
 _DIST_ROWS = 64
+# the energy test's permutations, and the points it keeps of each sample
+_ENERGY_PERMUTATIONS = 100
+_ENERGY_CAP = 512
+# survival levels the tail profile fits
+_TAIL_GRID = 14
 
 
 @dataclass
@@ -268,8 +279,7 @@ def _distance_matrix(points: np.ndarray) -> np.ndarray:
     return D
 
 
-def _energy_z(A: np.ndarray, B: np.ndarray, seed: int, n_perm: int = 100,
-              cap: int = 512) -> float:
+def _energy_z(A: np.ndarray, B: np.ndarray, seed: int) -> float:
     """Permutation z-score of the energy distance between two samples.
 
     Distances over the pooled (subsampled) points are computed once.  A split
@@ -284,20 +294,20 @@ def _energy_z(A: np.ndarray, B: np.ndarray, seed: int, n_perm: int = 100,
     symmetric.  The product is one BLAS matrix product: each entry of R is
     reduced within one thread, so R does not depend on the BLAS thread count,
     and it is an order of magnitude faster than einsum's loop, the more so as
-    n_perm grows.
+    the number of permutations grows.
     """
     rng = np.random.Generator(np.random.Philox(key=[seed, 2 ** 32]))
-    if A.shape[0] > cap:
-        A = A[rng.choice(A.shape[0], cap, replace=False)]
-    if B.shape[0] > cap:
-        B = B[rng.choice(B.shape[0], cap, replace=False)]
+    if A.shape[0] > _ENERGY_CAP:
+        A = A[rng.choice(A.shape[0], _ENERGY_CAP, replace=False)]
+    if B.shape[0] > _ENERGY_CAP:
+        B = B[rng.choice(B.shape[0], _ENERGY_CAP, replace=False)]
     pooled = np.vstack([A, B])
     na, ntot = A.shape[0], pooled.shape[0]
     nb = ntot - na
     D = _distance_matrix(pooled)
-    U = np.zeros((ntot, 1 + n_perm))
+    U = np.zeros((ntot, 1 + _ENERGY_PERMUTATIONS))
     U[:na, 0] = 1.0
-    for i in range(n_perm):
+    for i in range(_ENERGY_PERMUTATIONS):
         U[rng.permutation(ntot)[:na], 1 + i] = 1.0
     R = D @ U
     tu = R.sum(axis=0)
@@ -316,8 +326,7 @@ def _require_untilted(batch: HeatSampleBatch, what: str):
 
 
 def _two_sample(A: np.ndarray, B: np.ndarray, z_of, energy_seed: int, *,
-                labels, z_threshold: float, name: str, n: int,
-                params: dict) -> TwoSampleReport:
+                labels, name: str, n: int, params: dict) -> TwoSampleReport:
     """Moment and energy z-scores of A against B, one verdict over all."""
     zs = _moment_z(A, B, labels, z_of)
     ez = _energy_z(A, B, energy_seed)
@@ -327,15 +336,14 @@ def _two_sample(A: np.ndarray, B: np.ndarray, z_of, energy_seed: int, *,
         moment_z=zs,
         energy_z=ez,
         max_abs_z=worst,
-        z_threshold=z_threshold,
-        verdict=VERDICT_HOLDS if worst < z_threshold else VERDICT_VIOLATED,
+        z_threshold=Z_THRESHOLD,
+        verdict=VERDICT_HOLDS if worst < Z_THRESHOLD else VERDICT_VIOLATED,
         n=n,
         params=params,
     )
 
 
-def empirical_check_inverse_symmetry(batch: HeatSampleBatch,
-                                     z_threshold: float = 4.0) -> TwoSampleReport:
+def empirical_check_inverse_symmetry(batch: HeatSampleBatch) -> TwoSampleReport:
     """Compare the batch against its group inverses (coordinate negation).
 
     The heat kernel measure is invariant under the inverse, so all paired
@@ -344,15 +352,14 @@ def empirical_check_inverse_symmetry(batch: HeatSampleBatch,
     _require_untilted(batch, "inverse-symmetry check")
     return _two_sample(
         batch.samples, -batch.samples, _paired_z, batch.seed,
-        labels=batch.algebra.coordinate_labels(), z_threshold=z_threshold,
-        name="heat-inverse-symmetry", n=batch.n_samples,
+        labels=batch.algebra.coordinate_labels(), name="heat-inverse-symmetry",
+        n=batch.n_samples,
         params={"s": batch.s, "steps": batch.n_steps, "seed": batch.seed},
     )
 
 
 def empirical_check_scaling(batch_s: HeatSampleBatch, lam: float,
-                            batch_sp: HeatSampleBatch,
-                            z_threshold: float = 4.0) -> TwoSampleReport:
+                            batch_sp: HeatSampleBatch) -> TwoSampleReport:
     """delta_{1/lambda}(X_s) should match X_{s lambda^{-2}} in law."""
     _require_untilted(batch_s, "scaling check")
     _require_untilted(batch_sp, "scaling check")
@@ -366,8 +373,8 @@ def empirical_check_scaling(batch_s: HeatSampleBatch, lam: float,
     return _two_sample(
         dilate_batch(batch_s.algebra, 1.0 / lam, batch_s.samples), batch_sp.samples,
         _unpaired_z, batch_s.seed ^ batch_sp.seed,
-        labels=batch_s.algebra.coordinate_labels(), z_threshold=z_threshold,
-        name="heat-scaling", n=min(batch_s.n_samples, batch_sp.n_samples),
+        labels=batch_s.algebra.coordinate_labels(), name="heat-scaling",
+        n=min(batch_s.n_samples, batch_sp.n_samples),
         params={"s": batch_s.s, "lambda": lam, "s_prime": batch_sp.s},
     )
 
@@ -380,7 +387,7 @@ def _fit_line(xs: np.ndarray, ys: np.ndarray):
     return float(coef[0]), float(coef[1]), float(resid @ resid)
 
 
-def empirical_tail_profile(batch: HeatSampleBatch, n_grid: int = 14) -> TailReport:
+def empirical_tail_profile(batch: HeatSampleBatch) -> TailReport:
     """Fit log P(N(X_s) > r) by a + b r^2 vs a + b r over a quantile grid.
 
     Gaussian-type decay means the quadratic model wins (lower AIC) with a
@@ -393,7 +400,7 @@ def empirical_tail_profile(batch: HeatSampleBatch, n_grid: int = 14) -> TailRepo
     norms = homogeneous_norm_batch(batch.algebra, batch.samples)
     lo = float(np.quantile(norms, 0.5))
     hi = float(np.quantile(norms, 1.0 - 30.0 / batch.n_samples))
-    grid = np.linspace(lo, hi, n_grid)
+    grid = np.linspace(lo, hi, _TAIL_GRID)
     surv = np.array([(norms > r).mean() for r in grid])
     keep = surv > 0
     grid, surv = grid[keep], surv[keep]

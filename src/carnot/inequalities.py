@@ -103,6 +103,17 @@ def _positive_values(f, batch: HeatSampleBatch, what: str) -> np.ndarray:
     return v
 
 
+def _power_mean(m: float, power: str) -> float:
+    """m, the weighted mean of ``power`` (some f^r with f > 0).
+
+    f > 0 does not keep f^r from underflowing to 0 on every sample, and a
+    norm's derivative m^(1/r - 1) would then divide by zero.
+    """
+    if m == 0.0:
+        raise ParameterError(f"{power} underflows to 0 on every sample")
+    return m
+
+
 def _batch_params(batch: HeatSampleBatch) -> dict:
     return {"s": batch.s, "n": batch.n_samples, "steps": batch.n_steps, "seed": batch.seed}
 
@@ -144,7 +155,8 @@ def estimate(functional: str, f: ScalarField, batch: HeatSampleBatch,
     if functional == "lp":
         if p is None or p <= 0:
             raise ParameterError("lp functional needs p > 0")
-        val, _, _, se = _delta_method([w * _values(f, batch) ** p], lambda m: (
+        v = _positive_values(f, batch, "lp norm needs f > 0")
+        val, _, _, se = _delta_method([w * v ** p], lambda m: (
             m ** (1.0 / p), None, [(1.0 / p) * m ** (1.0 / p - 1.0) if m > 0 else math.nan]))
         params["p"] = p
         return FunctionalEstimate(functional, val, se, batch.n_samples, params)
@@ -167,7 +179,11 @@ def estimate(functional: str, f: ScalarField, batch: HeatSampleBatch,
     return FunctionalEstimate(functional, float(col.mean()), _se(col), batch.n_samples, params)
 
 
-def _warn_if_not_lsh(f, batch, lsh_status, check_points: int = 128) -> list:
+# samples the LSH spot check of a field without a library status looks at
+_LSH_SPOT_POINTS = 128
+
+
+def _warn_if_not_lsh(f, batch, lsh_status) -> list:
     """sLSI/sHC facts are asserted for LSH functions only; warn and note otherwise."""
     if lsh_status is not None:
         if lsh_status == "lsh":
@@ -178,7 +194,7 @@ def _warn_if_not_lsh(f, batch, lsh_status, check_points: int = 128) -> list:
             stacklevel=3,
         )
         return [f"field LSH status: {lsh_status}"]
-    pts = batch.samples[: min(check_points, batch.n_samples)]
+    pts = batch.samples[: min(_LSH_SPOT_POINTS, batch.n_samples)]
     verdict = check_lsh(f, pts, tol=1e-7, algebra=batch.algebra)
     if verdict.verdict == LSH_CONSISTENT:
         return []
@@ -195,8 +211,7 @@ def _warn_if_not_lsh(f, batch, lsh_status, check_points: int = 128) -> list:
 # -- inequality checks -----------------------------------------------------------
 
 
-def _entropy_check(name, batch, ent, x, wf, k, h, beta, params, notes,
-                   z_threshold, abs_floor) -> CheckReport:
+def _entropy_check(name, batch, ent, x, wf, k, h, beta, params, notes) -> CheckReport:
     """Ent <= k X + h (m log m + beta m), the entropy inequality behind LSI and sLSI.
 
     Ent, X and m are the means of the weighted per-sample entropy, energy and
@@ -205,12 +220,11 @@ def _entropy_check(name, batch, ent, x, wf, k, h, beta, params, notes,
     return _margin_report(name, batch, (x, wf, ent), lambda X, m, L: (
         L, k * X + h * m * math.log(m) + h * beta * m,
         (k, h * (math.log(m) + 1.0 + beta), -1.0)),
-        params=params, notes=notes, z_threshold=z_threshold, abs_floor=abs_floor)
+        params=params, notes=notes)
 
 
 def check_lsi(f: ScalarField, batch: HeatSampleBatch, c: float, beta: float,
-              form: str = "L1", z_threshold: float = Z_THRESHOLD,
-              abs_floor: float = ABS_FLOOR) -> CheckReport:
+              form: str = "L1") -> CheckReport:
     """Classical logarithmic Sobolev inequality in its L1 or L2 form."""
     if beta < 0 or c < 0:
         raise ParameterError("constants c, beta must be >= 0")
@@ -225,14 +239,11 @@ def check_lsi(f: ScalarField, batch: HeatSampleBatch, c: float, beta: float,
     else:
         raise ParameterError(f"form must be 'L1' or 'L2', got {form!r}")
     return _entropy_check(f"lsi-{form.lower()}", batch, *terms, beta,
-                          {"c": c, "beta": beta, "form": form, **_batch_params(batch)},
-                          [], z_threshold, abs_floor)
+                          {"c": c, "beta": beta, "form": form, **_batch_params(batch)}, [])
 
 
 def check_slsi(f: ScalarField, batch: HeatSampleBatch, c: float, beta: float,
-               lsh_status: str | None = None,
-               z_threshold: float = Z_THRESHOLD,
-               abs_floor: float = ABS_FLOOR) -> CheckReport:
+               lsh_status: str | None = None) -> CheckReport:
     """Strong LSI: entropy <= c int Ef + |f|_1 log |f|_1 + beta |f|_1."""
     if beta < 0 or c < 0:
         raise ParameterError("constants c, beta must be >= 0")
@@ -241,33 +252,27 @@ def check_slsi(f: ScalarField, batch: HeatSampleBatch, c: float, beta: float,
     v = _positive_values(f, batch, "sLSI check needs f > 0 on samples")
     ef = w * euler_derivative_batch(f, batch.algebra, batch.samples)
     return _entropy_check("slsi", batch, w * v * np.log(v), ef, w * v, c, 1.0, beta,
-                          {"c": c, "beta": beta, **_batch_params(batch)}, notes,
-                          z_threshold, abs_floor)
+                          {"c": c, "beta": beta, **_batch_params(batch)}, notes)
 
 
-def check_time_space(f: ScalarField, batch: HeatSampleBatch,
-                     z_threshold: float = Z_THRESHOLD,
-                     abs_floor: float = ABS_FLOOR) -> CheckReport:
+def check_time_space(f: ScalarField, batch: HeatSampleBatch) -> CheckReport:
     """Equality int Ef rho_s dm = (s/2) int Delta f rho_s dm (two-sided)."""
     w = batch.weights
     ef = w * euler_derivative_batch(f, batch.algebra, batch.samples)
     lap = w * sub_laplacian_batch(f, batch.algebra, batch.samples)
-    return _time_space(batch, ef, lap, z_threshold, abs_floor)
+    return _time_space(batch, ef, lap)
 
 
-def _time_space(batch, ef, lap, z_threshold, abs_floor) -> CheckReport:
+def _time_space(batch, ef, lap) -> CheckReport:
     """The time-space report from the weighted Ef and Delta f per sample."""
     half_s = batch.s / 2.0
     return _margin_report("time-space", batch, (ef, lap),
                           lambda E, D: (E, half_s * D, (1.0, -half_s)), two_sided=True,
-                          params=_batch_params(batch),
-                          z_threshold=z_threshold, abs_floor=abs_floor)
+                          params=_batch_params(batch))
 
 
 def check_lsi_implies_slsi_chain(f: ScalarField, batch: HeatSampleBatch,
-                                 lsh_status: str | None = None,
-                                 z_threshold: float = Z_THRESHOLD,
-                                 abs_floor: float = ABS_FLOOR) -> CheckReport:
+                                 lsh_status: str | None = None) -> CheckReport:
     """The inequality chain behind LSI => sLSI for subharmonic positive f:
 
     int |grad f|^2/f <= int Delta f   together with the time-space equality
@@ -280,10 +285,9 @@ def check_lsi_implies_slsi_chain(f: ScalarField, batch: HeatSampleBatch,
     gsq, lap = horizontal_sums(f, batch.algebra, batch.samples)
     lap = w * lap
     ineq = _margin_report("chain-dirichlet-vs-laplacian", batch, (lap, w * gsq / v),
-                          lambda D, G: (G, D, (1.0, -1.0)),
-                          z_threshold=z_threshold, abs_floor=abs_floor)
+                          lambda D, G: (G, D, (1.0, -1.0)))
     ef = w * euler_derivative_batch(f, batch.algebra, batch.samples)
-    ts = _time_space(batch, ef, lap, z_threshold, abs_floor)
+    ts = _time_space(batch, ef, lap)
 
     if VERDICT_VIOLATED in (ineq.verdict, ts.verdict):
         verdict = VERDICT_VIOLATED
@@ -300,9 +304,7 @@ def check_lsi_implies_slsi_chain(f: ScalarField, batch: HeatSampleBatch,
 
 def check_shc(f: ScalarField, batch: HeatSampleBatch, p: float, q: float,
               t: float, c: float, beta: float, exploratory: bool = False,
-              lsh_status: str | None = None,
-              z_threshold: float = Z_THRESHOLD,
-              abs_floor: float = ABS_FLOOR) -> CheckReport:
+              lsh_status: str | None = None) -> CheckReport:
     """Strong hypercontractivity |e^{-tE} f|_q <= M(p,q) |f|_p at t >= t_J.
 
     Refuses t < t_J(p,q) unless ``exploratory`` is set (running below
@@ -324,25 +326,29 @@ def check_shc(f: ScalarField, batch: HeatSampleBatch, p: float, q: float,
     vv = w * _positive_values(f, batch, "sHC check needs f > 0 on samples") ** p
     u = w * _positive_values(dilation_pullback(f, t), batch,
                              "sHC check needs e^(-tE) f > 0 on samples") ** q
+
+    def sides(mv, mu):
+        mv = _power_mean(mv, f"sHC check: f^{p:g}")
+        mu = _power_mean(mu, f"sHC check: (e^(-tE) f)^{q:g}")
+        return (mu ** (1.0 / q), m_pq * mv ** (1.0 / p),
+                (m_pq * (1.0 / p) * mv ** (1.0 / p - 1.0),
+                 -((1.0 / q) * mu ** (1.0 / q - 1.0))))
+
     return _margin_report(
-        "shc", batch, (vv, u), lambda mv, mu: (
-            mu ** (1.0 / q), m_pq * mv ** (1.0 / p),
-            (m_pq * (1.0 / p) * mv ** (1.0 / p - 1.0), -((1.0 / q) * mu ** (1.0 / q - 1.0)))),
+        "shc", batch, (vv, u), sides,
         params={"p": p, "q": q, "t": t, "t_J": t_j, "M": m_pq, "c": c,
                 "beta": beta, **_batch_params(batch), "exploratory": exploratory},
-        notes=notes, z_threshold=z_threshold, abs_floor=abs_floor,
-    )
+        notes=notes)
 
 
 # -- sweeps ----------------------------------------------------------------------
 
 
-def _sweep(name, f, batch, ts, r_of, m_of, params, notes, z_threshold,
-           abs_floor) -> SweepReport:
+def _sweep(name, f, batch, ts, r_of, m_of, params, notes) -> SweepReport:
     """alpha(t) = M(t)^{-1} |e^{-tE} f|_{r(t)} over the sorted t grid.
 
     The verdict is "holds" when alpha is non-increasing within
-    z_threshold standard errors of each step plus abs_floor, and
+    Z_THRESHOLD standard errors of each step plus ABS_FLOOR, and
     "inconclusive" when a step's standard error is NaN, as from fewer than
     two samples.
     """
@@ -354,12 +360,13 @@ def _sweep(name, f, batch, ts, r_of, m_of, params, notes, z_threshold,
         v = _positive_values(dilation_pullback(f, t), batch,
                              f"{name} needs e^(-tE) f > 0 on samples at t = {t:g}")
         value, _, infl, se = _delta_method([w * v ** r], lambda m: (
-            m ** (1.0 / r) / m_t, None, [(1.0 / r) * m ** (1.0 / r - 1.0) / m_t]))
+            m ** (1.0 / r) / m_t, None, [(1.0 / r) * _power_mean(
+                m, f"{name} at t = {t:g}: (e^(-tE) f)^{r:g}") ** (1.0 / r - 1.0) / m_t]))
         values.append(value)
         stderrs.append(se)
         infls.append(infl)
     diff_ses = [_se(b - a) for a, b in zip(infls, infls[1:])]
-    tol = z_threshold * np.asarray(diff_ses) + abs_floor
+    tol = Z_THRESHOLD * np.asarray(diff_ses) + ABS_FLOOR
     diffs = np.diff(np.asarray(values))
     noninc = bool(np.all(diffs <= tol))
     verdict = (VERDICT_INCONCLUSIVE if np.isnan(tol).any()
@@ -374,9 +381,7 @@ def _sweep(name, f, batch, ts, r_of, m_of, params, notes, z_threshold,
 
 
 def sweep_alpha(f: ScalarField, batch: HeatSampleBatch, c: float, beta: float,
-                q: float, ts=None, lsh_status: str | None = None,
-                z_threshold: float = Z_THRESHOLD,
-                abs_floor: float = ABS_FLOOR) -> SweepReport:
+                q: float, ts=None, lsh_status: str | None = None) -> SweepReport:
     """alpha(t) = M(t)^{-1} |e^{-tE} f|_{r(t)} with r(t) = e^{t/c} on a grid.
 
     Under sLSI, alpha is non-increasing on [0, t_J(1, q)]; alpha(0) = |f|_1
@@ -389,17 +394,15 @@ def sweep_alpha(f: ScalarField, batch: HeatSampleBatch, c: float, beta: float,
     return _sweep(
         "alpha-sweep", f, batch, np.linspace(0.0, t_j, 9) if ts is None else ts,
         lambda t: math.exp(t / c), lambda t: math.exp(beta * (1.0 - math.exp(-t / c))),
-        {"c": c, "beta": beta, "q": q, "t_J": t_j}, notes, z_threshold, abs_floor,
+        {"c": c, "beta": beta, "q": q, "t_J": t_j}, notes,
     )
 
 
 def check_l1_contractivity(f: ScalarField, batch: HeatSampleBatch, ts=None,
-                           lsh_status: str | None = None,
-                           z_threshold: float = Z_THRESHOLD,
-                           abs_floor: float = ABS_FLOOR) -> SweepReport:
+                           lsh_status: str | None = None) -> SweepReport:
     """|e^{-tE} f|_1 over a t grid; non-increasing for log-subharmonic f."""
     notes = _warn_if_not_lsh(f, batch, lsh_status)
     return _sweep(
         "l1-contractivity", f, batch, np.linspace(0.0, 1.0, 9) if ts is None else ts,
-        lambda t: 1.0, lambda t: 1.0, {}, notes, z_threshold, abs_floor,
+        lambda t: 1.0, lambda t: 1.0, {}, notes,
     )

@@ -1,12 +1,13 @@
 """Report types shared by the empirical checks and inequality estimators.
 
-Monte Carlo checks can only falsify or be consistent; verdicts are decided
-by a z-score rule with an absolute floor:
+Monte Carlo checks can only falsify or be consistent; every verdict is
+decided by one fixed z-score rule with an absolute floor, the constants
+Z_THRESHOLD (4) and ABS_FLOOR (1e-9):
 
 - one-sided (inequality lhs <= rhs, margin = rhs - lhs):
-  holds iff margin >= -z_threshold * stderr; violated iff margin is below
-  that and |margin| exceeds the absolute floor; otherwise inconclusive.
-- two-sided (equality): same with |margin| <= z_threshold * stderr.
+  holds iff margin >= -Z_THRESHOLD * stderr; violated iff margin is below
+  that and |margin| exceeds ABS_FLOOR; otherwise inconclusive.
+- two-sided (equality): same with |margin| <= Z_THRESHOLD * stderr.
 - a NaN stderr, as from fewer than two samples, is inconclusive, with z NaN.
 
 A heavy-tail diagnostic can force a report to "inconclusive": if the top
@@ -35,15 +36,13 @@ MODE_VERIFIED = "verified"
 MODE_EXPLORATORY = "exploratory"
 
 
-def decide_verdict(margin: float, stderr: float, two_sided: bool = False,
-                   z_threshold: float = Z_THRESHOLD,
-                   abs_floor: float = ABS_FLOOR) -> str:
+def decide_verdict(margin: float, stderr: float, two_sided: bool = False) -> str:
     if math.isnan(stderr):
         return VERDICT_INCONCLUSIVE
     gap = abs(margin) if two_sided else -margin
-    if gap <= z_threshold * stderr:
+    if gap <= Z_THRESHOLD * stderr:
         return VERDICT_HOLDS
-    if abs(margin) > abs_floor:
+    if abs(margin) > ABS_FLOOR:
         return VERDICT_VIOLATED
     return VERDICT_INCONCLUSIVE
 
@@ -117,11 +116,10 @@ class CheckReport(Report):
     @staticmethod
     def from_margin(name, lhs, rhs, stderr, *, two_sided=False,
                     mode=MODE_VERIFIED, params=None, notes=None, details=None,
-                    heavy_tail=False,
-                    z_threshold=Z_THRESHOLD, abs_floor=ABS_FLOOR):
+                    heavy_tail=False):
         margin = rhs - lhs
         z = margin / stderr if stderr != 0 else (0.0 if margin == 0 else np.sign(margin) * np.inf)
-        verdict = decide_verdict(margin, stderr, two_sided, z_threshold, abs_floor)
+        verdict = decide_verdict(margin, stderr, two_sided)
         notes = list(notes or [])
         if heavy_tail:
             verdict = VERDICT_INCONCLUSIVE

@@ -78,7 +78,8 @@ BAD_CONFIGS = {
                       ["checks[1]", "slsi", "'c'", "abc"]),
     "string-grid": ({"checks": [{"check": "contractivity", "field": "f", "grid": "19"}]},
                     ["checks[0]", "contractivity", "'grid'"]),
-    "non-numeric-threshold": ({"thresholds": {"z": "abc"}}, ["thresholds", "'z'"]),
+    "thresholds": ({"thresholds": {"z": 4.0, "abs_floor": 1e-9}},
+                   ["unknown key(s) ['thresholds']"]),
     "nan-c": ({"checks": [{"check": "slsi", "field": "f", "c": "nan"}]},
               ["checks[0]", "slsi", "'c'", "finite"]),
     "inf-q": ({"checks": [{"check": "alpha-sweep", "field": "f", "q": "inf", "c": 1.0}]},
@@ -94,7 +95,6 @@ BAD_CONFIGS = {
                     ["extra_batches.b", "'s'", "finite"]),
     "inf-tilt-entry": ({"heat": {"s": 1.0, "n": 100, "seed": 1, "tilt": [0.0, "-inf"]}},
                        ["heat", "'tilt'", "finite"]),
-    "nan-threshold": ({"thresholds": {"z": math.nan}}, ["thresholds", "'z'", "finite"]),
     "overflow-param": ({"fields": {"f": {"expr": "(* a x_1_1)", "params": {"a": 1e999}}}},
                        ["fields.f.params", "'a'", "finite"]),
     "string-param": ({"fields": {"f": {"expr": "(* a x_1_1)", "params": {"a": "abc"}}}},
@@ -478,6 +478,32 @@ def test_shc_and_sweeps_need_positive_f(case):
     assert bad["verdict"] == cli.VERDICT_ERROR and "f > 0" in bad["error"]
     assert good["verdict"] == "holds"
     assert manifest["exit_code"] == 3
+
+
+UNDERFLOWING_CHECKS = {
+    "shc": {"check": "shc", "p": 1.0, "q": 4.0, "c": 1.0},
+    "alpha-sweep": {"check": "alpha-sweep", "q": 4.0, "c": 1.0},
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDERFLOWING_CHECKS))
+def test_shc_and_sweep_power_underflow_is_a_per_check_error(case, tmp_path, capsys):
+    # f > 0 on every sample, but (e^(-tE) f)^4 ~ 1e-360 underflows to 0 on
+    # all of them: the norm's derivative would divide by a zero mean
+    config = small_time_space_config(
+        fields={"tiny": {"expr": "(* 1e-90 (exp x_1_1))"}, "good": {"library": "expx1"}},
+        heat={"s": 1.0, "n": 2000, "steps": 8, "seed": 1},
+        checks=[{**UNDERFLOWING_CHECKS[case], "field": "tiny"},
+                {"check": "slsi", "field": "good", "c": 1.0}])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", str(path)]) == 3
+    out, err = capsys.readouterr()
+    bad, good = json.loads(out)["reports"]
+    assert bad["verdict"] == cli.VERDICT_ERROR
+    assert "(e^(-tE) f)^4 underflows to 0 on every sample" in bad["error"]
+    assert good["verdict"] == "holds"
+    assert "Traceback" not in err
 
 
 # -- presets -------------------------------------------------------------------------

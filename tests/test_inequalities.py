@@ -53,6 +53,17 @@ def test_gaussian_oracle_suite(r1, r1_batch_s2_tilt2):
     assert abs(lp.value - math.exp(4.0)) < 4 * lp.stderr
 
 
+@pytest.mark.parametrize("p", [3.0, 1.5])
+def test_lp_norm_needs_positive_f(p, h3):
+    # f = x_1_1 - 3 < 0 on most samples: f^3 has a negative mean, whose real
+    # root does not exist, and f^1.5 is NaN with a numpy warning
+    batch = heat.sample(h3, 1.0, 200, 8, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="lp norm needs f > 0"):
+            ineq.estimate("lp", calc.parse_field("(- x_1_1 3)"), batch, p=p)
+
+
 def test_estimate_validates_inputs(r1_batch_s2):
     with pytest.raises(ParameterError):
         ineq.estimate("lp", calc.Const(1.0), r1_batch_s2)
