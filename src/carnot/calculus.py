@@ -24,7 +24,7 @@ import numpy as np
 
 from .algebra import StratifiedAlgebra
 from .errors import ConfigError, DomainError, ParameterError
-from .group import GroupElement, multiply_jets
+from .group import multiply_jets
 
 
 # -- 2-jets -------------------------------------------------------------------
@@ -90,9 +90,13 @@ class Jet2:
 
 
 def _require_positive(v, what: str):
+    """v > 0 and finite; an inf or NaN is overflow, not a domain error of f."""
     arr = np.asarray(v)
-    if np.any(arr <= 0) or np.any(~np.isfinite(arr)):
-        bad = int(np.argmax((arr <= 0) | ~np.isfinite(arr))) if arr.ndim else 0
+    nonpos, nonfinite = arr <= 0, ~np.isfinite(arr)
+    if nonpos.any() or nonfinite.any():
+        bad = int(np.argmax(nonpos | nonfinite)) if arr.ndim else 0
+        if nonfinite.flat[bad]:
+            raise ParameterError(f"{what} of non-finite value (overflow) at sample {bad}")
         raise DomainError(f"{what} of non-positive value at sample {bad}")
 
 
@@ -286,11 +290,6 @@ def compose_dilation(f: ScalarField, lam: float) -> ScalarField:
 # -- evaluation ---------------------------------------------------------------
 
 
-def evaluate(f: ScalarField, point: GroupElement) -> float:
-    ctx = EvalContext(point.algebra, list(point.coords))
-    return float(f._eval(ctx))
-
-
 def evaluate_batch(f: ScalarField, algebra: StratifiedAlgebra, coords) -> np.ndarray:
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     ctx = EvalContext(algebra, [coords[:, i] for i in range(algebra.dim)])
@@ -319,21 +318,9 @@ def _curve(algebra, coords, xi, side: str = "left"):
 
 
 def curve_jet(f, algebra, coords, xi, side: str = "left") -> Jet2:
-    """2-jet of t -> f(x exp(t xi)) (or exp(t xi) x for side='right')."""
+    """2-jet of t -> f(x exp(t xi)) (or exp(t xi) x for side='right'); its d1 and
+    d2 are the left- (right-) invariant derivatives xi~f and xi~^2 f at each row x."""
     return _ensure_jet(f._eval(EvalContext(algebra, _curve(algebra, coords, xi, side))))
-
-
-def _scalarize(jet: Jet2) -> Jet2:
-    return Jet2(*(float(np.asarray(c).reshape(-1)[0]) for c in (jet.val, jet.d1, jet.d2)))
-
-
-def left_invariant_derivative(f, xi, point: GroupElement) -> Jet2:
-    """(f(x), xi~f(x), xi~^2 f(x)) along the integral curve of xi~ through x."""
-    return _scalarize(curve_jet(f, point.algebra, point.coords, xi, side="left"))
-
-
-def right_invariant_derivative(f, xi, point: GroupElement) -> Jet2:
-    return _scalarize(curve_jet(f, point.algebra, point.coords, xi, side="right"))
 
 
 def frame_jets(algebra, coords):
@@ -378,14 +365,6 @@ def sub_laplacian_batch(f, algebra, coords) -> np.ndarray:
     return horizontal_sums(f, algebra, coords)[1]
 
 
-def sub_gradient_sq(f, point: GroupElement) -> float:
-    return float(sub_gradient_sq_batch(f, point.algebra, point.coords)[0])
-
-
-def sub_laplacian(f, point: GroupElement) -> float:
-    return float(sub_laplacian_batch(f, point.algebra, point.coords)[0])
-
-
 def euler_derivative_batch(f, algebra, coords) -> np.ndarray:
     """Ef along r -> delta_{e^r} x: coordinate jets (x, j x, j^2 x)."""
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
@@ -395,10 +374,6 @@ def euler_derivative_batch(f, algebra, coords) -> np.ndarray:
     ]
     out = _ensure_jet(f._eval(EvalContext(algebra, jets)))
     return np.broadcast_to(np.asarray(out.d1, dtype=float), (coords.shape[0],)).copy()
-
-
-def euler_derivative(f, point: GroupElement) -> float:
-    return float(euler_derivative_batch(f, point.algebra, point.coords)[0])
 
 
 def partial_derivative_batch(f, algebra, coords, idx: int) -> np.ndarray:

@@ -356,6 +356,11 @@ def _run_one_check(chk, cx: _Context, force_exploratory):
 def run(config: dict) -> dict:
     """Execute a validated config; returns the manifest dict."""
     config = validate_config(config)
+    threads = os.environ.get("CARNOT_THREADS", "1")
+    try:
+        n_workers = max(1, int(threads))
+    except ValueError:
+        raise ConfigError(f"CARNOT_THREADS must be an integer, got {threads!r}") from None
     t_start = time.perf_counter()
     alg = algebra_mod.resolve(config["algebra"])
     fields = {
@@ -377,7 +382,6 @@ def run(config: dict) -> dict:
         timings[f"sampling.{name}"] = time.perf_counter() - t0
 
     cx = _Context(alg, fields, batch, extra, hc["seed"] if hc else 0)
-    n_workers = max(1, int(os.environ.get("CARNOT_THREADS", "1")))
     tasks = list(enumerate(config["checks"]))
 
     def job(item):
@@ -690,7 +694,7 @@ def _cmd_check(args) -> int:
         # points from a saved batch file instead of the default grid
         alg = algebra_mod.resolve(args.algebra)
         f, _status = _resolve_field(alg, _field_from_args(args))
-        pts = heat.load_csv(args.points)
+        pts = heat.load_csv(args.points, alg)
         verdict = lsh.check_lsh(f, pts, tol=args.tol, algebra=alg)
         _emit(verdict.as_dict(), args)
         return EXIT_OK if verdict.verdict == lsh.LSH_CONSISTENT else EXIT_VIOLATED

@@ -153,7 +153,8 @@ def multiply_jets(algebra: StratifiedAlgebra, xs, ys):
 
 
 def multiply_batch(algebra: StratifiedAlgebra, X, Y) -> np.ndarray:
-    """Group products row by row for (n, dim) coordinate arrays."""
+    """Group products row by row for (n, dim) coordinate arrays; the identity
+    is the zero row and, in exponential coordinates, a row's inverse is its negation."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if X.shape != Y.shape or X.shape[-1] != algebra.dim:
@@ -164,75 +165,12 @@ def multiply_batch(algebra: StratifiedAlgebra, X, Y) -> np.ndarray:
     return np.column_stack(multiply_jets(algebra, list(X.T), list(Y.T)))
 
 
-# -- elementwise API ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """A point of the group in adapted exponential coordinates x_{j,k}.
-
-    Coordinates are ordered by flat basis index (layer-major).  The identity
-    has all-zero coordinates; exp-coordinate inversion is negation.
-    """
-
-    algebra: StratifiedAlgebra
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        if c.shape != (self.algebra.dim,):
-            raise StructureError(
-                f"coords must have length {self.algebra.dim}, got shape {c.shape}"
-            )
-        if not np.all(np.isfinite(c)):
-            raise StructureError("coords must be finite")
-        c.setflags(write=False)
-        object.__setattr__(self, "coords", c)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def to_json(self):
-        return list(map(float, self.coords))
-
-    def __repr__(self):
-        return f"GroupElement({np.array2string(self.coords, precision=6)})"
-
-
-def identity(algebra: StratifiedAlgebra) -> GroupElement:
-    return GroupElement(algebra, np.zeros(algebra.dim))
-
-
-def element(algebra: StratifiedAlgebra, coords) -> GroupElement:
-    return GroupElement(algebra, np.asarray(coords, dtype=float))
-
-
-def multiply(x: GroupElement, y: GroupElement) -> GroupElement:
-    if x.algebra is not y.algebra:
-        raise StructureError("group elements belong to different algebras")
-    prod = multiply_batch(x.algebra, x.coords[None, :], y.coords[None, :])[0]
-    return GroupElement(x.algebra, prod)
-
-
-def inverse(x: GroupElement) -> GroupElement:
-    # exp(v)^{-1} = exp(-v) in exponential coordinates
-    return GroupElement(x.algebra, -x.coords)
-
-
-def dilate(lam: float, x: GroupElement) -> GroupElement:
-    return GroupElement(x.algebra, dilate_batch(x.algebra, lam, x.coords))
-
-
 def dilate_batch(algebra: StratifiedAlgebra, lam: float, coords) -> np.ndarray:
     """delta_lambda: scale layer-j coordinates by lambda^j (lambda >= 0)."""
     if lam < 0:
         raise ParameterError(f"dilation factor must be >= 0, got {lam}")
     weights = np.power(float(lam), algebra.layer_of.astype(float))
     return np.asarray(coords, dtype=float) * weights
-
-
-def homogeneous_norm(x: GroupElement) -> float:
-    return float(homogeneous_norm_batch(x.algebra, x.coords[None, :])[0])
 
 
 def homogeneous_norm_batch(algebra: StratifiedAlgebra, coords) -> np.ndarray:

@@ -100,10 +100,21 @@ class HeatSampleBatch:
         )
 
 
-def load_csv(path: str) -> np.ndarray:
-    """Coordinate rows from a batch CSV written by HeatSampleBatch.save_csv."""
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
-    return np.atleast_2d(data)
+def load_csv(path: str, algebra: StratifiedAlgebra) -> np.ndarray:
+    """Coordinate rows from a batch CSV that HeatSampleBatch.save_csv wrote for ``algebra``."""
+    labels = algebra.coordinate_labels()
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh)) or [[]]
+    if header != labels:
+        raise StructureError(
+            f"{path}: header must be {','.join(labels)}, got {','.join(header) or 'none'}")
+    try:
+        data = np.array(rows, dtype=float)
+    except ValueError:  # a ragged row or an entry that is not a number
+        data = None
+    if not rows or data is None or data.shape[1] != len(labels) or not np.isfinite(data).all():
+        raise StructureError(f"{path}: needs one or more rows of {len(labels)} finite numbers")
+    return data
 
 
 def _validate_params(s, n_samples, n_steps):

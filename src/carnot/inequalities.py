@@ -128,8 +128,14 @@ def _delta_method(cols, sides):
     ``cols`` are a check's weighted per-sample columns and ``sides(*means)``
     returns (lhs, rhs, grad) from their means, grad being the gradient of
     the margin in the means.  The influence is sum_i grad_i (col_i - mean_i).
+    A non-finite mean is overflow, which no margin can be decided from.
     """
     means = [float(c.mean()) for c in cols]
+    for c, m in zip(cols, means):
+        if not math.isfinite(m):
+            bad = np.flatnonzero(~np.isfinite(c))
+            where = f"at sample {bad[0]}" if bad.size else "in a column sum"
+            raise ParameterError(f"non-finite value (overflow) {where}")
     lhs, rhs, grad = sides(*means)
     terms = [g * (c - m) for g, c, m in zip(grad, cols, means)]
     infl = sum(terms[1:], terms[0])
@@ -157,7 +163,8 @@ def estimate(functional: str, f: ScalarField, batch: HeatSampleBatch,
             raise ParameterError("lp functional needs p > 0")
         v = _positive_values(f, batch, "lp norm needs f > 0")
         val, _, _, se = _delta_method([w * v ** p], lambda m: (
-            m ** (1.0 / p), None, [(1.0 / p) * m ** (1.0 / p - 1.0) if m > 0 else math.nan]))
+            m ** (1.0 / p), None,
+            [(1.0 / p) * _power_mean(m, f"lp norm: f^{p:g}") ** (1.0 / p - 1.0)]))
         params["p"] = p
         return FunctionalEstimate(functional, val, se, batch.n_samples, params)
     if functional == "l1":

@@ -31,8 +31,7 @@ from .calculus import (
     frame_jets,
     horizontal_sums,
 )
-from .errors import DomainError, ParameterError
-from .group import GroupElement
+from .errors import DomainError, ParameterError, StructureError
 from .reports import Report
 
 LSH_CONSISTENT = "LSH-consistent"
@@ -61,11 +60,13 @@ class LshVerdict(Report):
 def _as_points(points, algebra: StratifiedAlgebra | None):
     if hasattr(points, "samples") and hasattr(points, "algebra"):
         return points.algebra, np.asarray(points.samples, dtype=float)
-    if isinstance(points, (list, tuple)) and points and isinstance(points[0], GroupElement):
-        return points[0].algebra, np.array([p.coords for p in points])
     if algebra is None:
         raise ParameterError("pass an algebra when points are a bare array")
-    return algebra, np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[1] != algebra.dim:
+        raise StructureError(
+            f"points must be (n, {algebra.dim}) for this algebra, got {pts.shape}")
+    return algebra, pts
 
 
 def check_lsh(f: ScalarField, points, tol: float = DEFAULT_TOL,

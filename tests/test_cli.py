@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -506,6 +507,27 @@ def test_shc_and_sweep_power_underflow_is_a_per_check_error(case, tmp_path, caps
     assert "Traceback" not in err
 
 
+OVERFLOWING_CHECKS = {
+    # Ef overflows to inf: no margin can be formed from its mean
+    "time-space": ("(+ 1 (exp (* 800 x_1_1)))", "non-finite value (overflow) at sample"),
+    # the LSH spot check takes log f = log inf
+    "shc": ("(+ 1 (exp (* 800 x_1_1)))", "log of non-finite value (overflow) at sample"),
+    "lsh": ("(log (exp (* 1000 x_1_1)))", "log of non-finite value (overflow) at sample"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OVERFLOWING_CHECKS))
+def test_overflow_of_f_is_reported_as_overflow(kind, capsys):
+    expr, message = OVERFLOWING_CHECKS[kind]
+    rc = cli.main(["check", kind, "--algebra", "heisenberg(1)", "--field", expr,
+                   "--n", "2000", "--steps", "8"])
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert rc == 3
+    assert rep["verdict"] == cli.VERDICT_ERROR and message in rep["error"]
+    assert "Traceback" not in err
+
+
 # -- presets -------------------------------------------------------------------------
 
 
@@ -568,6 +590,45 @@ def test_cli_sample_and_lsh_points_file(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["verdict"] == "LSH-consistent"
     assert out["n_points"] == 500
+
+
+BAD_POINTS_FILES = {
+    "engel-batch": (None, "header must be x_1_1,x_1_2,x_2_1"),
+    "two-columns": ("x_1_1,x_1_2\n0.1,0.2\n", "header must be"),
+    "header-only": ("x_1_1,x_1_2,x_2_1\n", "one or more rows"),
+    "nan-entry": ("x_1_1,x_1_2,x_2_1\n0.1,0.2,0.3\nnan,0.1,0.2\n", "3 finite numbers"),
+    "missing-entry": ("x_1_1,x_1_2,x_2_1\n0.1,,0.3\n", "3 finite numbers"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_POINTS_FILES))
+def test_cli_lsh_points_file_is_validated(case, tmp_path, capsys):
+    text, message = BAD_POINTS_FILES[case]
+    path = str(tmp_path / f"{case}.csv")
+    if text is None:
+        assert cli.main(["sample", "--algebra", "engel", "--s", "1.0", "--n", "20",
+                         "--steps", "4", "--seed", "1", "--out", path]) == 0
+        capsys.readouterr()
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["check", "lsh", "--algebra", "heisenberg(1)",
+                       "--field", "@expx1", "--points", path])
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == "" and caught == []
+    assert err.count("\n") == 1 and err.startswith(f"error: {path}: ")
+    assert message in err
+
+
+def test_non_integer_carnot_threads_is_a_config_error(monkeypatch):
+    monkeypatch.setenv("CARNOT_THREADS", "abc")
+    with pytest.raises(ConfigError, match="CARNOT_THREADS must be an integer, got 'abc'"):
+        cli.run(cli.preset("htype-classify"))
+    # values below 1 still mean one worker
+    monkeypatch.setenv("CARNOT_THREADS", "0")
+    assert cli.run(cli.preset("htype-classify"))["exit_code"] == 0
 
 
 def test_cli_check_time_space(capsys):

@@ -382,5 +382,5 @@ def test_csv_roundtrip(tmp_path, h3):
     b.save_csv(str(path))
     header = path.read_text().splitlines()[0]
     assert header == "x_1_1,x_1_2,x_2_1"
-    back = heat.load_csv(str(path))
+    back = heat.load_csv(str(path), h3)
     assert np.allclose(back, b.samples, atol=1e-12)

@@ -64,6 +64,15 @@ def test_lp_norm_needs_positive_f(p, h3):
             ineq.estimate("lp", calc.parse_field("(- x_1_1 3)"), batch, p=p)
 
 
+def test_lp_norm_power_underflow_is_an_error(h3):
+    # f > 0 on every sample, but f^4 ~ 1e-360 underflows to 0 on all of them
+    batch = heat.sample(h3, 1.0, 200, 8, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="f\\^4 underflows to 0"):
+            ineq.estimate("lp", calc.parse_field("(* 1e-90 (exp x_1_1))"), batch, p=4.0)
+
+
 def test_estimate_validates_inputs(r1_batch_s2):
     with pytest.raises(ParameterError):
         ineq.estimate("lp", calc.Const(1.0), r1_batch_s2)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from carnot import calculus as calc, lsh
-from carnot.errors import ParameterError
+from carnot.errors import ParameterError, StructureError
 
 
 @pytest.fixture(scope="module")
@@ -150,14 +150,15 @@ def test_grid_points_inside_quasi_ball(h3):
     assert np.array_equal(pts, again)
 
 
-def test_check_lsh_accepts_group_elements_and_batches(h3, h3_batch_s1):
-    from carnot.group import element
-
-    pts = [element(h3, [0.1, 0.2, 0.3]), element(h3, [-1.0, 0.5, 0.0])]
-    v = lsh.check_lsh(calc.Exp(calc.x(1, 1)), pts)
-    assert v.is_lsh_consistent
+def test_check_lsh_accepts_arrays_and_batches(h3, engel, h3_batch_s1):
+    pts = [[0.1, 0.2, 0.3], [-1.0, 0.5, 0.0]]
+    v = lsh.check_lsh(calc.Exp(calc.x(1, 1)), pts, algebra=h3)
+    assert v.is_lsh_consistent and v.n_points == 2
     v2 = lsh.check_lsh(calc.Exp(calc.x(1, 1)), h3_batch_s1)
     assert v2.is_lsh_consistent and v2.n_points == h3_batch_s1.n_samples
+    # an engel-wide array is not a set of heisenberg(1) points
+    with pytest.raises(StructureError, match=r"\(n, 3\)"):
+        lsh.check_lsh(calc.Exp(calc.x(1, 1)), np.zeros((5, engel.dim)), algebra=h3)
 
 
 def test_check_lsh_builds_one_frame_for_both_routes(h3, h3_grid, monkeypatch):
