@@ -29,6 +29,8 @@ from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
+import numpy as np
+
 from . import __version__, algebra as algebra_mod, calculus, heat, inequalities, lsh
 from .errors import CarnotError, ConfigError
 from .reports import MODE_EXPLORATORY, VERDICT_HOLDS, VERDICT_INCONCLUSIVE, VERDICT_VIOLATED
@@ -346,7 +348,10 @@ def _run_one_check(chk, cx: _Context, force_exploratory):
             **{k: kind.types[k](v) if k in kind.types else v for k, v in chk.items()}}
     if kind.needs_field:
         args["f"], args["lsh_status"] = cx.fields[chk["field"]]
-    rep = kind.run(args, cx)
+    # an overflow or NaN that decides a check raises a ParameterError naming
+    # it, so numpy's own warnings on the way there are only noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = kind.run(args, cx)
     if force_exploratory:
         rep["mode"] = MODE_EXPLORATORY
     rep["check"] = chk["check"]

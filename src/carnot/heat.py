@@ -16,12 +16,14 @@ Reproducibility: each path has its own counter-based Philox stream keyed by
 are chunked or distributed over workers.
 
 Cost: paths are sampled in chunks of at most _CHUNK_BUDGET increments
-(2^20 floats, 8 MB), which bounds memory at any n_samples.  One generator
-serves every path: its Philox state is rewound to (seed, path) before the
-path's normals are drawn into place.  The walk runs column-wise: each
-coordinate is one contiguous array over the chunk's paths, and each step
-goes through the shared BCH evaluator group.multiply_jets with the step's
-structurally zero upper layers passed as None.
+(2^20 floats, 8 MB), all drawn into one buffer, so one sampler call holds
+one chunk of increments at any n_samples (a coupled refinement adds one more
+buffer for its coarser walks' block sums).  One generator serves every
+path: its Philox state is rewound to (seed, path) before the path's normals
+are drawn into place.  The walk runs column-wise: each coordinate is one
+contiguous array over the chunk's paths, and each step goes through the
+shared BCH evaluator group.multiply_jets with the step's structurally zero
+upper layers passed as None.
 
 Optionally, sampling applies an exponential tilt in the first layer
 (importance sampling): with tilt vector b the first-layer mean shifts to
@@ -131,7 +133,9 @@ def _increments(algebra: StratifiedAlgebra, s: float, n_samples: int,
     """First-layer walk increments chunk by chunk: yields (lo, hi, inc).
 
     inc is (hi - lo, n_steps, d1), sigma times the per-path normals of paths
-    lo..hi-1, plus ``shift`` when given.
+    lo..hi-1, plus ``shift`` when given.  Every chunk is drawn into one
+    buffer, so the yielded array is overwritten at the next step: consume it
+    before asking for the next chunk.
     """
     d1 = algebra.dim_v1
     sigma = math.sqrt(s / n_steps / 2.0)
@@ -145,9 +149,10 @@ def _increments(algebra: StratifiedAlgebra, s: float, n_samples: int,
              "has_uint32": 0, "uinteger": 0}
     bitgen = np.random.Philox(key=key)
     gen = np.random.Generator(bitgen)
+    buf = np.empty((min(chunk, n_samples), n_steps, d1))
     for lo in range(0, n_samples, chunk):
         hi = min(lo + chunk, n_samples)
-        inc = np.empty((hi - lo, n_steps, d1))
+        inc = buf[:hi - lo]
         for i in range(hi - lo):
             key[1] = lo + i
             bitgen.state = state
@@ -189,14 +194,23 @@ def _endpoints(algebra: StratifiedAlgebra, s: float, n_samples: int, steps_list,
     """Walk endpoints {k: (n_samples, dim)} for the sorted step counts steps_list,
     all driven by the finest walk's increments (plus ``shift``): a k-step walk
     takes their sums over blocks of finest // k.
+
+    The finest walk takes each chunk as it is, without a copy.  The coarser
+    counts sum it, one after the other, into one buffer that is sized for the
+    largest of them at the first (largest) chunk.
     """
-    finest = steps_list[-1]
+    finest, d1 = steps_list[-1], algebra.dim_v1
     out = {k: np.empty((n_samples, algebra.dim)) for k in steps_list}
+    coarse = None
     for lo, hi, inc in _increments(algebra, s, n_samples, finest, seed, shift):
+        m = hi - lo
         for k in steps_list:
-            # the finest walk takes inc as it is, without a copy
-            inc_k = inc if k == finest else (
-                inc.reshape(hi - lo, k, finest // k, algebra.dim_v1).sum(axis=2))
+            inc_k = inc
+            if k < finest:
+                if coarse is None:
+                    coarse = np.empty(m * steps_list[-2] * d1)
+                inc_k = coarse[:m * k * d1].reshape(m, k, d1)
+                np.sum(inc.reshape(m, k, finest // k, d1), axis=2, out=inc_k)
             out[k][lo:hi] = _walk(algebra, inc_k)
     return out
 

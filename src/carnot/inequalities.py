@@ -158,16 +158,16 @@ def estimate(functional: str, f: ScalarField, batch: HeatSampleBatch,
     """
     w = batch.weights
     params = _batch_params(batch)
+    sides = lambda m: (m, None, [1.0])  # a plain mean
     if functional == "lp":
         if p is None or p <= 0:
             raise ParameterError("lp functional needs p > 0")
         v = _positive_values(f, batch, "lp norm needs f > 0")
-        val, _, _, se = _delta_method([w * v ** p], lambda m: (
-            m ** (1.0 / p), None,
-            [(1.0 / p) * _power_mean(m, f"lp norm: f^{p:g}") ** (1.0 / p - 1.0)]))
+        col = w * v ** p
+        sides = lambda m: (m ** (1.0 / p), None, [
+            (1.0 / p) * _power_mean(m, f"lp norm: f^{p:g}") ** (1.0 / p - 1.0)])
         params["p"] = p
-        return FunctionalEstimate(functional, val, se, batch.n_samples, params)
-    if functional == "l1":
+    elif functional == "l1":
         col = w * _values(f, batch)
     elif functional == "entropy":
         v = _positive_values(f, batch, "entropy needs f > 0")
@@ -183,7 +183,8 @@ def estimate(functional: str, f: ScalarField, batch: HeatSampleBatch,
         col = w * sub_laplacian_batch(f, batch.algebra, batch.samples)
     else:
         raise ParameterError(f"unknown functional id {functional!r}")
-    return FunctionalEstimate(functional, float(col.mean()), _se(col), batch.n_samples, params)
+    val, _, _, se = _delta_method([col], sides)
+    return FunctionalEstimate(functional, val, se, batch.n_samples, params)
 
 
 # samples the LSH spot check of a field without a library status looks at

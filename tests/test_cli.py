@@ -1,6 +1,8 @@
 import copy
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import warnings
@@ -526,6 +528,19 @@ def test_overflow_of_f_is_reported_as_overflow(kind, capsys):
     assert rc == 3
     assert rep["verdict"] == cli.VERDICT_ERROR and message in rep["error"]
     assert "Traceback" not in err
+
+
+def test_overflow_prints_no_numpy_warning():
+    # the overflow error is the run's only diagnostic: numpy's warnings on the
+    # way to it are silenced, and stderr stays empty
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "carnot", "check", "time-space", "--algebra", "heisenberg(1)",
+         "--field", "(+ 1 (exp (* 800 x_1_1)))", "--n", "2000", "--steps", "8"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr == "", proc.stderr
+    assert "non-finite value (overflow) at sample" in json.loads(proc.stdout)["error"]
 
 
 # -- presets -------------------------------------------------------------------------

@@ -155,6 +155,28 @@ def test_sample_peak_memory_is_bounded(h3):
     assert peak < 24 * 2 ** 20, peak
 
 
+def _traced_peak(call) -> int:
+    """Peak bytes that tracemalloc sees while call() runs."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sample_holds_one_chunk(h3):
+    # 2048-path chunks of 256 steps are 8 MiB each, all drawn into one buffer;
+    # holding the previous chunk while drawing the next peaked at 16.2 MiB
+    peak = _traced_peak(lambda: heat.sample(h3, 1.0, 10_000, 256, seed=11))
+    assert peak < 12 * 2 ** 20, peak
+    # the coarse walks sum into one buffer too: 13.8 MiB, down from 18.7
+    peak = _traced_peak(
+        lambda: heat.coupled_refinement(h3, 1.0, 10_000, [64, 128, 256], seed=11))
+    assert peak < 16 * 2 ** 20, peak
+
+
 def test_prefix_property_of_streams(h3):
     # enlarging the batch must not change earlier paths
     small = heat.sample(h3, 1.0, 100, 16, seed=8)

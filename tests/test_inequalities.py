@@ -73,6 +73,17 @@ def test_lp_norm_power_underflow_is_an_error(h3):
             ineq.estimate("lp", calc.parse_field("(* 1e-90 (exp x_1_1))"), batch, p=4.0)
 
 
+@pytest.mark.parametrize("fid", ["l1", "entropy", "dirichlet", "grad_sq", "euler",
+                                 "laplacian"])
+def test_estimate_overflow_is_an_error(fid, h3):
+    # f = 1 + e^(800 x) is inf on some samples: the mean is inf or NaN
+    batch = heat.sample(h3, 1.0, 200, 8, seed=1)
+    f = calc.parse_field("(+ 1 (exp (* 800 x_1_1)))")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ParameterError, match="non-finite value \\(overflow\\) at sample 4"):
+            ineq.estimate(fid, f, batch)
+
+
 def test_estimate_validates_inputs(r1_batch_s2):
     with pytest.raises(ParameterError):
         ineq.estimate("lp", calc.Const(1.0), r1_batch_s2)
