@@ -11,6 +11,10 @@ The entries are:
   ``heat.coupled_refinement`` at steps [4, 16, 64] on three of them, at small
   n; the output is the samples (and log weights) as JSON lists, whose repr
   floats round-trip, so equal outputs mean equal bits;
+- ``calculus.horizontal_sums`` and ``calculus.euler_derivative_batch`` of each
+  field of the builtin LSH library, on a 1000-point ``lsh.grid_points`` grid
+  of engel and of heisenberg(2); the output is |grad f|^2, Delta f and Ef as
+  JSON lists;
 - ``carnot check KIND`` for each kind, ``carnot check lsi --form L2`` and
   ``carnot sweep alpha``, at small n; the output is stdout.
 
@@ -48,16 +52,29 @@ SAMPLE_KW = {"s": 1.3, "n_samples": 300, "seed": 5}
 TILTED = ("heisenberg(1)", [0.5, -1.0])
 REFINE_ALGEBRAS = ("heisenberg(1)", "engel", "euclidean(1)")
 REFINE_STEPS = [4, 16, 64]
+JET_ALGEBRAS = ("engel", "heisenberg(2)")
+JET_GRID_N = 1000
 
 # Runs in a checkout's process: reads the jobs from stdin, prints one JSON
 # line {"entry", "exit", "text"} per job.
 RUNNER = """
 import json, os, sys
-from carnot import algebra, cli, heat
+from carnot import algebra, calculus, cli, heat, lsh
 where = os.path.dirname(os.path.abspath(cli.__file__))
 if where != os.path.join(sys.argv[1], "carnot"):
     raise SystemExit(f"imported carnot from {where}, not from {sys.argv[1]}")
 for job in json.load(sys.stdin):
+    if "jets" in job:
+        alg = algebra.builtin(job["jets"])
+        pts = lsh.grid_points(alg, job["n"])
+        for entry in lsh.builtin_lsh_library(alg):
+            grad_sq, lap = calculus.horizontal_sums(entry.field, alg, pts)
+            euler = calculus.euler_derivative_batch(entry.field, alg, pts)
+            text = json.dumps({"grad_sq": grad_sq.tolist(), "lap": lap.tolist(),
+                               "euler": euler.tolist()})
+            print(json.dumps({"entry": f"{job['entry']} @{entry.name}", "exit": 0,
+                              "text": text}), flush=True)
+        continue
     if "sample" in job or "refine" in job:
         kw = job.get("sample") or job["refine"]
         alg = algebra.builtin(kw.pop("algebra"))
@@ -98,6 +115,8 @@ def run_jobs() -> list:
     jobs += [{"entry": f"heat.coupled_refinement {name} {REFINE_STEPS}",
               "refine": {"algebra": name, "steps_list": REFINE_STEPS, **SAMPLE_KW}}
              for name in REFINE_ALGEBRAS]
+    jobs += [{"entry": f"jets {name} grid={JET_GRID_N}", "jets": name, "n": JET_GRID_N}
+             for name in JET_ALGEBRAS]
     return jobs
 
 

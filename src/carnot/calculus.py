@@ -12,6 +12,16 @@ orthonormal first-layer frame.
 
 Jet components may be floats or numpy arrays; all operators therefore work
 pointwise or vectorized over a whole sample batch at once.
+
+A component that is the Python float 0.0 is structurally zero: the jet
+operators skip every term that has it as a factor and return 0.0, or the
+other operand of a sum, without touching an array or computing the term's
+other factor (``pow`` forms no v ** (p - 2) when d1 is zero).  A curve's
+coordinate jets are mostly such zeros (x + 0 t, exp(t xi) with most xi_i
+zero), so this removes most of the arithmetic of a frame.  Every other term
+is computed in the order it always was, so each finite non-zero result
+keeps its bits; only two things differ from dense arithmetic: 0 * inf in a
+skipped term gives 0, not NaN, and the sign of an exact zero may differ.
 """
 
 from __future__ import annotations
@@ -30,6 +40,27 @@ from .group import multiply_jets
 # -- 2-jets -------------------------------------------------------------------
 
 
+def _zero(c) -> bool:
+    """True for a structurally zero component: the Python float 0.0."""
+    return type(c) is float and c == 0.0
+
+
+def _plus(a, b):
+    if _zero(a):
+        return b
+    return a if _zero(b) else a + b
+
+
+def _minus(a, b):
+    if _zero(b):
+        return a
+    return -b if _zero(a) else a - b
+
+
+def _times(a, b):
+    return 0.0 if _zero(a) or _zero(b) else a * b
+
+
 @dataclass(frozen=True)
 class Jet2:
     """(value, d/dt, d^2/dt^2) of a scalar quantity along a curve at t = 0."""
@@ -40,13 +71,14 @@ class Jet2:
 
     def __add__(self, other):
         if isinstance(other, Jet2):
-            return Jet2(self.val + other.val, self.d1 + other.d1, self.d2 + other.d2)
-        return Jet2(self.val + other, self.d1, self.d2)
+            return Jet2(_plus(self.val, other.val), _plus(self.d1, other.d1),
+                        _plus(self.d2, other.d2))
+        return Jet2(_plus(self.val, other), self.d1, self.d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(-self.val, -self.d1, -self.d2)
+        return Jet2(_minus(0.0, self.val), _minus(0.0, self.d1), _minus(0.0, self.d2))
 
     def __sub__(self, other):
         return self + (-other)
@@ -56,37 +88,42 @@ class Jet2:
 
     def __mul__(self, other):
         if isinstance(other, Jet2):
+            v, w = self.val, other.val
             return Jet2(
-                self.val * other.val,
-                self.d1 * other.val + self.val * other.d1,
-                self.d2 * other.val + 2.0 * self.d1 * other.d1 + self.val * other.d2,
+                _times(v, w),
+                _plus(_times(self.d1, w), _times(v, other.d1)),
+                _plus(_plus(_times(self.d2, w), _times(_times(2.0, self.d1), other.d1)),
+                      _times(v, other.d2)),
             )
-        return Jet2(self.val * other, self.d1 * other, self.d2 * other)
+        return Jet2(_times(self.val, other), _times(self.d1, other),
+                    _times(self.d2, other))
 
     __rmul__ = __mul__
 
     def exp(self):
         e = np.exp(self.val)
-        return Jet2(e, e * self.d1, e * (self.d2 + self.d1 * self.d1))
+        return Jet2(e, _times(e, self.d1),
+                    _times(e, _plus(self.d2, _times(self.d1, self.d1))))
 
     def log(self):
         _require_positive(self.val, "log")
-        r = self.d1 / self.val
-        return Jet2(np.log(self.val), r, self.d2 / self.val - r * r)
+        r = 0.0 if _zero(self.d1) else self.d1 / self.val
+        d2 = 0.0 if _zero(self.d2) else self.d2 / self.val
+        return Jet2(np.log(self.val), r, _minus(d2, _times(r, r)))
 
     def pow(self, p: float):
-        v = self.val
+        v, d1, d2 = self.val, self.d1, self.d2
         _require_power_domain(v, p)
         vp = v ** p
-        # p = 0 and p = 1 leave out the terms whose coefficient is zero: their
-        # power of v is negative, infinite at v = 0, and would give 0 * inf
-        if p == 0:
-            return Jet2(vp, 0.0 * self.d1, 0.0 * self.d2)
-        vp1 = v ** (p - 1)
-        d2 = p * vp1 * self.d2
-        if p != 1:
-            d2 = d2 + p * (p - 1) * v ** (p - 2) * self.d1 * self.d1
-        return Jet2(vp, p * vp1 * self.d1, d2)
+        # p = 0 has no derivative terms and p = 1 no d1^2 term: their powers
+        # of v are negative, infinite at v = 0, and are never formed
+        if p == 0 or (_zero(d1) and _zero(d2)):
+            return Jet2(vp, 0.0, 0.0)
+        c1 = p * v ** (p - 1)
+        out2 = _times(c1, d2)
+        if p != 1 and not _zero(d1):
+            out2 = _plus(out2, p * (p - 1) * v ** (p - 2) * d1 * d1)
+        return Jet2(vp, _times(c1, d1), out2)
 
 
 def _require_positive(v, what: str):
@@ -307,8 +344,11 @@ def _ensure_jet(out) -> Jet2:
 
 def _curve(algebra, coords, xi, side: str = "left"):
     """Coordinate jets of t -> x exp(t xi), or exp(t xi) x for side='right'."""
-    coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    xj = [Jet2(coords[:, i], 0.0, 0.0) for i in range(algebra.dim)]
+    # one contiguous copy of the points, a row per coordinate: a value that
+    # passes through x + 0 unchanged is that row, not a strided view of the
+    # caller's array (which later ops read up to 2x slower) or the array itself
+    cols = np.array(np.atleast_2d(np.asarray(coords, dtype=float)).T, order="C")
+    xj = [Jet2(c, 0.0, 0.0) for c in cols]
     yj = [Jet2(0.0, float(a), 0.0) for a in np.asarray(xi, dtype=float)]
     if side == "left":
         return multiply_jets(algebra, xj, yj)
@@ -408,7 +448,8 @@ def parse_field(expr: str, params: dict | None = None) -> ScalarField:
 
     Grammar: atoms are numbers, coordinate variables ``x_j_k`` and named
     parameters; forms are ``(+ e...)``, ``(* e...)``, ``(- e [e])``,
-    ``(pow e p)``, ``(exp e)``, ``(log e)``.
+    ``(pow e p)``, ``(exp e)``, ``(log e)`` and ``(dilated e t)``, the
+    pullback e o delta_{e^{-t}}; p and t are numbers (or parameters).
     """
     params = params or {}
     tokens = _TOKEN_RE.findall(expr)
@@ -476,6 +517,10 @@ def parse_field(expr: str, params: dict | None = None) -> ScalarField:
             if len(args) != 1:
                 raise ConfigError("(log f) takes one argument")
             return Log(args[0])
+        if op == "dilated":
+            if len(args) != 2 or not isinstance(args[1], Const):
+                raise ConfigError("(dilated f t) needs a field and a numeric log-scale t")
+            return Dilated(args[0], args[1].value)
         raise ConfigError(f"unknown operator {op!r}")
 
     out = parse()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -38,3 +40,17 @@ def r1_batch_s2_tilt2(r1):
 @pytest.fixture(scope="session")
 def h3_batch_s1(h3):
     return heat.sample(h3, 1.0, 50_000, 128, seed=7)
+
+
+@pytest.fixture
+def traced_peak():
+    """peak(call): the peak bytes that tracemalloc sees while call() runs."""
+    def peak(call) -> int:
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak

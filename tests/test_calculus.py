@@ -1,10 +1,11 @@
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from carnot import algebra, calculus as calc, group
-from carnot.errors import ConfigError, DomainError
+from carnot import algebra, calculus as calc, cli, group, lsh
+from carnot.errors import ConfigError, DomainError, StructureError
 
 
 def rand_points(alg, n, seed, scale=2.0):
@@ -44,6 +45,146 @@ def test_jets_match_polynomial_differentiation(r1):
     d2 = sum(k * (k - 1) * c * x0 ** (k - 2) for k, c in enumerate(coeffs) if k >= 2) * v ** 2
     assert np.isclose(out.d1, d1, atol=1e-12)
     assert np.isclose(out.d2, d2, atol=1e-12)
+
+
+# -- structural zeros against dense jet arithmetic ---------------------------------
+
+
+@dataclass(frozen=True)
+class _DenseJet:
+    """Jet2's arithmetic before structural zeros: every term is formed."""
+
+    val: object
+    d1: object
+    d2: object
+
+    def __add__(self, other):
+        if isinstance(other, _DenseJet):
+            return _DenseJet(self.val + other.val, self.d1 + other.d1, self.d2 + other.d2)
+        return _DenseJet(self.val + other, self.d1, self.d2)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _DenseJet(-self.val, -self.d1, -self.d2)
+
+    def __mul__(self, other):
+        if isinstance(other, _DenseJet):
+            return _DenseJet(
+                self.val * other.val,
+                self.d1 * other.val + self.val * other.d1,
+                self.d2 * other.val + 2.0 * self.d1 * other.d1 + self.val * other.d2,
+            )
+        return _DenseJet(self.val * other, self.d1 * other, self.d2 * other)
+
+    __rmul__ = __mul__
+
+    def exp(self):
+        e = np.exp(self.val)
+        return _DenseJet(e, e * self.d1, e * (self.d2 + self.d1 * self.d1))
+
+    def log(self):
+        r = self.d1 / self.val
+        return _DenseJet(np.log(self.val), r, self.d2 / self.val - r * r)
+
+    def pow(self, p):
+        v = self.val
+        vp = v ** p
+        if p == 0:
+            return _DenseJet(vp, 0.0 * self.d1, 0.0 * self.d2)
+        vp1 = v ** (p - 1)
+        d2 = p * vp1 * self.d2
+        if p != 1:
+            d2 = d2 + p * (p - 1) * v ** (p - 2) * self.d1 * self.d1
+        return _DenseJet(vp, p * vp1 * self.d1, d2)
+
+
+def _jet_routes(f, alg, pts, xi):
+    """Every jet route's output as bytes, broadcast to one value per point.
+
+    Adding 0.0 maps -0.0 to 0.0: the sign of an exact zero is the one bit
+    structural zeros may change on finite values.
+    """
+    def b(c):
+        return (np.broadcast_to(np.asarray(c, dtype=float), (len(pts),)) + 0.0).tobytes()
+
+    def jet(j):
+        return [b(j.val), b(j.d1), b(j.d2)]
+
+    return {
+        "frame_jets": [[jet(j) for j in gamma] for gamma in calc.frame_jets(alg, pts)],
+        "horizontal_sums": [b(c) for c in calc.horizontal_sums(f, alg, pts)],
+        "curve_jet right": jet(calc.curve_jet(f, alg, pts, xi, side="right")),
+        "euler_derivative_batch": b(calc.euler_derivative_batch(f, alg, pts)),
+        "partial_derivative_batch": [b(calc.partial_derivative_batch(f, alg, pts, i))
+                                     for i in range(alg.dim)],
+    }
+
+
+def _dense(monkeypatch, call):
+    """call() with every jet the calculus module builds a _DenseJet."""
+    with monkeypatch.context() as m:
+        m.setattr(calc, "Jet2", _DenseJet)
+        return call()
+
+
+def _expr_fields(alg):
+    """The expression fields of the shipped presets, and two whose products and
+    log have every term non-zero, that alg has coordinates for."""
+    exprs = {spec["expr"] for name in ("gaussian-sharpness", "heisenberg-time-space")
+             for spec in cli.preset(name)["fields"].values()}
+    exprs |= {"(* (exp x_1_1) (pow x_1_1 3) (+ 1 x_1_1))",
+              "(log (+ 2 (* (exp x_1_1) (exp (* 0.5 x_1_1)))))"}
+    out = []
+    for expr in sorted(exprs):
+        f = calc.parse_field(expr)
+        try:
+            calc.evaluate_batch(f, alg, np.zeros((1, alg.dim)))
+        except StructureError:
+            continue
+        out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("name", ["euclidean(1)", "euclidean(3)", "heisenberg(1)",
+                                  "heisenberg(2)", "engel"])
+def test_structural_zeros_keep_dense_bits(name, monkeypatch):
+    # skipping known-zero terms changes no bit of a jet route's output
+    alg = algebra.builtin(name)
+    pts = rand_points(alg, 200, seed=30, scale=1.5)
+    xi = np.random.default_rng(31).standard_normal(alg.dim)
+    xi[1::2] = 0.0
+    fields = [e.field for e in lsh.builtin_lsh_library(alg)] + _expr_fields(alg)
+    assert len(fields) >= 8
+    for f in fields:
+        got = _jet_routes(f, alg, pts, xi)
+        want = _dense(monkeypatch, lambda: _jet_routes(f, alg, pts, xi))
+        for route in got:
+            assert got[route] == want[route], (calc.to_expr(f), route)
+
+
+def test_structural_zero_times_overflow_is_zero(h3, monkeypatch):
+    # exp(800 x_1_1) overflows to inf; along xi_2, x_1_1's jet has structural
+    # zeros for d1 and d2, so f's derivatives there are 0 where dense
+    # arithmetic formed inf * 0 = NaN.  Along xi_1 both give the same inf.
+    f = calc.parse_field("(exp (* 800 x_1_1))")
+    pts = np.array([[1.0, 0.5, -0.5], [-1.0, 0.5, 0.5]])
+    with np.errstate(all="ignore"):
+        along1, along2 = calc.horizontal_jets(f, h3, pts)
+        dense1, dense2 = _dense(monkeypatch, lambda: calc.horizontal_jets(f, h3, pts))
+    assert np.isinf(along1.d1[0]) and np.isinf(along1.d2[0])
+    assert _bytes(along1) == _bytes(dense1)
+    assert along2.d1 == along2.d2 == 0.0
+    assert np.isnan(dense2.d1[0]) and np.isnan(dense2.d2[0])
+    assert dense2.d1[1] == dense2.d2[1] == 0.0
+
+
+def test_frame_jets_peak_memory(engel, traced_peak):
+    # a frame forms no array for a known-zero term; forming them all peaked
+    # at 26.0 MiB on this grid, skipping them peaks at 12.2 MiB
+    pts = lsh.grid_points(engel, 100_000, 3.0, seed=0)
+    peak = traced_peak(lambda: calc.frame_jets(engel, pts))
+    assert peak < 16 * 2 ** 20, peak
 
 
 # -- invariant vector fields on H3 ------------------------------------------------
@@ -290,7 +431,7 @@ def test_metric_enters_the_frame():
 # -- mini-language ------------------------------------------------------------------
 
 
-def test_parse_field_roundtrip(h3):
+def test_parse_field_roundtrip(h3, engel):
     expr = "(exp (+ (* a x_1_1) (* b x_1_2)))"
     f = calc.parse_field(expr, {"a": 0.5, "b": -1.0})
     P = rand_points(h3, 20, 23)
@@ -298,6 +439,15 @@ def test_parse_field_roundtrip(h3):
     assert np.allclose(calc.evaluate_batch(f, h3, P), want)
     reparsed = calc.parse_field(calc.to_expr(f))
     assert np.allclose(calc.evaluate_batch(reparsed, h3, P), want)
+    # every library field, the dilated one included, parses back to itself
+    for alg in (h3, engel):
+        P = rand_points(alg, 20, 24)
+        for entry in lsh.builtin_lsh_library(alg):
+            text = calc.to_expr(entry.field)
+            reparsed = calc.parse_field(text)
+            assert calc.to_expr(reparsed) == text
+            assert calc.evaluate_batch(reparsed, alg, P).tobytes() == \
+                calc.evaluate_batch(entry.field, alg, P).tobytes(), text
 
 
 def test_parse_field_forms(r1):
@@ -315,7 +465,7 @@ def test_parse_field_forms(r1):
 
 def test_parse_field_errors():
     for expr in ["", "(boom x_1_1)", "(exp x_1_1", "(pow x_1_1 x_1_2)", "y_1_1",
-                 "(exp x_1_1) trailing"]:
+                 "(exp x_1_1) trailing", "(dilated x_1_1)", "(dilated x_1_1 x_1_2)"]:
         with pytest.raises(ConfigError):
             calc.parse_field(expr)
 

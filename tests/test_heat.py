@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,36 +142,19 @@ def test_coupled_refinement_of_one_count_is_sample(name, k, monkeypatch):
     assert got.tobytes() == heat.sample(alg, 1.3, 600, k, seed=23).samples.tobytes()
 
 
-def test_sample_peak_memory_is_bounded(h3):
+def test_sample_peak_memory_is_bounded(h3, traced_peak):
     # chunks of at most _CHUNK_BUDGET increments bound the sampler's working set
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        heat.sample(h3, 1.0, 10_000, 256, seed=11)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: heat.sample(h3, 1.0, 10_000, 256, seed=11))
     assert peak < 24 * 2 ** 20, peak
 
 
-def _traced_peak(call) -> int:
-    """Peak bytes that tracemalloc sees while call() runs."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_sample_holds_one_chunk(h3):
+def test_sample_holds_one_chunk(h3, traced_peak):
     # 2048-path chunks of 256 steps are 8 MiB each, all drawn into one buffer;
     # holding the previous chunk while drawing the next peaked at 16.2 MiB
-    peak = _traced_peak(lambda: heat.sample(h3, 1.0, 10_000, 256, seed=11))
+    peak = traced_peak(lambda: heat.sample(h3, 1.0, 10_000, 256, seed=11))
     assert peak < 12 * 2 ** 20, peak
     # the coarse walks sum into one buffer too: 13.8 MiB, down from 18.7
-    peak = _traced_peak(
+    peak = traced_peak(
         lambda: heat.coupled_refinement(h3, 1.0, 10_000, [64, 128, 256], seed=11))
     assert peak < 16 * 2 ** 20, peak
 
