@@ -16,7 +16,10 @@ The entries are:
   of engel and of heisenberg(2); the output is |grad f|^2, Delta f and Ef as
   JSON lists;
 - ``carnot check KIND`` for each kind, ``carnot check lsi --form L2`` and
-  ``carnot sweep alpha``, at small n; the output is stdout.
+  ``carnot sweep alpha``, at small n, and ``carnot check lsh --points FILE``
+  on a heisenberg(1) batch CSV that ``heat.sample(...).save_csv`` of the
+  first checkout writes once into a temporary directory, so every checkout
+  reads the same bytes; the output is stdout.
 
 With one checkout (by default the one holding this script) it prints, per
 entry, the exit code and the sha256 of the output. With two it prints both
@@ -38,6 +41,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PRESETS = ("gaussian-sharpness", "heisenberg-time-space", "heisenberg-slsi-sweep",
@@ -54,6 +58,16 @@ REFINE_ALGEBRAS = ("heisenberg(1)", "engel", "euclidean(1)")
 REFINE_STEPS = [4, 16, 64]
 JET_ALGEBRAS = ("engel", "heisenberg(2)")
 JET_GRID_N = 1000
+POINTS_SAMPLE = {"s": 1.0, "n_samples": 500, "n_steps": 16, "seed": 3}
+
+# Writes the points file of the lsh entry: argv is the path and the keywords
+# of heat.sample as JSON.
+POINTS_WRITER = """
+import json, sys
+from carnot import algebra, heat
+kw = json.loads(sys.argv[2])
+heat.sample(algebra.builtin("heisenberg(1)"), **kw).save_csv(sys.argv[1])
+"""
 
 # Runs in a checkout's process: reads the jobs from stdin, prints one JSON
 # line {"entry", "exit", "text"} per job.
@@ -120,17 +134,30 @@ def run_jobs() -> list:
     return jobs
 
 
-def cli_commands() -> dict:
+def cli_commands(points: str) -> dict:
     commands = {f"carnot check {kind}": ["check", kind, *CLI_ARGS] for kind in CHECK_KINDS}
     commands["carnot check lsi --form L2"] = ["check", "lsi", "--form", "L2", *CLI_ARGS]
     commands["carnot sweep alpha"] = ["sweep", "alpha", *CLI_ARGS]
+    commands["carnot check lsh --points FILE"] = ["check", "lsh", "--points", points,
+                                                  *CLI_ARGS]
     return commands
 
 
-def outputs(checkout: str) -> dict:
-    """entry -> (exit code, output text) for one checkout."""
+def _env(checkout: str) -> tuple[str, dict]:
     src = os.path.join(os.path.abspath(checkout), "src")
-    env = {**os.environ, "PYTHONPATH": src, "CARNOT_THREADS": "1"}
+    return src, {**os.environ, "PYTHONPATH": src, "CARNOT_THREADS": "1"}
+
+
+def write_points(checkout: str, path: str) -> None:
+    _, env = _env(checkout)
+    subprocess.run([sys.executable, "-c", POINTS_WRITER, path, json.dumps(POINTS_SAMPLE)],
+                   env=env, check=True)
+
+
+def outputs(checkout: str, points: str) -> dict:
+    """entry -> (exit code, output text) for one checkout; ``points`` is the
+    CSV of the lsh points-file entry."""
+    src, env = _env(checkout)
     proc = subprocess.run([sys.executable, "-c", RUNNER, src], env=env, text=True,
                           input=json.dumps(run_jobs()), capture_output=True)
     if proc.returncode != 0:
@@ -139,7 +166,7 @@ def outputs(checkout: str) -> dict:
     for line in proc.stdout.splitlines():
         rec = json.loads(line)
         out[rec["entry"]] = rec["exit"], rec["text"]
-    for entry, argv in cli_commands().items():
+    for entry, argv in cli_commands(points).items():
         proc = subprocess.run([sys.executable, "-m", "carnot", *argv], env=env,
                               text=True, capture_output=True)
         out[entry] = proc.returncode, proc.stdout
@@ -193,7 +220,10 @@ def main(argv=None) -> int:
     checkouts = args.checkout or [ROOT]
     if len(checkouts) > 2:
         ap.error("give at most two checkouts")
-    results = [outputs(c) for c in checkouts]
+    with tempfile.TemporaryDirectory() as tmp:
+        points = os.path.join(tmp, "points.csv")
+        write_points(checkouts[0], points)
+        results = [outputs(c, points) for c in checkouts]
     if len(results) == 1:
         for entry, (code, text) in results[0].items():
             print(f"{code}  {hashlib.sha256(text.encode()).hexdigest()}  {entry}")

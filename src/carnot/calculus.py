@@ -13,15 +13,14 @@ orthonormal first-layer frame.
 Jet components may be floats or numpy arrays; all operators therefore work
 pointwise or vectorized over a whole sample batch at once.
 
-A component that is the Python float 0.0 is structurally zero: the jet
-operators skip every term that has it as a factor and return 0.0, or the
-other operand of a sum, without touching an array or computing the term's
-other factor (``pow`` forms no v ** (p - 2) when d1 is zero).  A curve's
+A component that is the Python float 0.0 is structurally zero, by the one
+rule that group.py states and holds for the group law and the jets alike
+(``_zero``, ``_plus`` and ``_times``, imported here): the jet operators
+skip every term that has it as a factor and return 0.0, or the other
+operand of a sum, without touching an array or computing the term's other
+factor (``pow`` forms no v ** (p - 2) when d1 is zero).  A curve's
 coordinate jets are mostly such zeros (x + 0 t, exp(t xi) with most xi_i
-zero), so this removes most of the arithmetic of a frame.  Every other term
-is computed in the order it always was, so each finite non-zero result
-keeps its bits; only two things differ from dense arithmetic: 0 * inf in a
-skipped term gives 0, not NaN, and the sign of an exact zero may differ.
+zero), so this removes most of the arithmetic of a frame.
 """
 
 from __future__ import annotations
@@ -34,31 +33,16 @@ import numpy as np
 
 from .algebra import StratifiedAlgebra
 from .errors import ConfigError, DomainError, ParameterError
-from .group import multiply_jets
+from .group import _plus, _times, _zero, multiply_jets
 
 
 # -- 2-jets -------------------------------------------------------------------
-
-
-def _zero(c) -> bool:
-    """True for a structurally zero component: the Python float 0.0."""
-    return type(c) is float and c == 0.0
-
-
-def _plus(a, b):
-    if _zero(a):
-        return b
-    return a if _zero(b) else a + b
 
 
 def _minus(a, b):
     if _zero(b):
         return a
     return -b if _zero(a) else a - b
-
-
-def _times(a, b):
-    return 0.0 if _zero(a) or _zero(b) else a * b
 
 
 @dataclass(frozen=True)
@@ -76,15 +60,6 @@ class Jet2:
         return Jet2(_plus(self.val, other), self.d1, self.d2)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return Jet2(_minus(0.0, self.val), _minus(0.0, self.d1), _minus(0.0, self.d2))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, Jet2):

@@ -55,6 +55,7 @@ class _Context:
     batch: object
     extra: dict
     seed: int  # the config's heat seed, or 0; seeds the lsh grids
+    points: dict  # file -> its points, for every lsh check that names one
     lsh_grids: dict = dataclass_field(default_factory=dict)
     lock: threading.Lock = dataclass_field(default_factory=threading.Lock)
 
@@ -117,7 +118,10 @@ def _run_shc(a, cx):
 
 
 def _run_lsh(a, cx):
-    pts, frame = cx.lsh_grid(a["grid_n"], a["radius"])
+    if a["points"] == "grid":
+        pts, frame = cx.lsh_grid(a["grid_n"], a["radius"])
+    else:
+        pts, frame = cx.points[a["points"]], None
     verdict = lsh.check_lsh(a["f"], pts, tol=a["tol"], algebra=cx.alg, frame=frame)
     return {**verdict.as_dict(), "name": "lsh", "lsh_verdict": verdict.verdict,
             "verdict": VERDICT_HOLDS if verdict.is_lsh_consistent else VERDICT_VIOLATED}
@@ -142,10 +146,7 @@ def _p_at_most_q(chk, config):
     return None
 
 
-def _lsh_options(chk, config):
-    if chk.get("points", "grid") != "grid":
-        return (f"'points' must be \"grid\", got {chk['points']!r}; "
-                "points from a file need carnot check lsh --points FILE")
+def _lsh_tol(chk, config):
     if float(chk.get("tol", 0.0)) < 0:
         return f"'tol' must be >= 0, got {chk['tol']!r}"
     return None
@@ -206,7 +207,7 @@ _CHECKS = {
     "lsh": _Kind(
         _run_lsh, optional={"points": "grid", "grid_n": 1000, "radius": 3.0, "tol": 1e-9},
         types={"grid_n": int, "radius": float, "tol": float}, needs_batch=False,
-        positive=("grid_n", "radius"), validate=_lsh_options),
+        positive=("grid_n", "radius"), validate=_lsh_tol),
 }
 
 
@@ -216,8 +217,8 @@ _TOP_KEYS = {"name", "algebra", "fields", "heat", "extra_batches", "checks",
              "exploratory", "output"}
 _HEAT_KEYS = {"s", "n", "steps", "seed", "tilt"}
 _FIELD_KEYS = {"expr", "params", "library"}
-# check keys whose value names a kind, a field or an extra batch
-_NAME_KEYS = ("check", "field", "batch")
+# check keys whose value names a kind, a field, an extra batch or a points file
+_NAME_KEYS = ("check", "field", "batch", "points")
 
 
 def _object(value, where: str) -> dict:
@@ -371,6 +372,10 @@ def run(config: dict) -> dict:
     fields = {
         name: _resolve_field(alg, spec) for name, spec in config["fields"].items()
     }
+    # lsh points files are read before any sampling, so a bad one ends the run
+    paths = dict.fromkeys(c.get("points", "grid") for c in config["checks"]
+                          if c["check"] == "lsh")
+    points = {path: heat.load_csv(path, alg) for path in paths if path != "grid"}
     timings = {}
     batch = None
     hc = config["heat"]
@@ -386,7 +391,7 @@ def run(config: dict) -> dict:
         extra[name] = heat.sample(alg, bc["s"], bc["n"], bc["steps"], bc["seed"])
         timings[f"sampling.{name}"] = time.perf_counter() - t0
 
-    cx = _Context(alg, fields, batch, extra, hc["seed"] if hc else 0)
+    cx = _Context(alg, fields, batch, extra, hc["seed"] if hc else 0, points)
     tasks = list(enumerate(config["checks"]))
 
     def job(item):
@@ -649,7 +654,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--q", type=float, default=4.0)
     p_check.add_argument("--t", default="tJ")
     p_check.add_argument("--exploratory", action="store_true")
-    p_check.add_argument("--points", default="grid", help="grid (default)")
+    p_check.add_argument("--points", default="grid",
+                         help="grid (default), or a CSV as carnot sample writes it")
     p_check.add_argument("--grid-n", type=int, default=1000)
     p_check.add_argument("--radius", type=float, default=3.0)
     p_check.add_argument("--tol", type=float, default=1e-9)
@@ -695,14 +701,6 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.kind == "lsh" and args.points != "grid":
-        # points from a saved batch file instead of the default grid
-        alg = algebra_mod.resolve(args.algebra)
-        f, _status = _resolve_field(alg, _field_from_args(args))
-        pts = heat.load_csv(args.points, alg)
-        verdict = lsh.check_lsh(f, pts, tol=args.tol, algebra=alg)
-        _emit(verdict.as_dict(), args)
-        return EXIT_OK if verdict.verdict == lsh.LSH_CONSISTENT else EXIT_VIOLATED
     config = {
         "algebra": args.algebra,
         "fields": {"f": _field_from_args(args)},

@@ -13,7 +13,6 @@ structure constants; prefixes shared between words are evaluated once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -78,45 +77,57 @@ def _dynkin_terms(step: int):
     return terms
 
 
-@dataclass
-class BCHTable:
-    """Truncated Dynkin series specialized to one algebra.
-
-    ``terms`` is a list of (coefficient, word); each word is a tuple over
-    {0, 1} naming the factors of a left-normed bracket.  Words longer than
-    the algebra's step are absent (nilpotency).
-    """
-
-    algebra: StratifiedAlgebra
-    terms: list
-
-
 @lru_cache(maxsize=None)
-def bch_table(algebra: StratifiedAlgebra) -> BCHTable:
-    return BCHTable(algebra, _dynkin_terms(algebra.step))
+def bch_table(algebra: StratifiedAlgebra) -> tuple:
+    """Truncated Dynkin series of one algebra: (coefficient, word) pairs.
+
+    Each word is a tuple over {0, 1} naming the factors of a left-normed
+    bracket.  Words longer than the algebra's step are absent (nilpotency).
+    """
+    return tuple(_dynkin_terms(algebra.step))
 
 
-def _add(u, v):
-    """u + v where None stands for a structurally zero entry."""
-    if u is None:
-        return v
-    if v is None:
-        return u
-    return u + v
+# -- structural zeros -----------------------------------------------------------
+#
+# The Python float 0.0 is a known zero wherever an entry or a component may be
+# an array or a jet: a coordinate of a walk step's upper layers, a component of
+# a curve's 2-jet.  Sums and products skip it without touching an array, so a
+# term with a known-zero factor is never formed.  Every other term is computed
+# as dense arithmetic would, so a finite non-zero result keeps its bits; only
+# 0 * inf in a skipped term gives 0, not NaN, and the sign of an exact zero may
+# differ.  The float test is written out, not called, in _plus, _times and the
+# loops below, which run once per term.
+
+
+def _zero(c) -> bool:
+    """True for a structurally zero entry or component: the Python float 0.0."""
+    return type(c) is float and c == 0.0
+
+
+def _plus(a, b):
+    if type(a) is float and a == 0.0:
+        return b
+    return a if type(b) is float and b == 0.0 else a + b
+
+
+def _times(a, b):
+    if type(a) is float and a == 0.0 or type(b) is float and b == 0.0:
+        return 0.0
+    return a * b
 
 
 def _bracket_jets(algebra, u, v):
     """[u, v] for coordinate vectors whose entries support + and * (jets).
 
-    Entries may be None for structurally zero components (nested words only
-    populate higher layers); those are skipped.
+    Structurally zero entries (0.0; nested words only populate higher
+    layers) are skipped, and an output entry nothing contributes to is 0.0.
     """
-    out = [None] * algebra.dim
+    out = [0.0] * algebra.dim
     for a, b, g, c in algebra.sparse:
-        if u[a] is None or v[b] is None:
+        ua, vb = u[a], v[b]
+        if type(ua) is float and ua == 0.0 or type(vb) is float and vb == 0.0:
             continue
-        term = (u[a] * v[b]) * c
-        out[g] = term if out[g] is None else out[g] + term
+        out[g] = _plus(out[g], (ua * vb) * c)
     return out
 
 
@@ -125,15 +136,14 @@ def multiply_jets(algebra: StratifiedAlgebra, xs, ys):
 
     Entries are anything with + and *: jets, to push curves t -> x(t)y(t)
     through the group law with exact derivatives, or (n,) arrays, one per
-    coordinate, to multiply n pairs of points at once.  An entry may be None
-    for a structurally zero coordinate (the upper layers of a walk step); an
-    output entry is None only when nothing contributes to it.
+    coordinate, to multiply n pairs of points at once.  An entry may be 0.0
+    for a structurally zero coordinate (the upper layers of a walk step); it
+    is skipped, and an output entry is 0.0 only when nothing contributes to it.
     """
-    table = bch_table(algebra)
-    out = [_add(xs[i], ys[i]) for i in range(algebra.dim)]
+    out = [_plus(xs[i], ys[i]) for i in range(algebra.dim)]
     letters = (xs, ys)
     prefix_cache: dict[tuple, list] = {}
-    for coeff, word in table.terms:
+    for coeff, word in bch_table(algebra):
         prefix = word[:2]
         if prefix not in prefix_cache:
             prefix_cache[prefix] = _bracket_jets(
@@ -145,10 +155,9 @@ def multiply_jets(algebra: StratifiedAlgebra, xs, ys):
                 prefix_cache[prefix] = _bracket_jets(
                     algebra, prefix_cache[word[:pos]], letters[word[pos]]
                 )
-        acc = prefix_cache[word]
-        for i in range(algebra.dim):
-            if acc[i] is not None:
-                out[i] = _add(out[i], acc[i] * coeff)
+        for i, term in enumerate(prefix_cache[word]):
+            if not (type(term) is float and term == 0.0):
+                out[i] = _plus(out[i], term * coeff)
     return out
 
 

@@ -23,7 +23,7 @@ path: its Philox state is rewound to (seed, path) before the path's normals
 are drawn into place.  The walk runs column-wise: each coordinate is one
 contiguous array over the chunk's paths, and each step goes through the
 shared BCH evaluator group.multiply_jets with the step's structurally zero
-upper layers passed as None.
+upper layers passed as 0.0.
 
 Optionally, sampling applies an exponential tilt in the first layer
 (importance sampling): with tilt vector b the first-layer mean shifts to
@@ -167,7 +167,7 @@ def _walk(algebra: StratifiedAlgebra, inc: np.ndarray) -> np.ndarray:
     """Endpoints X_k = X_{k-1} exp(inc_k . xi) of walks from e, for (m, k, d1) inc.
 
     An abelian walk is a plain sum of increments.  Otherwise X is dim
-    contiguous (m,) arrays, and a step is its d1 increment columns with None
+    contiguous (m,) arrays, and a step is its d1 increment columns with 0.0
     for the upper layers, which multiply_jets skips.  Blocks of steps are
     transposed to step-major order tile by tile, keeping the copies cache-sized.
     """
@@ -177,7 +177,7 @@ def _walk(algebra: StratifiedAlgebra, inc: np.ndarray) -> np.ndarray:
         X[:, :d1] = inc.sum(axis=1)
         return X
     X = [np.zeros(m) for _ in range(algebra.dim)]
-    upper = [None] * (algebra.dim - d1)
+    upper = [0.0] * (algebra.dim - d1)
     buf = np.empty((min(_TILE_STEPS, n_steps), d1, m))
     for k0 in range(0, n_steps, _TILE_STEPS):
         block = buf[: min(_TILE_STEPS, n_steps - k0)]

@@ -77,7 +77,9 @@ def check_lsh(f: ScalarField, points, tol: float = DEFAULT_TOL,
     the points: one differentiates log f by the jet chain rule, the other
     assembles (Delta f - |grad f|^2/f) / f from jets of f itself. ``frame``
     is ``frame_jets`` of the points, when the caller has it; otherwise it
-    is built once here for both routes.
+    is built once here for both routes. A negative value of f (or -0.0)
+    gives the domain-error verdict; a value that is +0.0 with none such is an
+    underflow or a zero of f and raises ParameterError, not a violation.
     """
     alg, pts = _as_points(points, algebra)
     try:
@@ -87,6 +89,11 @@ def check_lsh(f: ScalarField, points, tol: float = DEFAULT_TOL,
                           pts.shape[0], detail=str(exc))
     if np.any(vals <= 0):
         bad = int(np.argmax(vals <= 0))
+        # a positive f that underflows gives +0.0; -0.0 comes from a negative
+        # quantity (its underflow, or a negative times zero)
+        if not np.any(np.signbit(vals)):
+            raise ParameterError(
+                f"f is 0 at point index {bad} (underflow, or a zero of f)")
         return LshVerdict(
             LSH_DOMAIN_ERROR, None, pts[bad], tol, None, True, pts.shape[0],
             detail=f"f <= 0 at point index {bad}",

@@ -65,9 +65,6 @@ class _DenseJet:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return _DenseJet(-self.val, -self.d1, -self.d2)
-
     def __mul__(self, other):
         if isinstance(other, _DenseJet):
             return _DenseJet(

@@ -126,8 +126,10 @@ BAD_CONFIGS = {
                         ["checks[1]", "lsh", "'radius'", "> 0"]),
     "zero-sweep-c": ({"checks": [{"check": "alpha-sweep", "field": "f", "q": 2, "c": 0}]},
                      ["checks[0]", "alpha-sweep", "'c'", "> 0"]),
-    "lsh-points-file": ({"checks": [{"check": "lsh", "field": "f", "points": "batch.csv"}]},
-                        ["checks[0]", "lsh", "'points'", "carnot check lsh --points FILE"]),
+    "lsh-points-file": ({"checks": [{"check": "lsh", "field": "f", "points": "no-such.csv"}]},
+                        ["No such file", "no-such.csv"]),
+    "list-points": ({"checks": [{"check": "lsh", "field": "f", "points": ["grid"]}]},
+                    ["checks[0]", "'points' must be a string"]),
     "negative-lsh-tol": ({"checks": [{"check": "time-space", "field": "f"},
                                      {"check": "lsh", "field": "f", "tol": -5}]},
                          ["checks[1]", "lsh", "'tol'", ">= 0"]),
@@ -603,8 +605,41 @@ def test_cli_sample_and_lsh_points_file(tmp_path, capsys):
     assert cli.main(["check", "lsh", "--algebra", "heisenberg(1)",
                      "--field", "@expx1", "--points", csv_path]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["verdict"] == "LSH-consistent"
+    # the report of the grid path: a run verdict and the LSH verdict
+    assert out["verdict"] == "holds" and out["lsh_verdict"] == "LSH-consistent"
+    assert out["check"] == out["name"] == "lsh"
     assert out["n_points"] == 500
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_cli_lsh_points_file_tolerance_rules(tol, tmp_path, capsys):
+    # a file's points go through the same lsh key rules as the grid's
+    csv_path = str(tmp_path / "batch.csv")
+    assert cli.main(["sample", "--algebra", "heisenberg(1)", "--s", "1.0",
+                     "--n", "50", "--steps", "4", "--seed", "3", "--out", csv_path]) == 0
+    capsys.readouterr()
+    base = ["check", "lsh", "--algebra", "heisenberg(1)", "--field", "@gauss-neg",
+            "--tol", tol]
+    assert cli.main(base) == 3
+    grid_out, grid_err = capsys.readouterr()
+    assert cli.main([*base, "--points", csv_path]) == 3
+    out, err = capsys.readouterr()
+    assert out == grid_out == "" and err.count("\n") == 1
+    assert err == grid_err and "'tol'" in err
+
+
+def test_cli_lsh_underflow_is_an_error_not_a_violation(capsys):
+    # expx1 is positive and LSH, but exp(x_1_1) underflows to 0 on part of a
+    # radius-1000 grid; a field that is negative there stays a domain error
+    assert cli.main(["check", "lsh", "--algebra", "heisenberg(1)", "--field", "@expx1",
+                     "--radius", "1000"]) == 3
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verdict"] == "error"
+    assert rep["error"] == "f is 0 at point index 80 (underflow, or a zero of f)"
+    assert cli.main(["check", "lsh", "--algebra", "heisenberg(1)", "--field",
+                     "(+ x_1_1 1)", "--radius", "1000"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["lsh_verdict"] == "domain-error" and rep["detail"].startswith("f <= 0")
 
 
 BAD_POINTS_FILES = {

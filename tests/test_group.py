@@ -109,9 +109,8 @@ def test_haar_scaling_exponent(engel):
 
 
 def test_bch_table_low_degree_coefficients(h3, engel):
-    t_h3 = group.bch_table(h3)
-    assert t_h3.terms == [(0.5, (0, 1))]
-    t_en = {w: c for c, w in group.bch_table(engel).terms}
+    assert group.bch_table(h3) == ((0.5, (0, 1)),)
+    t_en = {w: c for c, w in group.bch_table(engel)}
     assert t_en[(0, 1)] == 0.5
     assert np.isclose(t_en[(0, 1, 0)], -1.0 / 12.0)
     assert np.isclose(t_en[(0, 1, 1)], 1.0 / 12.0)
@@ -134,19 +133,34 @@ def test_bch_remainder_depends_only_on_lower_layers(engel):
         assert np.max(np.abs(R1[:, unaffected] - R0[:, unaffected])) < 1e-12
 
 
-def test_multiply_jets_accepts_none_entries(engel):
-    # None marks a structurally zero coordinate, as in a walk step
+def test_multiply_jets_accepts_zero_entries(engel):
+    # 0.0 marks a structurally zero coordinate, as in a walk step
     rng = np.random.default_rng(3)
     d1, dim = engel.dim_v1, engel.dim
     X = rng.standard_normal((5, dim))
     step = np.zeros((5, dim))
     step[:, :d1] = rng.standard_normal((5, d1))
-    ys = [*step.T[:d1], *[None] * (dim - d1)]
+    ys = [*step.T[:d1], *[0.0] * (dim - d1)]
     got = group.multiply_jets(engel, list(X.T), ys)
     assert np.array_equal(np.column_stack(got), group.multiply_batch(engel, X, step))
     flipped = group.multiply_jets(engel, ys, list(X.T))
     assert np.array_equal(np.column_stack(flipped), group.multiply_batch(engel, step, X))
-    assert group.multiply_jets(engel, [None] * dim, [None] * dim) == [None] * dim
+    zeros = group.multiply_jets(engel, [0.0] * dim, [0.0] * dim)
+    assert zeros == [0.0] * dim and all(type(z) is float for z in zeros)
+
+
+def test_structural_zero_coordinate_times_inf_is_zero(h3):
+    # x_1_1 is inf on row 0; y's 0.0 coordinate x_1_2 forms no bracket term
+    # with it, so x_2_1 of the product stays finite, where a dense zero
+    # column gives 0 * inf = NaN
+    X = np.array([[np.inf, 2.0, 0.5], [1.0, 3.0, 0.5]])
+    got = np.column_stack(group.multiply_jets(h3, list(X.T), [np.ones(2), 0.0, 0.0]))
+    Y = np.array([[1.0, 0.0, 0.0]] * 2)
+    with np.errstate(invalid="ignore"):
+        dense = group.multiply_batch(h3, X, Y)
+    assert np.isfinite(got[:, 1:]).all() and np.isnan(dense[0, 2])
+    assert np.array_equal(got[1], dense[1])
+    assert got[0, 2] == 0.5 - 0.5 * 2.0  # x_2_1 + (x_1_1 y_1_2 - x_1_2 y_1_1) / 2
 
 
 def test_dimension_mismatch_rejected(h3):

@@ -43,6 +43,19 @@ def test_domain_error_reports_offending_point(h3):
     assert "1" in v.detail
 
 
+def test_zero_value_is_an_error_negative_is_a_domain_error(h3):
+    # exp(-1000) underflows to +0.0: not a violation, and not f <= 0 of an
+    # LSH field either; a -0.0 carries the sign of a negative quantity
+    pts = np.array([[1.0, 0, 0], [-1000.0, 0, 0]])
+    with pytest.raises(ParameterError, match="f is 0 at point index 1 .underflow"):
+        lsh.check_lsh(calc.Exp(calc.x(1, 1)), pts, algebra=h3)
+    zero = calc.parse_field("(* x_1_1 0)")
+    with pytest.raises(ParameterError, match="f is 0 at point index 0"):
+        lsh.check_lsh(zero, pts[:1], algebra=h3)
+    v = lsh.check_lsh(zero, pts, algebra=h3)
+    assert v.verdict == lsh.LSH_DOMAIN_ERROR and v.detail == "f <= 0 at point index 0"
+
+
 def test_library_labels(h3, r1, engel):
     h3lib = lib_by_name(h3)
     assert h3lib["sqnorm-eps"].status == "lsh"
