@@ -15,8 +15,11 @@ The entries are:
   field of the builtin LSH library, on a 1000-point ``lsh.grid_points`` grid
   of engel and of heisenberg(2); the output is |grad f|^2, Delta f and Ef as
   JSON lists;
-- ``carnot check KIND`` for each kind, ``carnot check lsi --form L2`` and
-  ``carnot sweep alpha``, at small n, and ``carnot check lsh --points FILE``
+- ``carnot check KIND`` for each kind, ``carnot check lsi --form L2``,
+  ``carnot sweep alpha``, and on a 33-point t grid, which a sweep at this n
+  evaluates in several blocks, ``carnot sweep alpha`` of the Dilated field
+  ``@expdil`` on engel and ``carnot check contractivity`` on a tilted batch,
+  all at small n, and ``carnot check lsh --points FILE``
   on a heisenberg(1) batch CSV that ``heat.sample(...).save_csv`` of the
   first checkout writes once into a temporary directory, so every checkout
   reads the same bytes; the output is stdout.
@@ -58,6 +61,7 @@ REFINE_ALGEBRAS = ("heisenberg(1)", "engel", "euclidean(1)")
 REFINE_STEPS = [4, 16, 64]
 JET_ALGEBRAS = ("engel", "heisenberg(2)")
 JET_GRID_N = 1000
+GRID_33 = ",".join(repr(i / 32) for i in range(33))
 POINTS_SAMPLE = {"s": 1.0, "n_samples": 500, "n_steps": 16, "seed": 3}
 
 # Writes the points file of the lsh entry: argv is the path and the keywords
@@ -138,6 +142,11 @@ def cli_commands(points: str) -> dict:
     commands = {f"carnot check {kind}": ["check", kind, *CLI_ARGS] for kind in CHECK_KINDS}
     commands["carnot check lsi --form L2"] = ["check", "lsi", "--form", "L2", *CLI_ARGS]
     commands["carnot sweep alpha"] = ["sweep", "alpha", *CLI_ARGS]
+    commands["carnot sweep alpha --algebra engel --field @expdil --grid <33 t>"] = [
+        "sweep", "alpha", "--algebra", "engel", "--field", "@expdil", *CLI_ARGS[4:],
+        "--grid", GRID_33]
+    commands["carnot check contractivity --tilt 0.5,-1.0 --grid <33 t>"] = [
+        "check", "contractivity", *CLI_ARGS, "--tilt", "0.5,-1.0", "--grid", GRID_33]
     commands["carnot check lsh --points FILE"] = ["check", "lsh", "--points", points,
                                                   *CLI_ARGS]
     return commands

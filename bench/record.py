@@ -9,10 +9,13 @@ this script), one after the other, and writes ``BENCH_<tag>.json`` at the
 root of the checkout holding this script. Per workload the file holds the
 end-to-end metrics, the quartiles of the program's raw wall times and of its
 ratios to the reference copy, the per-layer medians, whether the runs passed
-the benchmark's correctness gate, and run.py's environment block. For each
-shipped preset it then runs ``cli.run`` once in a fresh process at
-``CARNOT_THREADS=1`` and records the manifest's ``timings["total"]``, its
-exit code and the process's peak RSS. Last it runs the Tier-1 suite,
+the benchmark's correctness gate, and run.py's environment block. It then
+runs ``cli.run`` on each shipped preset in ``PRESET_RUNS`` fresh processes
+at ``CARNOT_THREADS=1``, taking the presets in turn so that a slow spell of
+the shared host touches all of them, and records per preset the median of
+the manifests' ``timings["total"]`` as ``total_s``, its quartiles, the run
+count, the exit code and the median of the processes' peak RSS; a preset
+whose runs exit with different codes stops the recording. Last it runs the Tier-1 suite,
 ``python -m pytest -q --continue-on-collection-errors``, once in one child
 process in the checkout, and records its wall time, its passed and failed
 counts, its exit code and the child's peak RSS. To record a "before", point
@@ -25,6 +28,7 @@ import argparse
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -33,6 +37,8 @@ import time
 from manifests import PRESETS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# fresh processes per preset: one run cannot tell a change from the host's speed
+PRESET_RUNS = 5
 
 # Runs one preset in a checkout's process; prints {"total_s", "exit_code",
 # "peak_rss_mb"} as one JSON line.
@@ -67,10 +73,20 @@ def run_preset(checkout: str, name: str) -> dict:
 
 
 def record_presets(checkout: str) -> dict:
+    runs = {name: [] for name in PRESETS}
+    for _ in range(PRESET_RUNS):
+        for name in PRESETS:
+            runs[name].append(run_preset(checkout, name))
     out = {}
-    for name in PRESETS:
-        out[name] = run_preset(checkout, name)
-        print(f"{name}: total {out[name]['total_s']:.3f} s, "
+    for name, rs in runs.items():
+        codes = {r["exit_code"] for r in rs}
+        if len(codes) != 1:
+            raise SystemExit(f"preset {name} exited with codes {sorted(codes)}")
+        q1, median, q3 = statistics.quantiles([r["total_s"] for r in rs], n=4)
+        out[name] = {"total_s": median, "total_s_q1": q1, "total_s_q3": q3,
+                     "runs": len(rs), "exit_code": codes.pop(),
+                     "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in rs)}
+        print(f"{name}: total {median:.3f} s (quartiles {q1:.3f}-{q3:.3f}), "
               f"peak RSS {out[name]['peak_rss_mb']:.1f} MB", file=sys.stderr)
     return out
 

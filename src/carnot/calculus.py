@@ -309,6 +309,32 @@ def evaluate_batch(f: ScalarField, algebra: StratifiedAlgebra, coords) -> np.nda
     return np.broadcast_to(np.asarray(out, dtype=float), (coords.shape[0],)).copy()
 
 
+def evaluate_pullbacks(f: ScalarField, algebra: StratifiedAlgebra, coords, ts) -> np.ndarray:
+    """e^{-tE} f at every row of ``coords`` for every t of ``ts``, as a new
+    (len(ts), n) array; row i is ``evaluate_batch(dilation_pullback(f, ts[i]),
+    algebra, coords)`` bit for bit.
+
+    Each coordinate column that f reads is scaled by the column of its
+    weights exp(-t) ** j, formed as ``Dilated._eval`` forms them (t being a
+    top-level ``Dilated``'s own t plus each t of ``ts``, as in
+    ``dilation_pullback``), and f's tree is evaluated once on those
+    (len(ts), n) columns. A coordinate that f does not read is never scaled.
+    """
+    coords = np.atleast_2d(np.asarray(coords, dtype=float))
+    inner, t0 = (f.inner, f.t) if isinstance(f, Dilated) else (f, None)
+    weights = []
+    for t in ts:
+        lam = math.exp(-(float(t) if t0 is None else t0 + float(t)))
+        weights.append([lam ** int(j) for j in algebra.layer_of])
+    values = [0.0] * algebra.dim
+    for i in {algebra.flat_index(jk) for jk in _coordinates(inner)}:
+        values[i] = np.multiply.outer([w[i] for w in weights], coords[:, i])
+    out = np.asarray(inner._eval(EvalContext(algebra, values)), dtype=float)
+    shape = (len(weights), coords.shape[0])
+    # a tree that reads a coordinate returns a (len(ts), n) array of its own
+    return out if out.shape == shape else np.broadcast_to(out, shape).copy()
+
+
 # -- derivatives along group curves --------------------------------------------
 
 
@@ -502,6 +528,23 @@ def parse_field(expr: str, params: dict | None = None) -> ScalarField:
     if pos != len(tokens):
         raise ConfigError(f"trailing tokens in field expression {expr!r}")
     return out
+
+
+def _coordinates(f: ScalarField) -> set:
+    """The (j, k) of every coordinate variable in f's tree."""
+    if isinstance(f, Const):
+        return set()
+    if isinstance(f, Var):
+        return {(f.j, f.k)}
+    if isinstance(f, (Sum, Prod)):
+        return set().union(*map(_coordinates, f.children))
+    if isinstance(f, Pow):
+        return _coordinates(f.base)
+    if isinstance(f, (Exp, Log)):
+        return _coordinates(f.arg)
+    if isinstance(f, Dilated):
+        return _coordinates(f.inner)
+    raise TypeError(f"unknown field node {type(f)!r}")
 
 
 def to_expr(f: ScalarField) -> str:

@@ -152,6 +152,13 @@ def _lsh_tol(chk, config):
     return None
 
 
+def _two_grid_points(chk, config):
+    # a sweep decides monotonicity from its steps, and one point has none
+    if "grid" in chk and len(_floats(chk["grid"])) < 2:
+        return f"'grid' needs at least two t values, got {chk['grid']!r}"
+    return None
+
+
 def _names_extra_batch(chk, config):
     if chk["batch"] not in config["extra_batches"]:
         return "needs 'batch' naming an extra batch"
@@ -184,11 +191,13 @@ _CHECKS = {
             a["f"], cx.batch, a["c"], a["beta"], a["q"], ts=a["grid"],
             lsh_status=a["lsh_status"]).as_dict(),
         required=("q", "c"), optional={"beta": 0.0, "grid": None},
-        types={**_C_BETA, "q": float, "grid": _floats}, csv=True, positive=("c",)),
+        types={**_C_BETA, "q": float, "grid": _floats}, csv=True, positive=("c",),
+        validate=_two_grid_points),
     "contractivity": _Kind(
         lambda a, cx: inequalities.check_l1_contractivity(
             a["f"], cx.batch, ts=a["grid"], lsh_status=a["lsh_status"]).as_dict(),
-        optional={"grid": None}, types={"grid": _floats}, csv=True),
+        optional={"grid": None}, types={"grid": _floats}, csv=True,
+        validate=_two_grid_points),
     "inverse-symmetry": _Kind(
         lambda a, cx: heat.empirical_check_inverse_symmetry(cx.batch).as_dict(),
         needs_field=False),

@@ -40,11 +40,12 @@ from .calculus import (
     dilation_pullback,
     euler_derivative_batch,
     evaluate_batch,
+    evaluate_pullbacks,
     horizontal_sums,
     sub_gradient_sq_batch,
     sub_laplacian_batch,
 )
-from .errors import ParameterError
+from .errors import CarnotError, ParameterError
 from .heat import HeatSampleBatch
 from .lsh import LSH_CONSISTENT, check_lsh
 from .reports import (
@@ -352,8 +353,77 @@ def check_shc(f: ScalarField, batch: HeatSampleBatch, p: float, q: float,
 # -- sweeps ----------------------------------------------------------------------
 
 
+# floats in one block of a sweep's grid: its rows of e^{-tE} f, then of their
+# weighted powers, then of their influences, one row per t and a float per sample
+_SWEEP_BLOCK_FLOATS = 2 ** 15
+
+
+def _row_ses(rows: np.ndarray) -> list:
+    """``_se`` of each row of a (k, n) array of influences."""
+    if rows.shape[1] < 2:
+        return [math.nan] * rows.shape[0]
+    return (rows.std(axis=1, ddof=1) / math.sqrt(rows.shape[1])).tolist()
+
+
+def _sweep_points(name, f, batch, w, ts, r_of, m_of):
+    """(alpha values, (len(ts), n) influences) at the t of ``ts``, one t at a time.
+
+    The first t that fails raises its own error: e^(-tE) f <= 0, then a
+    non-finite mean, then a power that underflows.
+    """
+    values, infls = [], []
+    for t in ts:
+        r, m_t = r_of(t), m_of(t)
+        v = _positive_values(dilation_pullback(f, t), batch,
+                             f"{name} needs e^(-tE) f > 0 on samples at t = {t:g}")
+        value, _, infl, _ = _delta_method([w * v ** r], lambda m: (
+            m ** (1.0 / r) / m_t, None, [(1.0 / r) * _power_mean(
+                m, f"{name} at t = {t:g}: (e^(-tE) f)^{r:g}") ** (1.0 / r - 1.0) / m_t]))
+        values.append(value)
+        infls.append(infl)
+    return values, np.array(infls)
+
+
+def _sweep_block(f, batch, w, ts, r_of, m_of):
+    """What ``_sweep_points`` returns, from one evaluation of f for the whole
+    block, or None when some t of the block fails.
+
+    One (len(ts), n) array u holds e^{-tE} f, then w (e^{-tE} f)^r(t), then
+    the influences, each made in place from the one before.
+    """
+    try:
+        rs, m_ts = [r_of(t) for t in ts], [m_of(t) for t in ts]
+        u = evaluate_pullbacks(f, batch.algebra, batch.samples, ts)
+    except (CarnotError, ArithmeticError):
+        return None
+    if (u <= 0).any():
+        return None
+    for row, r in zip(u, rs):
+        row **= r  # row by row, so numpy takes the shortcuts of v ** r (r = 2, 0.5, ...)
+    u *= w
+    means = u.mean(axis=1).tolist()
+    if not all(math.isfinite(m) and m != 0.0 for m in means):
+        return None
+    try:
+        values = [m ** (1.0 / r) / m_t for m, r, m_t in zip(means, rs, m_ts)]
+        grads = [(1.0 / r) * m ** (1.0 / r - 1.0) / m_t
+                 for m, r, m_t in zip(means, rs, m_ts)]
+    except ArithmeticError:
+        return None
+    u -= np.array(means)[:, None]
+    u *= np.array(grads)[:, None]
+    return values, u
+
+
 def _sweep(name, f, batch, ts, r_of, m_of, params, notes) -> SweepReport:
     """alpha(t) = M(t)^{-1} |e^{-tE} f|_{r(t)} over the sorted t grid.
+
+    The grid is evaluated in blocks of max(1, _SWEEP_BLOCK_FLOATS // n) t
+    values. One block is one (t, sample) array that holds e^{-tE} f, then its
+    weighted power and then its influences; between blocks only the
+    influence row of the block's last t is kept. A block in which some t
+    fails is run again one t at a time, so the error is that of the first
+    failing t.
 
     The verdict is "holds" when alpha is non-increasing within
     Z_THRESHOLD standard errors of each step plus ABS_FLOOR, and
@@ -361,19 +431,24 @@ def _sweep(name, f, batch, ts, r_of, m_of, params, notes) -> SweepReport:
     two samples.
     """
     ts = np.asarray(sorted(float(t) for t in ts))
+    if ts.size < 2:
+        raise ParameterError(f"{name} needs a grid of at least two t values, got {ts.size}")
     w = batch.weights
-    values, stderrs, infls = [], [], []
-    for t in ts:
-        r, m_t = r_of(t), m_of(t)
-        v = _positive_values(dilation_pullback(f, t), batch,
-                             f"{name} needs e^(-tE) f > 0 on samples at t = {t:g}")
-        value, _, infl, se = _delta_method([w * v ** r], lambda m: (
-            m ** (1.0 / r) / m_t, None, [(1.0 / r) * _power_mean(
-                m, f"{name} at t = {t:g}: (e^(-tE) f)^{r:g}") ** (1.0 / r - 1.0) / m_t]))
-        values.append(value)
-        stderrs.append(se)
-        infls.append(infl)
-    diff_ses = [_se(b - a) for a, b in zip(infls, infls[1:])]
+    rows = max(1, _SWEEP_BLOCK_FLOATS // batch.n_samples)
+    values, stderrs, diff_ses, last = [], [], [], None
+    for lo in range(0, ts.size, rows):
+        block = ts[lo:lo + rows]
+        vals, infl = (_sweep_block(f, batch, w, block, r_of, m_of)
+                      or _sweep_points(name, f, batch, w, block, r_of, m_of))
+        values += vals
+        stderrs += _row_ses(infl)
+        if last is not None:
+            diff_ses.append(_se(infl[0] - last))
+        last = infl[-1].copy()
+        # let go of each (t, sample) array before the next one is made
+        infl = np.diff(infl, axis=0)
+        diff_ses += _row_ses(infl)
+        del infl
     tol = Z_THRESHOLD * np.asarray(diff_ses) + ABS_FLOOR
     diffs = np.diff(np.asarray(values))
     noninc = bool(np.all(diffs <= tol))

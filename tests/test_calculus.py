@@ -184,6 +184,42 @@ def test_frame_jets_peak_memory(engel, traced_peak):
     assert peak < 16 * 2 ** 20, peak
 
 
+# -- pullbacks on a t grid -------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["euclidean(1)", "euclidean(3)", "heisenberg(1)",
+                                  "heisenberg(2)", "engel"])
+def test_evaluate_pullbacks_match_one_t_at_a_time(name):
+    # row i of the grid evaluator is evaluate_batch of the i-th pullback, bit
+    # for bit: the library's Dilated field adds its own t, a nested (dilated)
+    # scales its columns again, and an upper-layer coordinate takes exp(-t)^j
+    alg = algebra.builtin(name)
+    pts = rand_points(alg, 300, seed=40, scale=1.5)
+    ts = np.array([0.37, 0.0, -0.4, 1.7, 0.37, 6.0])
+    top = f"x_{alg.step}_1"
+    fields = [e.field for e in lsh.builtin_lsh_library(alg)] + [
+        calc.parse_field(f"(exp (+ (dilated (* 0.5 x_1_1) 0.3) (* 0.2 {top})))"),
+        calc.parse_field(f"(dilated (+ 2 (pow {top} 2)) -0.2)"),
+        calc.Const(1.5)]
+    for f in fields:
+        got = calc.evaluate_pullbacks(f, alg, pts, ts)
+        assert got.shape == (len(ts), len(pts)), calc.to_expr(f)
+        for t, row in zip(ts, got):
+            want = calc.evaluate_batch(calc.dilation_pullback(f, t), alg, pts)
+            assert row.tobytes() == want.tobytes(), (calc.to_expr(f), t)
+
+
+def test_evaluate_pullbacks_scales_only_the_coordinates_f_reads(engel, traced_peak):
+    # exp(x_1_1) on 8 t values reads one of engel's four columns: its (8, n)
+    # column and exp's output make the peak, which scaling all four would
+    # raise to five such arrays
+    pts = rand_points(engel, 20_000, seed=41)
+    ts = np.linspace(0.0, 1.0, 8)
+    peak = traced_peak(lambda: calc.evaluate_pullbacks(calc.Exp(calc.x(1, 1)), engel,
+                                                        pts, ts))
+    assert peak < 3 * 8 * 20_000 * 8, peak
+
+
 # -- invariant vector fields on H3 ------------------------------------------------
 
 

@@ -10,8 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
-from carnot import cli
-from carnot.errors import ConfigError
+from carnot import algebra, calculus, cli, heat
+from carnot.errors import CarnotError, ConfigError
 
 
 def small_time_space_config(**overrides):
@@ -133,6 +133,11 @@ BAD_CONFIGS = {
     "negative-lsh-tol": ({"checks": [{"check": "time-space", "field": "f"},
                                      {"check": "lsh", "field": "f", "tol": -5}]},
                          ["checks[1]", "lsh", "'tol'", ">= 0"]),
+    "empty-grid": ({"checks": [{"check": "contractivity", "field": "f", "grid": []}]},
+                   ["checks[0]", "contractivity", "'grid'", "at least two"]),
+    "one-point-grid": ({"checks": [{"check": "alpha-sweep", "field": "f", "q": 2, "c": 1.0,
+                                    "grid": [0.3]}]},
+                       ["checks[0]", "alpha-sweep", "'grid'", "at least two"]),
 }
 
 
@@ -152,6 +157,21 @@ def test_bad_check_keys_exit_3_before_sampling(case, tmp_path, monkeypatch, caps
     assert "Traceback" not in err
     for word in words:
         assert word in err
+
+
+@pytest.mark.parametrize("argv", [["check", "contractivity"], ["sweep", "alpha"]],
+                         ids=["contractivity", "alpha-sweep"])
+def test_one_point_grid_flag_exits_3_before_sampling(argv, monkeypatch, capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(cli.heat, "sample", no_sampling)
+    rc = cli.main([*argv, "--algebra", "heisenberg(1)", "--field", "@expx1", "--n", "500",
+                   "--grid", "0.5"])
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'grid' needs at least two t values" in err
 
 
 def test_overflowing_param_literal_exits_3_before_sampling(tmp_path, monkeypatch, capsys):
@@ -508,6 +528,80 @@ def test_shc_and_sweep_power_underflow_is_a_per_check_error(case, tmp_path, caps
     assert bad["verdict"] == cli.VERDICT_ERROR
     assert "(e^(-tE) f)^4 underflows to 0 on every sample" in bad["error"]
     assert good["verdict"] == "holds"
+    assert "Traceback" not in err
+
+
+def _per_t_sweep_error(f, batch, name, ts, r_of):
+    """The error of a sweep run one t of its sorted grid at a time: at the
+    first t that fails, f's own error, e^(-tE) f <= 0, a non-finite mean or a
+    power that underflows on every sample, in that order."""
+    w = batch.weights
+    for t in sorted(ts):
+        r = r_of(t)
+        try:
+            v = calculus.evaluate_batch(calculus.dilation_pullback(f, t), batch.algebra,
+                                        batch.samples)
+        except CarnotError as exc:
+            return str(exc)
+        if (v <= 0).any():
+            return (f"{name} needs e^(-tE) f > 0 on samples at t = {t:g}; "
+                    f"violated at sample {int(np.argmax(v <= 0))}")
+        col = w * v ** r
+        m = float(col.mean())
+        if not math.isfinite(m):
+            return f"non-finite value (overflow) at sample {np.flatnonzero(~np.isfinite(col))[0]}"
+        if m == 0.0:
+            return f"{name} at t = {t:g}: (e^(-tE) f)^{r:g} underflows to 0 on every sample"
+    return None
+
+
+# a 33-point grid whose first 20 t pass and whose 21st fails: the failing t is
+# row 20 of one block of the whole grid, and row 2 of a block of 3
+UNDERFLOW_GRID = [*np.linspace(0.0, 1.0, 20).tolist(), *range(368, 381)]
+FAILING_SWEEPS = {
+    # (e^(-tE) f)(x) = (e^-t x_1_1)^2 underflows to 0 on some samples from t = 368
+    "non-positive": ("(pow x_1_1 2)", {"check": "contractivity", "grid": UNDERFLOW_GRID}),
+    # log and a fractional power of that 0 are domain errors of f
+    "log-domain": ("(exp (log (pow x_1_1 2)))",
+                   {"check": "contractivity", "grid": UNDERFLOW_GRID}),
+    "pow-domain": ("(pow (pow x_1_1 2) 0.5)",
+                   {"check": "contractivity", "grid": UNDERFLOW_GRID}),
+    # f^r(t) = exp(e^(9t) x_1_1) overflows on the largest samples from t near 0.6
+    "overflow": ("(exp x_1_1)", {"check": "alpha-sweep", "q": 2.0, "c": 0.1,
+                                 "grid": np.linspace(0.0, 1.0, 33).tolist()}),
+    # f^r(t) ~ 1e-200 r(t) underflows on every sample from t near 0.5
+    "underflow": ("(* 1e-200 (exp x_1_1))", {"check": "alpha-sweep", "q": 2.0, "c": 1.0,
+                                             "grid": np.linspace(0.0, 1.0, 33).tolist()}),
+}
+
+
+@pytest.mark.parametrize("rows", [None, 3], ids=["one-block", "blocks-of-3"])
+@pytest.mark.parametrize("case", sorted(FAILING_SWEEPS))
+def test_sweep_errors_name_the_first_failing_t_and_sample(case, rows, tmp_path, monkeypatch,
+                                                          capsys):
+    # a sweep that fails at an interior t reports what a sweep run one t at a
+    # time raises there, whatever block holds that t and wherever it sits in it
+    expr, chk = FAILING_SWEEPS[case]
+    heat_kw = {"s": 1.0, "n": 500, "steps": 8, "seed": 1}
+    if rows:
+        monkeypatch.setattr(cli.inequalities, "_SWEEP_BLOCK_FLOATS", rows * heat_kw["n"])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(small_time_space_config(
+        fields={"f": {"expr": expr}}, heat=heat_kw, checks=[{**chk, "field": "f"}])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the LSH spot check's
+        assert cli.main(["run", str(path)]) == 3
+    out, err = capsys.readouterr()
+    rep = json.loads(out)["reports"][0]
+    alg = algebra.builtin("heisenberg(1)")
+    batch = heat.sample(alg, heat_kw["s"], heat_kw["n"], heat_kw["steps"], heat_kw["seed"])
+    c = chk.get("c")
+    name = "l1-contractivity" if c is None else "alpha-sweep"
+    with np.errstate(all="ignore"):
+        want = _per_t_sweep_error(calculus.parse_field(expr), batch, name, chk["grid"],
+                                  lambda t: 1.0 if c is None else math.exp(t / c))
+    assert rep["verdict"] == cli.VERDICT_ERROR
+    assert rep["error"] == want
     assert "Traceback" not in err
 
 

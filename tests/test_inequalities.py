@@ -213,34 +213,41 @@ def _reports_reference(f, batch, c, beta):
                            "beta": beta, **bp, "exploratory": False},
         heavy_tail=_heavy(u, vv))
 
-    def sweep(name, ts, r_of, m_of, params):
-        values, stderrs, infls = [], [], []
-        for t in ts:
-            r, m_t = r_of(t), m_of(t)
-            u = w * calc.evaluate_batch(calc.dilation_pullback(f, t), alg,
-                                        batch.samples) ** r
-            m = float(np.mean(u))
-            values.append(m ** (1.0 / r) / m_t)
-            infls.append((1.0 / r) * m ** (1.0 / r - 1.0) / m_t * (u - m))
-            stderrs.append(_se(infls[-1]))
-        diff_ses = [_se(b - a) for a, b in zip(infls, infls[1:])]
-        tol = Z_THRESHOLD * np.asarray(diff_ses) + ABS_FLOOR
-        diffs = np.diff(np.asarray(values))
-        noninc = bool(np.all(diffs <= tol))
-        return SweepReport(
-            name=name, ts=ts.tolist(), values=values, stderrs=stderrs,
-            diff_stderrs=diff_ses, monotone_nonincreasing=noninc,
-            monotone_nondecreasing=bool(np.all(diffs >= -tol)),
-            verdict="holds" if noninc else "violated", mode=mode,
-            params={**params, **bp}, notes=[])
-
     q_tj = c * math.log(math.e)
-    alpha = sweep("alpha-sweep", np.linspace(0.0, q_tj, 9), lambda t: math.exp(t / c),
-                  lambda t: math.exp(beta * (1.0 - math.exp(-t / c))),
-                  {"c": c, "beta": beta, "q": math.e, "t_J": q_tj})
-    contraction = sweep("l1-contractivity", np.linspace(0.0, 1.0, 9),
-                        lambda t: 1.0, lambda t: 1.0, {})
+    alpha = _alpha_reference(f, batch, c, beta, math.e, np.linspace(0.0, q_tj, 9))
+    contraction = _sweep_reference(f, batch, "l1-contractivity", np.linspace(0.0, 1.0, 9),
+                                   lambda t: 1.0, lambda t: 1.0, {})
     return l1, l2, slsi, ts, chain, shc, alpha, contraction
+
+
+def _sweep_reference(f, batch, name, ts, r_of, m_of, params):
+    """A sweep's report from the per-t formulas, one t of the sorted grid at a time."""
+    w, alg = batch.weights, batch.algebra
+    ts = np.sort(np.asarray(ts, dtype=float))
+    values, stderrs, infls = [], [], []
+    for t in ts:
+        r, m_t = r_of(t), m_of(t)
+        u = w * calc.evaluate_batch(calc.dilation_pullback(f, t), alg, batch.samples) ** r
+        m = float(np.mean(u))
+        values.append(m ** (1.0 / r) / m_t)
+        infls.append((1.0 / r) * m ** (1.0 / r - 1.0) / m_t * (u - m))
+        stderrs.append(_se(infls[-1]))
+    diff_ses = [_se(b - a) for a, b in zip(infls, infls[1:])]
+    tol = Z_THRESHOLD * np.asarray(diff_ses) + ABS_FLOOR
+    diffs = np.diff(np.asarray(values))
+    noninc = bool(np.all(diffs <= tol))
+    return SweepReport(
+        name=name, ts=ts.tolist(), values=values, stderrs=stderrs,
+        diff_stderrs=diff_ses, monotone_nonincreasing=noninc,
+        monotone_nondecreasing=bool(np.all(diffs >= -tol)),
+        verdict="holds" if noninc else "violated", mode=ineq.lsi_mode(alg),
+        params={**params, **ineq._batch_params(batch)}, notes=[])
+
+
+def _alpha_reference(f, batch, c, beta, q, ts):
+    return _sweep_reference(f, batch, "alpha-sweep", ts, lambda t: math.exp(t / c),
+                            lambda t: math.exp(beta * (1.0 - math.exp(-t / c))),
+                            {"c": c, "beta": beta, "q": q, "t_J": c * math.log(q)})
 
 
 @pytest.mark.parametrize("case", ["heisenberg(1)", "euclidean(1)-tilted", "engel"])
@@ -265,6 +272,27 @@ def test_entropy_checks_match_hand_written_formulas(case):
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert json.dumps(g.as_dict()) == json.dumps(w.as_dict()), (case, g.name)
+
+    # both sweeps on an unsorted 33-point grid, in the default blocks and in
+    # blocks of 1 and of 3 t values, for f, a Dilated field and a constant; at
+    # t = +-0.7 log 2 the alpha sweep's power r(t) is 2 and 1/2, which numpy's
+    # v ** r computes by its own shortcuts
+    grid = [*np.linspace(0.0, 1.5, 31), 0.7 * math.log(2.0), -0.7 * math.log(2.0)]
+    grid = np.random.default_rng(62).permutation(grid).tolist()
+    fields = [f, lsh.library_field(alg, "expdil").field, calc.Const(1.7)]
+    for rows in (None, 1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            if rows:
+                mp.setattr(ineq, "_SWEEP_BLOCK_FLOATS", rows * batch.n_samples)
+            for g in fields:
+                pairs = [(ineq.sweep_alpha(g, batch, 0.7, 0.3, 3.0, ts=grid, lsh_status="lsh"),
+                          _alpha_reference(g, batch, 0.7, 0.3, 3.0, grid)),
+                         (ineq.check_l1_contractivity(g, batch, ts=grid, lsh_status="lsh"),
+                          _sweep_reference(g, batch, "l1-contractivity", grid,
+                                           lambda t: 1.0, lambda t: 1.0, {}))]
+                for got, want in pairs:
+                    assert json.dumps(got.as_dict()) == json.dumps(want.as_dict()), (
+                        case, rows, calc.to_expr(g), got.name)
 
 
 def test_slsi_positive_margin_on_h3(h3_batch_s1):
@@ -510,6 +538,31 @@ def test_l1_contractivity_constant(r1_batch_s2):
                                       lsh_status="lsh")
     assert rep.monotone_nonincreasing and rep.monotone_nondecreasing
     assert np.allclose(rep.values, 2.0)
+
+
+@pytest.mark.parametrize("grid", [[], [0.3]], ids=["empty", "one-point"])
+def test_sweeps_need_two_grid_points(grid, h3_batch_s1):
+    # monotonicity is decided from the grid's steps, and fewer than two t have none
+    f = calc.Exp(calc.x(1, 1))
+    with pytest.raises(ParameterError, match="at least two t values"):
+        ineq.sweep_alpha(f, h3_batch_s1, 1.0, 0.0, math.e, ts=grid, lsh_status="lsh")
+    with pytest.raises(ParameterError, match="at least two t values"):
+        ineq.check_l1_contractivity(f, h3_batch_s1, ts=grid, lsh_status="lsh")
+
+
+def test_sweep_peak_memory(h3, engel, traced_peak):
+    # a block holds a few (t, sample) arrays; sweeping t by t and keeping every
+    # t's influences peaked at 10.7 MiB on heisenberg(1) at n = 100k on the
+    # default 9-point grid, and at 1.2 MiB on engel at n = 4000 on 33 points
+    f = calc.Exp(calc.x(1, 1))
+    batch = heat.sample(h3, 1.0, 100_000, 8, seed=5)
+    peak = traced_peak(lambda: ineq.sweep_alpha(f, batch, 1.0, 0.0, math.e, lsh_status="lsh"))
+    assert peak < 6 * 2 ** 20, peak
+    batch = heat.sample(engel, 1.0, 4000, 16, seed=5)
+    grid = [i / 32 for i in range(33)]
+    peak = traced_peak(lambda: ineq.sweep_alpha(f, batch, 1.0, 0.0, math.e, ts=grid,
+                                                lsh_status="lsh"))
+    assert peak < 2 ** 20, peak
 
 
 # -- calibration and labeling -------------------------------------------------------
