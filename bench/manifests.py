@@ -22,7 +22,13 @@ The entries are:
   all at small n, and ``carnot check lsh --points FILE``
   on a heisenberg(1) batch CSV that ``heat.sample(...).save_csv`` of the
   first checkout writes once into a temporary directory, so every checkout
-  reads the same bytes; the output is stdout.
+  reads the same bytes; the output is stdout;
+- two configs whose sweep fails, run by ``cli.run``: on engel, a
+  ``contractivity`` check at t = -300, where the dilation weight exp(300) ** 3
+  overflows, beside a ``time-space`` check; and an ``alpha-sweep`` whose power
+  underflows to 0 on every sample from an interior t of a 33-point grid, in
+  several blocks. The output is ``manifest_canonical_bytes``, or the type and
+  text of the exception that ended the run (with exit code 3).
 
 With one checkout (by default the one holding this script) it prints, per
 entry, the exit code and the sha256 of the output. With two it prints both
@@ -63,6 +69,18 @@ JET_ALGEBRAS = ("engel", "heisenberg(2)")
 JET_GRID_N = 1000
 GRID_33 = ",".join(repr(i / 32) for i in range(33))
 POINTS_SAMPLE = {"s": 1.0, "n_samples": 500, "n_steps": 16, "seed": 3}
+FAILING_SWEEP_CONFIGS = {
+    "config engel time-space + contractivity grid [-300, 0]": {
+        "algebra": "engel", "fields": {"f": {"library": "expx1"}},
+        "heat": {"s": 1.0, "n": 200, "steps": 8, "seed": 1},
+        "checks": [{"check": "time-space", "field": "f"},
+                   {"check": "contractivity", "field": "f", "grid": [-300, 0]}]},
+    "config alpha-sweep of 1e-200 exp(x_1_1), 33 t, n=4000": {
+        "algebra": "heisenberg(1)", "fields": {"f": {"expr": "(* 1e-200 (exp x_1_1))"}},
+        "heat": {"s": 1.0, "n": 4000, "steps": 8, "seed": 1},
+        "checks": [{"check": "alpha-sweep", "field": "f", "q": 2.0, "c": 1.0,
+                    "grid": [i / 32 for i in range(33)]}]},
+}
 
 # Writes the points file of the lsh entry: argv is the path and the keywords
 # of heat.sample as JSON.
@@ -107,7 +125,12 @@ for job in json.load(sys.stdin):
         continue
     os.environ["CARNOT_THREADS"] = job["threads"]
     config = cli.preset(job["preset"]) if "preset" in job else job["config"]
-    manifest = cli.run(config)
+    try:
+        manifest = cli.run(config)
+    except Exception as exc:
+        print(json.dumps({"entry": job["entry"], "exit": 3,
+                          "text": f"{type(exc).__name__}: {exc}"}), flush=True)
+        continue
     print(json.dumps({"entry": job["entry"], "exit": manifest["exit_code"],
                       "text": cli.manifest_canonical_bytes(manifest).decode()}),
           flush=True)
@@ -135,6 +158,8 @@ def run_jobs() -> list:
              for name in REFINE_ALGEBRAS]
     jobs += [{"entry": f"jets {name} grid={JET_GRID_N}", "jets": name, "n": JET_GRID_N}
              for name in JET_ALGEBRAS]
+    jobs += [{"entry": entry, "config": config, "threads": "1"}
+             for entry, config in FAILING_SWEEP_CONFIGS.items()]
     return jobs
 
 

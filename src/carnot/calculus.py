@@ -276,9 +276,16 @@ class Dilated(ScalarField):
         self.t = float(t)
 
     def _eval(self, ctx):
-        lam = math.exp(-self.t)
-        weights = [lam ** int(j) for j in ctx.algebra.layer_of]
-        return self.inner._eval(ctx.scaled(weights))
+        return self.inner._eval(ctx.scaled(_pullback_weights(ctx.algebra, self.t)))
+
+
+def _pullback_weights(algebra: StratifiedAlgebra, t: float) -> list:
+    """exp(-t) ** j for the layer j of each coordinate: what e^{-tE} scales it by."""
+    try:
+        lam = math.exp(-t)
+        return [lam ** int(j) for j in algebra.layer_of]
+    except OverflowError:
+        raise ParameterError(f"dilation weight exp(-t) ** j overflows at t = {t:g}") from None
 
 
 def x(j: int, k: int = 1) -> Var:
@@ -315,17 +322,15 @@ def evaluate_pullbacks(f: ScalarField, algebra: StratifiedAlgebra, coords, ts) -
     algebra, coords)`` bit for bit.
 
     Each coordinate column that f reads is scaled by the column of its
-    weights exp(-t) ** j, formed as ``Dilated._eval`` forms them (t being a
-    top-level ``Dilated``'s own t plus each t of ``ts``, as in
-    ``dilation_pullback``), and f's tree is evaluated once on those
-    (len(ts), n) columns. A coordinate that f does not read is never scaled.
+    ``_pullback_weights`` (t being a top-level ``Dilated``'s own t plus each
+    t of ``ts``, as in ``dilation_pullback``), and f's tree is evaluated once
+    on those (len(ts), n) columns. A coordinate that f does not read is
+    never scaled.
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     inner, t0 = (f.inner, f.t) if isinstance(f, Dilated) else (f, None)
-    weights = []
-    for t in ts:
-        lam = math.exp(-(float(t) if t0 is None else t0 + float(t)))
-        weights.append([lam ** int(j) for j in algebra.layer_of])
+    weights = [_pullback_weights(algebra, float(t) if t0 is None else t0 + float(t))
+               for t in ts]
     values = [0.0] * algebra.dim
     for i in {algebra.flat_index(jk) for jk in _coordinates(inner)}:
         values[i] = np.multiply.outer([w[i] for w in weights], coords[:, i])

@@ -11,7 +11,7 @@ modulo the separate "timings" block; the CARNOT_THREADS environment
 variable only changes how checks are scheduled, never their values.
 
 Exit codes: 0 all checks hold, 1 any violated, 2 any inconclusive,
-3 structural/config error.
+3 structural/config error, a command-line usage error included.
 """
 
 from __future__ import annotations
@@ -611,8 +611,16 @@ def _heat_config_from_args(args):
     return hc
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error is a config error (exit 3), not argparse's exit 2,
+    which reads as "inconclusive"; subparsers inherit this class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="carnot",
         description="Stratified Lie group heat kernel toolkit and inequality checker",
     )
@@ -758,8 +766,8 @@ def _cmd_preset(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "algebra":
             return _cmd_algebra(args)
         if args.command == "sample":

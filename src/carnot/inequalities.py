@@ -123,20 +123,25 @@ def _heavy(*contribs) -> bool:
     return any(heavy_tail_fraction(c) > HEAVY_TAIL_FRACTION for c in contribs)
 
 
+def _require_finite_mean(col, m: float) -> None:
+    """m, the mean of ``col``, must be finite: a non-finite mean is overflow,
+    which no margin can be decided from."""
+    if not math.isfinite(m):
+        bad = np.flatnonzero(~np.isfinite(col))
+        where = f"at sample {bad[0]}" if bad.size else "in a column sum"
+        raise ParameterError(f"non-finite value (overflow) {where}")
+
+
 def _delta_method(cols, sides):
     """(lhs, rhs, influence, stderr) of a margin rhs - lhs, or of lhs if rhs is None.
 
     ``cols`` are a check's weighted per-sample columns and ``sides(*means)``
     returns (lhs, rhs, grad) from their means, grad being the gradient of
     the margin in the means.  The influence is sum_i grad_i (col_i - mean_i).
-    A non-finite mean is overflow, which no margin can be decided from.
     """
     means = [float(c.mean()) for c in cols]
     for c, m in zip(cols, means):
-        if not math.isfinite(m):
-            bad = np.flatnonzero(~np.isfinite(c))
-            where = f"at sample {bad[0]}" if bad.size else "in a column sum"
-            raise ParameterError(f"non-finite value (overflow) {where}")
+        _require_finite_mean(c, m)
     lhs, rhs, grad = sides(*means)
     terms = [g * (c - m) for g, c, m in zip(grad, cols, means)]
     infl = sum(terms[1:], terms[0])
@@ -365,51 +370,29 @@ def _row_ses(rows: np.ndarray) -> list:
     return (rows.std(axis=1, ddof=1) / math.sqrt(rows.shape[1])).tolist()
 
 
-def _sweep_points(name, f, batch, w, ts, r_of, m_of):
-    """(alpha values, (len(ts), n) influences) at the t of ``ts``, one t at a time.
+def _sweep_block(name, f, batch, w, ts, r_of, m_of):
+    """(alpha values, (len(ts), n) influences) at the t of ``ts``, from one
+    evaluation of f: one (len(ts), n) array u holds e^{-tE} f, then
+    w (e^{-tE} f)^r(t), then the influences, each made in place from the last.
 
-    The first t that fails raises its own error: e^(-tE) f <= 0, then a
-    non-finite mean, then a power that underflows.
+    A block of one t raises that t's own error, first of these: r(t)'s or
+    M(t)'s, f's, e^(-tE) f <= 0, a non-finite mean, the value's, a zero mean.
     """
-    values, infls = [], []
-    for t in ts:
-        r, m_t = r_of(t), m_of(t)
-        v = _positive_values(dilation_pullback(f, t), batch,
-                             f"{name} needs e^(-tE) f > 0 on samples at t = {t:g}")
-        value, _, infl, _ = _delta_method([w * v ** r], lambda m: (
-            m ** (1.0 / r) / m_t, None, [(1.0 / r) * _power_mean(
-                m, f"{name} at t = {t:g}: (e^(-tE) f)^{r:g}") ** (1.0 / r - 1.0) / m_t]))
-        values.append(value)
-        infls.append(infl)
-    return values, np.array(infls)
-
-
-def _sweep_block(f, batch, w, ts, r_of, m_of):
-    """What ``_sweep_points`` returns, from one evaluation of f for the whole
-    block, or None when some t of the block fails.
-
-    One (len(ts), n) array u holds e^{-tE} f, then w (e^{-tE} f)^r(t), then
-    the influences, each made in place from the one before.
-    """
-    try:
-        rs, m_ts = [r_of(t) for t in ts], [m_of(t) for t in ts]
-        u = evaluate_pullbacks(f, batch.algebra, batch.samples, ts)
-    except (CarnotError, ArithmeticError):
-        return None
+    rs, m_ts = [r_of(t) for t in ts], [m_of(t) for t in ts]
+    u = evaluate_pullbacks(f, batch.algebra, batch.samples, ts)
     if (u <= 0).any():
-        return None
+        i, k = divmod(int(np.argmax(u <= 0)), u.shape[1])
+        raise ParameterError(f"{name} needs e^(-tE) f > 0 on samples at t = {ts[i]:g}; "
+                             f"violated at sample {k}")
     for row, r in zip(u, rs):
         row **= r  # row by row, so numpy takes the shortcuts of v ** r (r = 2, 0.5, ...)
     u *= w
     means = u.mean(axis=1).tolist()
-    if not all(math.isfinite(m) and m != 0.0 for m in means):
-        return None
-    try:
-        values = [m ** (1.0 / r) / m_t for m, r, m_t in zip(means, rs, m_ts)]
-        grads = [(1.0 / r) * m ** (1.0 / r - 1.0) / m_t
-                 for m, r, m_t in zip(means, rs, m_ts)]
-    except ArithmeticError:
-        return None
+    for row, m in zip(u, means):
+        _require_finite_mean(row, m)
+    values = [m ** (1.0 / r) / m_t for m, r, m_t in zip(means, rs, m_ts)]
+    grads = [(1.0 / r) * _power_mean(m, f"{name} at t = {t:g}: (e^(-tE) f)^{r:g}")
+             ** (1.0 / r - 1.0) / m_t for t, m, r, m_t in zip(ts, means, rs, m_ts)]
     u -= np.array(means)[:, None]
     u *= np.array(grads)[:, None]
     return values, u
@@ -418,12 +401,12 @@ def _sweep_block(f, batch, w, ts, r_of, m_of):
 def _sweep(name, f, batch, ts, r_of, m_of, params, notes) -> SweepReport:
     """alpha(t) = M(t)^{-1} |e^{-tE} f|_{r(t)} over the sorted t grid.
 
-    The grid is evaluated in blocks of max(1, _SWEEP_BLOCK_FLOATS // n) t
-    values. One block is one (t, sample) array that holds e^{-tE} f, then its
-    weighted power and then its influences; between blocks only the
-    influence row of the block's last t is kept. A block in which some t
-    fails is run again one t at a time, so the error is that of the first
-    failing t.
+    The grid is evaluated by ``_sweep_block`` in blocks of
+    max(1, _SWEEP_BLOCK_FLOATS // n) t values; between blocks only the
+    influence row of the block's last t is kept. From a block in which some
+    t fails on, the grid runs one t at a time, so the error is that of the
+    first failing t; an ArithmeticError there, such as r(t) overflowing,
+    becomes a ParameterError naming the sweep and t.
 
     The verdict is "holds" when alpha is non-increasing within
     Z_THRESHOLD standard errors of each step plus ABS_FLOOR, and
@@ -435,11 +418,19 @@ def _sweep(name, f, batch, ts, r_of, m_of, params, notes) -> SweepReport:
         raise ParameterError(f"{name} needs a grid of at least two t values, got {ts.size}")
     w = batch.weights
     rows = max(1, _SWEEP_BLOCK_FLOATS // batch.n_samples)
-    values, stderrs, diff_ses, last = [], [], [], None
-    for lo in range(0, ts.size, rows):
+    values, stderrs, diff_ses, last, lo = [], [], [], None, 0
+    while lo < ts.size:
         block = ts[lo:lo + rows]
-        vals, infl = (_sweep_block(f, batch, w, block, r_of, m_of)
-                      or _sweep_points(name, f, batch, w, block, r_of, m_of))
+        try:
+            vals, infl = _sweep_block(name, f, batch, w, block, r_of, m_of)
+        except (CarnotError, ArithmeticError) as exc:
+            if block.size > 1:
+                rows = 1  # from here on one t at a time, so the first failing t raises
+                continue
+            if isinstance(exc, CarnotError):
+                raise
+            raise ParameterError(f"{name} at t = {block[0]:g}: {exc}") from exc
+        lo += block.size
         values += vals
         stderrs += _row_ses(infl)
         if last is not None:

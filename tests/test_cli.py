@@ -605,6 +605,83 @@ def test_sweep_errors_name_the_first_failing_t_and_sample(case, rows, tmp_path, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("rows", [None, 3], ids=["one-block", "blocks-of-3"])
+def test_sweep_power_overflow_names_the_first_failing_t(rows, tmp_path, monkeypatch, capsys):
+    # r(t) = e^(t/c) = e^(2t) overflows a float from t = 368 on, row 20 of
+    # UNDERFLOW_GRID: the run reports it as the sweep's error at that t
+    heat_kw = {"s": 1.0, "n": 500, "steps": 8, "seed": 1}
+    if rows:
+        monkeypatch.setattr(cli.inequalities, "_SWEEP_BLOCK_FLOATS", rows * heat_kw["n"])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(small_time_space_config(
+        fields={"f": {"library": "expx1"}}, heat=heat_kw,
+        checks=[{"check": "alpha-sweep", "field": "f", "q": 2.0, "c": 0.5,
+                 "grid": UNDERFLOW_GRID}])))
+    assert cli.main(["run", str(path)]) == 3
+    out, err = capsys.readouterr()
+    rep = json.loads(out)["reports"][0]
+    assert rep["verdict"] == cli.VERDICT_ERROR
+    assert rep["error"] == "alpha-sweep at t = 368: math range error"
+    assert err == ""
+
+
+def test_dilation_overflow_in_a_sweep_fails_only_its_check(tmp_path):
+    # exp(300) ** 3 overflows a float: engel's third-layer weight at t = -300
+    config = small_time_space_config(
+        algebra="engel", fields={"f": {"library": "expx1"}},
+        heat={"s": 1.0, "n": 200, "steps": 8, "seed": 1},
+        checks=[{"check": "time-space", "field": "f"},
+                {"check": "contractivity", "field": "f", "grid": [-300, 0]}],
+        output={"dir": str(tmp_path / "out")})
+    manifest = cli.run(config)
+    assert manifest["exit_code"] == 3
+    time_space, sweep = _strict_json((tmp_path / "out" / "manifest.json").read_text())["reports"]
+    assert time_space["verdict"] == "holds"
+    assert sweep["verdict"] == cli.VERDICT_ERROR
+    assert sweep["error"] == "dilation weight exp(-t) ** j overflows at t = -300"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["check", "shc", "--algebra", "engel", "--field", "@expx1", "--t", "-400",
+      "--exploratory"], "dilation weight exp(-t) ** j overflows at t = -400"),
+    (["sweep", "alpha", "--algebra", "heisenberg(1)", "--field", "@expx1", "--c", "0.5",
+      "--grid", "0,400"], "alpha-sweep at t = 400: math range error"),
+], ids=["shc-weight", "alpha-sweep-r"])
+def test_overflow_at_t_is_a_check_error(argv, error, capsys):
+    rc = cli.main([*argv, "--n", "200", "--steps", "8"])
+    out, err = capsys.readouterr()
+    assert rc == 3 and err == ""
+    rep = json.loads(out)
+    assert rep["verdict"] == cli.VERDICT_ERROR and rep["error"] == error
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "slsi", "--algebra", "heisenberg(1)", "--field", "@expx1", "--c", "abc"],
+    ["bogus"],
+    ["check", "slsi", "--field", "@expx1"],
+    ["check", "contractivity", "--algebra", "heisenberg(1)", "--field", "@expx1",
+     "--grid", "-1,0"],
+], ids=["non-numeric-c", "unknown-command", "missing-algebra", "negative-grid"])
+def test_usage_errors_exit_3(argv, monkeypatch, capsys):
+    # argparse's own exit code 2 would read as "inconclusive"
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(cli.heat, "sample", no_sampling)
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["check", "--help"]])
+def test_help_and_version_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
 OVERFLOWING_CHECKS = {
     # Ef overflows to inf: no margin can be formed from its mean
     "time-space": ("(+ 1 (exp (* 800 x_1_1)))", "non-finite value (overflow) at sample"),
