@@ -260,7 +260,13 @@ def _batch_config(bc: dict, where: str) -> dict:
     return {"s": _converted(float, bc["s"], where, "s"),
             "n": _converted(int, bc["n"], where, "n"),
             "steps": _converted(int, bc.get("steps", 512), where, "steps"),
-            "seed": _converted(int, bc["seed"], where, "seed")}
+            "seed": _seed(bc["seed"], where)}
+
+
+def _seed(value, where: str) -> int:
+    if not heat._seed_ok(value):
+        raise ConfigError(f"{where}: 'seed' must be an integer in [0, 2^64), got {value!r}")
+    return int(value)
 
 
 def validate_config(config: dict) -> dict:

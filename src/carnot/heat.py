@@ -11,19 +11,18 @@ X_k exp(sigma Z_k . xi) with sigma = sqrt(h/2).  Because first-layer BCH
 terms are additive, first-layer marginals are exact in law for any number
 of steps; the full law converges at weak order 1.
 
-Reproducibility: each path has its own counter-based Philox stream keyed by
-(seed, path index), so batches are bit-identical regardless of how paths
-are chunked or distributed over workers.
+Reproducibility: block b of _BLOCK_PATHS paths draws its paths' normals,
+one path after another, from its own SFC64 stream keyed by (seed, b), and a
+partial last block takes a prefix of it.  So a batch is bit-identical however
+its paths are chunked, and its paths are the first n of any larger batch at
+the same seed.
 
-Cost: paths are sampled in chunks of at most _CHUNK_BUDGET increments
-(2^20 floats, 8 MB), all drawn into one buffer, so one sampler call holds
-one chunk of increments at any n_samples (a coupled refinement adds one more
-buffer for its coarser walks' block sums).  One generator serves every
-path: its Philox state is rewound to (seed, path) before the path's normals
-are drawn into place.  The walk runs column-wise: each coordinate is one
-contiguous array over the chunk's paths, and each step goes through the
-shared BCH evaluator group.multiply_jets with the step's structurally zero
-upper layers passed as 0.0.
+Cost: paths are sampled in chunks of whole blocks, of at most _CHUNK_BUDGET
+increments (2^20 floats, 8 MB) where one block fits, drawn into one buffer,
+so a call holds one chunk at any n_samples (a coupled refinement adds one
+buffer for its coarser walks' block sums).  The walk runs column-wise: each
+coordinate is one contiguous array over the chunk's paths, and each step goes
+through group.multiply_jets with its structurally zero upper layers as 0.0.
 
 Optionally, sampling applies an exponential tilt in the first layer
 (importance sampling): with tilt vector b the first-layer mean shifts to
@@ -54,6 +53,8 @@ from .reports import (
 
 # upper bound on increments (floats) per chunk of paths
 _CHUNK_BUDGET = 2 ** 20
+# paths per block of the normal stream: block b is keyed (seed, b)
+_BLOCK_PATHS = 256
 # the walk transposes increments to step-major order in tiles of this size
 _TILE_PATHS = 256
 _TILE_STEPS = 32
@@ -119,7 +120,13 @@ def load_csv(path: str, algebra: StratifiedAlgebra) -> np.ndarray:
     return data
 
 
-def _validate_params(s, n_samples, n_steps):
+def _seed_ok(seed) -> bool:
+    return isinstance(seed, (int, np.integer)) and type(seed) is not bool and 0 <= seed < 2 ** 64
+
+
+def _validate_params(s, n_samples, n_steps, seed):
+    if not _seed_ok(seed):
+        raise ParameterError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     if not (s > 0):
         raise ParameterError(f"time s must be > 0, got {s}")
     if n_steps < 1:
@@ -132,31 +139,24 @@ def _increments(algebra: StratifiedAlgebra, s: float, n_samples: int,
                 n_steps: int, seed: int, shift=None):
     """First-layer walk increments chunk by chunk: yields (lo, hi, inc).
 
-    inc is (hi - lo, n_steps, d1), sigma times the per-path normals of paths
-    lo..hi-1, plus ``shift`` when given.  Every chunk is drawn into one
-    buffer, so the yielded array is overwritten at the next step: consume it
-    before asking for the next chunk.
+    inc is (hi - lo, n_steps, d1), sigma times the normals of paths lo..hi-1,
+    plus ``shift`` when given.  Block b fills its rows in one SFC64 draw keyed
+    by the fixed-width uint32 words (seed mod 2^32, b, seed div 2^32), so no
+    two (seed, b) share a stream.  Every chunk reuses one buffer: consume it first.
     """
     d1 = algebra.dim_v1
     sigma = math.sqrt(s / n_steps / 2.0)
-    chunk = max(256, _CHUNK_BUDGET // max(1, n_steps * d1))
-    # one generator for all paths: each path rewinds it to the start of the
-    # Philox stream keyed by (seed, path)
-    key = [seed, 0]
-    state = {"bit_generator": "Philox",
-             "state": {"counter": [0, 0, 0, 0], "key": key},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
-    bitgen = np.random.Philox(key=key)
-    gen = np.random.Generator(bitgen)
+    chunk = max(1, _CHUNK_BUDGET // (n_steps * d1 * _BLOCK_PATHS)) * _BLOCK_PATHS
     buf = np.empty((min(chunk, n_samples), n_steps, d1))
     for lo in range(0, n_samples, chunk):
         hi = min(lo + chunk, n_samples)
         inc = buf[:hi - lo]
-        for i in range(hi - lo):
-            key[1] = lo + i
-            bitgen.state = state
-            gen.standard_normal(out=inc[i])
+        for b0 in range(0, hi - lo, _BLOCK_PATHS):
+            # first use of np.random, never at import; seed < 2^32 keys SeedSequence([seed, b])
+            key = np.random.SeedSequence(np.array(
+                [seed % 2 ** 32, (lo + b0) // _BLOCK_PATHS, seed >> 32], dtype=np.uint32))
+            np.random.Generator(np.random.SFC64(key)).standard_normal(
+                out=inc[b0:b0 + _BLOCK_PATHS])
         inc *= sigma
         if shift is not None:
             inc += shift
@@ -218,7 +218,7 @@ def _endpoints(algebra: StratifiedAlgebra, s: float, n_samples: int, steps_list,
 def sample(algebra: StratifiedAlgebra, s: float, n_samples: int,
            n_steps: int = 512, seed: int = 0, tilt=None) -> HeatSampleBatch:
     """Draw n_samples from rho_s dm with a n_steps-step horizontal walk."""
-    _validate_params(s, n_samples, n_steps)
+    _validate_params(s, n_samples, n_steps, seed)
     d1 = algebra.dim_v1
     if tilt is not None:
         tilt = np.asarray(tilt, dtype=float)
@@ -248,7 +248,7 @@ def coupled_refinement(algebra: StratifiedAlgebra, s: float, n_samples: int,
     steps_list = sorted(set(int(k) for k in steps_list))
     finest = steps_list[-1]
     for k in steps_list:
-        _validate_params(s, n_samples, k)
+        _validate_params(s, n_samples, k, seed)
         if finest % k:
             raise ParameterError(f"{k} does not divide finest step count {finest}")
     return {

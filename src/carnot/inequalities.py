@@ -335,7 +335,10 @@ def check_shc(f: ScalarField, batch: HeatSampleBatch, p: float, q: float,
             f"t={t} is below Janson's time t_J={t_j}; pass exploratory=True to probe"
         )
     notes = _warn_if_not_lsh(f, batch, lsh_status)
-    m_pq = defect_m(p, q, beta)
+    try:
+        m_pq = defect_m(p, q, beta)
+    except OverflowError as exc:
+        raise ParameterError(f"sHC check: M(p, q) at p = {p:g}, q = {q:g}: {exc}") from exc
     w = batch.weights
     vv = w * _positive_values(f, batch, "sHC check needs f > 0 on samples") ** p
     u = w * _positive_values(dilation_pullback(f, t), batch,

@@ -93,6 +93,15 @@ BAD_CONFIGS = {
     "inf-heat-s": ({"heat": {"s": math.inf, "n": 100, "seed": 1}},
                    ["heat", "'s'", "finite"]),
     "inf-heat-n": ({"heat": {"s": 1.0, "n": math.inf, "seed": 1}}, ["heat", "'n'"]),
+    "negative-seed": ({"heat": {"s": 1.0, "n": 100, "seed": -1}},
+                      ["heat", "'seed'", "[0, 2^64)", "-1"]),
+    "huge-seed": ({"heat": {"s": 1.0, "n": 100, "seed": 2 ** 64}},
+                  ["heat", "'seed'", "[0, 2^64)", str(2 ** 64)]),
+    "bool-seed": ({"heat": {"s": 1.0, "n": 100, "seed": True}},
+                  ["heat", "'seed'", "[0, 2^64)", "True"]),
+    "fractional-extra-seed": ({"extra_batches": {"b": {"s": 0.25, "n": 100, "seed": 1.5}},
+                               "checks": [{"check": "scaling", "lambda": 2.0, "batch": "b"}]},
+                              ["extra_batches.b", "'seed'", "[0, 2^64)", "1.5"]),
     "nan-extra-s": ({"extra_batches": {"b": {"s": "nan", "n": 100, "seed": 1}},
                      "checks": [{"check": "scaling", "lambda": 2.0, "batch": "b"}]},
                     ["extra_batches.b", "'s'", "finite"]),
@@ -639,6 +648,22 @@ def test_dilation_overflow_in_a_sweep_fails_only_its_check(tmp_path):
     assert time_space["verdict"] == "holds"
     assert sweep["verdict"] == cli.VERDICT_ERROR
     assert sweep["error"] == "dilation weight exp(-t) ** j overflows at t = -300"
+
+
+def test_shc_constant_overflow_fails_only_its_check(tmp_path):
+    # M(p, q) = exp(beta (1/p - 1/q)) = exp(999) overflows a float
+    config = small_time_space_config(
+        fields={"f": {"library": "expx1"}},
+        heat={"s": 1.0, "n": 200, "steps": 8, "seed": 1},
+        checks=[{"check": "shc", "field": "f", "p": 0.001, "q": 1, "c": 0.5, "beta": 1},
+                {"check": "time-space", "field": "f"}],
+        output={"dir": str(tmp_path / "out")})
+    manifest = cli.run(config)
+    assert manifest["exit_code"] == 3
+    shc, time_space = _strict_json((tmp_path / "out" / "manifest.json").read_text())["reports"]
+    assert shc["verdict"] == cli.VERDICT_ERROR
+    assert shc["error"] == "sHC check: M(p, q) at p = 0.001, q = 1: math range error"
+    assert time_space["verdict"] == "holds"
 
 
 @pytest.mark.parametrize("argv, error", [

@@ -70,12 +70,31 @@ def test_determinism_and_chunk_independence(h3, monkeypatch):
     assert not np.array_equal(b1.samples, b4.samples)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, True])
+def test_seed_outside_uint64_is_a_parameter_error(seed, h3):
+    with pytest.raises(ParameterError, match="seed must be an integer in \\[0, 2\\^64\\)"):
+        heat.sample(h3, 1.0, 10, 4, seed=seed)
+    with pytest.raises(ParameterError, match="seed"):
+        heat.coupled_refinement(h3, 1.0, 10, [2, 4], seed=seed)
+
+
+def test_block_streams_differ_across_seed_words(h3):
+    # seed 2^32, block 0 and seed 0, block 1 both join to the words [0, 1] if
+    # the key is [seed, block]: the block index must not run into the seed's words
+    later = heat.sample(h3, 1.0, 512, 4, seed=0).samples[256:]
+    assert not np.array_equal(later, heat.sample(h3, 1.0, 256, 4, seed=2 ** 32).samples)
+    assert np.isfinite(heat.sample(h3, 1.0, 300, 4, seed=2 ** 64 - 1).samples).all()
+
+
 def _reference_increments(alg, s, n, n_steps, seed, tilt=None):
-    """sigma times each path's normals, from a fresh Philox keyed (seed, path)."""
-    inc = np.stack([
-        np.random.Generator(np.random.Philox(key=[seed, i])).standard_normal(
-            (n_steps, alg.dim_v1))
-        for i in range(n)
+    """sigma times the paths' normals: block b of 256 paths is one draw, path
+    after path, from a fresh SFC64 seeded by the uint32 words (seed mod 2^32,
+    b, seed div 2^32), and a partial last block draws only its own paths."""
+    inc = np.concatenate([
+        np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+            np.array([seed % 2 ** 32, b, seed >> 32], dtype=np.uint32))))
+        .standard_normal((min(256, n - 256 * b), n_steps, alg.dim_v1))
+        for b in range(-(-n // 256))
     ])
     inc *= math.sqrt(s / n_steps / 2.0)
     if tilt is not None:
@@ -103,10 +122,22 @@ ORACLE_CASES = {
 }
 
 
+def test_import_does_not_load_numpy_random():
+    # numpy.random is first loaded by the first draw: loading it on import
+    # would add to the set-up time and memory of every CLI call
+    src = os.path.dirname(os.path.dirname(os.path.abspath(heat.__file__)))
+    code = "import sys, carnot.cli, carnot.heat, carnot.lsh; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("budget", [None, 1])
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_sample_bytes_match_per_path_reference(case, budget, monkeypatch):
-    # budget 1 gives 256-path chunks, so 600 paths span three chunks
+    # 600 paths span three 256-path blocks, the last one partial; budget 1
+    # gives one-block chunks
     if budget is not None:
         monkeypatch.setattr(carnot.heat, "_CHUNK_BUDGET", budget)
     kw = ORACLE_CASES[case]

@@ -73,14 +73,29 @@ def test_lp_norm_power_underflow_is_an_error(h3):
             ineq.estimate("lp", calc.parse_field("(* 1e-90 (exp x_1_1))"), batch, p=4.0)
 
 
-@pytest.mark.parametrize("fid", ["l1", "entropy", "dirichlet", "grad_sq", "euler",
-                                 "laplacian"])
+# each functional's integrand of f = 1 + g, g = e^(800 x), x = x_1_1, on h3:
+# X_1 f = 800 g, X_2 f = 0, Delta f = 800^2 g and Ef = 800 x g
+OVERFLOW_INTEGRANDS = {
+    "l1": lambda x, g: 1 + g,
+    "entropy": lambda x, g: (1 + g) * np.log(1 + g),
+    "dirichlet": lambda x, g: (800 * g) ** 2 / (1 + g),
+    "grad_sq": lambda x, g: (800 * g) ** 2,
+    "euler": lambda x, g: 800 * x * g,
+    "laplacian": lambda x, g: 800 ** 2 * g,
+}
+
+
+@pytest.mark.parametrize("fid", list(OVERFLOW_INTEGRANDS))
 def test_estimate_overflow_is_an_error(fid, h3):
-    # f = 1 + e^(800 x) is inf on some samples: the mean is inf or NaN
+    # f = 1 + e^(800 x) is inf on some samples: the mean is inf or NaN, and
+    # the error names the first sample where the integrand overflows
     batch = heat.sample(h3, 1.0, 200, 8, seed=1)
     f = calc.parse_field("(+ 1 (exp (* 800 x_1_1)))")
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ParameterError, match="non-finite value \\(overflow\\) at sample 4"):
+        x = batch.samples[:, 0]
+        first = np.flatnonzero(~np.isfinite(OVERFLOW_INTEGRANDS[fid](x, np.exp(800 * x))))[0]
+        with pytest.raises(ParameterError,
+                           match=f"non-finite value \\(overflow\\) at sample {first}$"):
             ineq.estimate(fid, f, batch)
 
 
