@@ -15,6 +15,10 @@ The entries are:
   field of the builtin LSH library, on a 1000-point ``lsh.grid_points`` grid
   of engel and of heisenberg(2); the output is |grad f|^2, Delta f and Ef as
   JSON lists;
+- ``calculus.to_expr`` of each field of the builtin LSH library on each of
+  the five ``heat.sample`` algebras, and of ``calculus.parse_field`` of one
+  expression per operator of the mini-language; the output is the rendered
+  texts as JSON;
 - ``carnot check KIND`` for each kind, ``carnot check lsi --form L2``,
   ``carnot sweep alpha``, and on a 33-point t grid, which a sweep at this n
   evaluates in several blocks, ``carnot sweep alpha`` of the Dilated field
@@ -67,6 +71,11 @@ REFINE_ALGEBRAS = ("heisenberg(1)", "engel", "euclidean(1)")
 REFINE_STEPS = [4, 16, 64]
 JET_ALGEBRAS = ("engel", "heisenberg(2)")
 JET_GRID_N = 1000
+# one expression per operator, unary and binary ``-`` and a nested ``dilated``
+RENDER_EXPRS = ("(+ x_1_1 x_1_2 2.0)", "(* 0.5 x_1_1 x_2_1)", "(- x_1_2)",
+                "(- x_1_1 x_2_1)", "(pow x_1_1 2.5)", "(exp (* 0.7 x_1_2))",
+                "(log (+ 1.0 (pow x_2_1 2.0)))",
+                "(dilated (dilated (+ x_1_1 x_2_1) 0.3) -0.2)")
 GRID_33 = ",".join(repr(i / 32) for i in range(33))
 POINTS_SAMPLE = {"s": 1.0, "n_samples": 500, "n_steps": 16, "seed": 3}
 FAILING_SWEEP_CONFIGS = {
@@ -110,6 +119,15 @@ for job in json.load(sys.stdin):
                                "euler": euler.tolist()})
             print(json.dumps({"entry": f"{job['entry']} @{entry.name}", "exit": 0,
                               "text": text}), flush=True)
+        continue
+    if "render" in job:
+        texts = {name: {e.name: calculus.to_expr(e.field)
+                        for e in lsh.builtin_lsh_library(algebra.builtin(name))}
+                 for name in job["render"]}
+        texts["parse_field"] = {expr: calculus.to_expr(calculus.parse_field(expr))
+                                for expr in job["exprs"]}
+        print(json.dumps({"entry": job["entry"], "exit": 0, "text": json.dumps(texts)}),
+              flush=True)
         continue
     if "sample" in job or "refine" in job:
         kw = job.get("sample") or job["refine"]
@@ -158,6 +176,8 @@ def run_jobs() -> list:
              for name in REFINE_ALGEBRAS]
     jobs += [{"entry": f"jets {name} grid={JET_GRID_N}", "jets": name, "n": JET_GRID_N}
              for name in JET_ALGEBRAS]
+    jobs.append({"entry": "calculus.to_expr of the library and the operator forms",
+                 "render": SAMPLE_ALGEBRAS, "exprs": RENDER_EXPRS})
     jobs += [{"entry": entry, "config": config, "threads": "1"}
              for entry, config in FAILING_SWEEP_CONFIGS.items()]
     return jobs

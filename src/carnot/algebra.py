@@ -217,18 +217,11 @@ def validate(algebra: StratifiedAlgebra) -> ValidationReport:
     gen_res = 0.0
     detail = ""
     for j in range(1, algebra.step):
-        images = []
-        for i1 in range(*algebra.layer_slice(1).indices(algebra.dim)):
-            for ij in range(*algebra.layer_slice(j).indices(algebra.dim)):
-                e1 = np.zeros(algebra.dim)
-                ej = np.zeros(algebra.dim)
-                e1[i1] = 1.0
-                ej[ij] = 1.0
-                images.append(algebra.bracket(e1, ej)[algebra.layer_slice(j + 1)])
-        mat = np.array(images)
+        # row (a, b) is [e_a, e_b] on V_{j+1}, for e_a in V_1 and e_b in V_j
         want = algebra.layer_dims[j]
-        svals = np.linalg.svd(mat, compute_uv=False) if mat.size else np.array([])
-        rank = int(np.sum(svals > 1e-10))
+        mat = C[algebra.layer_slice(1), algebra.layer_slice(j),
+                algebra.layer_slice(j + 1)].reshape(-1, want)
+        rank = int(np.sum(np.linalg.svd(mat, compute_uv=False) > 1e-10))
         if rank < want:
             gen_ok = False
             detail = f"[V_1,V_{j}] does not span V_{j + 1} (rank {rank} < {want})"

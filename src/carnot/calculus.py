@@ -10,6 +10,14 @@ left-invariant field of xi, the second jet component along it equals the
 iterated derivative, so the sub-Laplacian is a sum of second jets over an
 orthonormal first-layer frame.
 
+Each node class is the one place that knows its operator: it carries its
+mini-language ``op`` and its ``args`` (the child fields, then the numbers,
+as in ``(pow base p)`` and ``(dilated inner t)``), and its
+``_eval(algebra, values)`` maps one float, array or jet per coordinate, in
+flat order, to its own. ``to_expr`` and ``_coordinates`` walk ``args``
+alike for every node, and ``parse_field`` looks each operator up in one
+table built from the classes' ``op``.
+
 Jet components may be floats or numpy arrays; all operators therefore work
 pointwise or vectorized over a whole sample batch at once.
 
@@ -26,6 +34,7 @@ zero), so this removes most of the arithmetic of a frame.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -123,49 +132,16 @@ def _require_power_domain(v, p):
             raise DomainError(f"power {p} of zero value at sample {bad}")
 
 
-def _exp(v):
-    return v.exp() if isinstance(v, Jet2) else np.exp(v)
-
-
-def _log(v):
-    if isinstance(v, Jet2):
-        return v.log()
-    _require_positive(v, "log")
-    return np.log(v)
-
-
-def _pow(v, p):
-    if isinstance(v, Jet2):
-        return v.pow(p)
-    _require_power_domain(v, p)
-    return v ** p
-
-
 # -- scalar fields ------------------------------------------------------------
 
 
-class EvalContext:
-    """Coordinate values (floats, arrays, or jets) for one evaluation pass."""
-
-    __slots__ = ("algebra", "values")
-
-    def __init__(self, algebra: StratifiedAlgebra, values):
-        self.algebra = algebra
-        self.values = values
-
-    def coordinate(self, j: int, k: int):
-        return self.values[self.algebra.flat_index((j, k))]
-
-    def scaled(self, weights):
-        return EvalContext(
-            self.algebra, [v * w for v, w in zip(self.values, weights)]
-        )
-
-
 class ScalarField:
-    """Base expression node.  Subclasses implement ``_eval``."""
+    """Base expression node; the atoms ``Const`` and ``Var`` have no op or args."""
 
-    def _eval(self, ctx: EvalContext):
+    op: str | None = None
+    args: tuple = ()
+
+    def _eval(self, algebra: StratifiedAlgebra, values):
         raise NotImplementedError
 
     # algebraic sugar so tests and the LSH library read naturally
@@ -204,7 +180,7 @@ class Const(ScalarField):
     def __init__(self, value: float):
         self.value = float(value)
 
-    def _eval(self, ctx):
+    def _eval(self, algebra, values):
         return self.value
 
 
@@ -213,70 +189,106 @@ class Var(ScalarField):
         self.j = int(j)
         self.k = int(k)
 
-    def _eval(self, ctx):
-        return ctx.coordinate(self.j, self.k)
+    def _eval(self, algebra, values):
+        return values[algebra.flat_index((self.j, self.k))]
 
 
-class Sum(ScalarField):
+class _Fold(ScalarField):
+    """An n-ary node: a plain left fold of its children's values by ``_step``."""
+
     def __init__(self, *children):
-        self.children = [_as_field(c) for c in children]
+        self.args = tuple(_as_field(c) for c in children)
 
-    def _eval(self, ctx):
-        acc = self.children[0]._eval(ctx)
-        for c in self.children[1:]:
-            acc = acc + c._eval(ctx)
+    def _eval(self, algebra, values):
+        acc = self.args[0]._eval(algebra, values)
+        for c in self.args[1:]:
+            acc = self._step(acc, c._eval(algebra, values))
         return acc
 
-
-class Prod(ScalarField):
-    def __init__(self, *children):
-        self.children = [_as_field(c) for c in children]
-
-    def _eval(self, ctx):
-        acc = self.children[0]._eval(ctx)
-        for c in self.children[1:]:
-            acc = acc * c._eval(ctx)
-        return acc
+    @classmethod
+    def _parse(cls, args):
+        if not args:
+            raise ConfigError(f"({cls.op}) needs at least one argument")
+        return args[0] if len(args) == 1 else cls(*args)
 
 
-class Pow(ScalarField):
-    def __init__(self, base, p: float):
-        self.base = _as_field(base)
-        self.p = float(p)
-
-    def _eval(self, ctx):
-        return _pow(self.base._eval(ctx), self.p)
+class Sum(_Fold):
+    op, _step = "+", operator.add
 
 
-class Exp(ScalarField):
+class Prod(_Fold):
+    op, _step = "*", operator.mul
+
+
+class _Unary(ScalarField):
     def __init__(self, arg):
-        self.arg = _as_field(arg)
+        self.args = (_as_field(arg),)
 
-    def _eval(self, ctx):
-        return _exp(self.arg._eval(ctx))
-
-
-class Log(ScalarField):
-    def __init__(self, arg):
-        self.arg = _as_field(arg)
-
-    def _eval(self, ctx):
-        return _log(self.arg._eval(ctx))
+    @classmethod
+    def _parse(cls, args):
+        if len(args) != 1:
+            raise ConfigError(f"({cls.op} f) takes one argument")
+        return cls(args[0])
 
 
-class Dilated(ScalarField):
-    """f composed with delta_{e^{-t}}; the dilation semigroup pullback e^{-tE}f.
+class Exp(_Unary):
+    op = "exp"
+
+    def _eval(self, algebra, values):
+        v = self.args[0]._eval(algebra, values)
+        return v.exp() if isinstance(v, Jet2) else np.exp(v)
+
+
+class Log(_Unary):
+    op = "log"
+
+    def _eval(self, algebra, values):
+        v = self.args[0]._eval(algebra, values)
+        if isinstance(v, Jet2):
+            return v.log()
+        _require_positive(v, "log")
+        return np.log(v)
+
+
+class _FieldAndNumber(ScalarField):
+    """A node ``(op f number)``; ``_usage`` is the parse error of any other form."""
+
+    def __init__(self, f, number: float):
+        self.args = (_as_field(f), float(number))
+
+    @classmethod
+    def _parse(cls, args):
+        if len(args) != 2 or not isinstance(args[1], Const):
+            raise ConfigError(cls._usage)
+        return cls(args[0], args[1].value)
+
+
+class Pow(_FieldAndNumber):
+    op, _usage = "pow", "(pow f p) needs a field and a numeric exponent"
+
+    def _eval(self, algebra, values):
+        base, p = self.args
+        v = base._eval(algebra, values)
+        if isinstance(v, Jet2):
+            return v.pow(p)
+        _require_power_domain(v, p)
+        return v ** p
+
+
+class Dilated(_FieldAndNumber):
+    """f composed with delta_{e^{-t}}, ``args`` (f, t); the dilation semigroup
+    pullback e^{-tE}f.
 
     Stores the log-scale t so that composing pullbacks adds the parameters
     exactly.
     """
 
-    def __init__(self, inner, t: float):
-        self.inner = _as_field(inner)
-        self.t = float(t)
+    op, _usage = "dilated", "(dilated f t) needs a field and a numeric log-scale t"
 
-    def _eval(self, ctx):
-        return self.inner._eval(ctx.scaled(_pullback_weights(ctx.algebra, self.t)))
+    def _eval(self, algebra, values):
+        inner, t = self.args
+        weights = _pullback_weights(algebra, t)
+        return inner._eval(algebra, [v * w for v, w in zip(values, weights)])
 
 
 def _pullback_weights(algebra: StratifiedAlgebra, t: float) -> list:
@@ -295,7 +307,8 @@ def x(j: int, k: int = 1) -> Var:
 def dilation_pullback(f: ScalarField, t: float) -> ScalarField:
     """e^{-tE} f = f o delta_{e^{-t}}; pullbacks compose by adding t."""
     if isinstance(f, Dilated):
-        return Dilated(f.inner, f.t + float(t))
+        inner, t0 = f.args
+        return Dilated(inner, t0 + float(t))
     return Dilated(f, float(t))
 
 
@@ -309,11 +322,15 @@ def compose_dilation(f: ScalarField, lam: float) -> ScalarField:
 # -- evaluation ---------------------------------------------------------------
 
 
+def _column(value, n: int) -> np.ndarray:
+    """A value or jet component (a float or an (n,) array) as a new (n,) array."""
+    return np.broadcast_to(np.asarray(value, dtype=float), (n,)).copy()
+
+
 def evaluate_batch(f: ScalarField, algebra: StratifiedAlgebra, coords) -> np.ndarray:
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    ctx = EvalContext(algebra, [coords[:, i] for i in range(algebra.dim)])
-    out = f._eval(ctx)
-    return np.broadcast_to(np.asarray(out, dtype=float), (coords.shape[0],)).copy()
+    out = f._eval(algebra, [coords[:, i] for i in range(algebra.dim)])
+    return _column(out, coords.shape[0])
 
 
 def evaluate_pullbacks(f: ScalarField, algebra: StratifiedAlgebra, coords, ts) -> np.ndarray:
@@ -328,13 +345,13 @@ def evaluate_pullbacks(f: ScalarField, algebra: StratifiedAlgebra, coords, ts) -
     never scaled.
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    inner, t0 = (f.inner, f.t) if isinstance(f, Dilated) else (f, None)
+    inner, t0 = f.args if isinstance(f, Dilated) else (f, None)
     weights = [_pullback_weights(algebra, float(t) if t0 is None else t0 + float(t))
                for t in ts]
     values = [0.0] * algebra.dim
     for i in {algebra.flat_index(jk) for jk in _coordinates(inner)}:
         values[i] = np.multiply.outer([w[i] for w in weights], coords[:, i])
-    out = np.asarray(inner._eval(EvalContext(algebra, values)), dtype=float)
+    out = np.asarray(inner._eval(algebra, values), dtype=float)
     shape = (len(weights), coords.shape[0])
     # a tree that reads a coordinate returns a (len(ts), n) array of its own
     return out if out.shape == shape else np.broadcast_to(out, shape).copy()
@@ -366,7 +383,7 @@ def _curve(algebra, coords, xi, side: str = "left"):
 def curve_jet(f, algebra, coords, xi, side: str = "left") -> Jet2:
     """2-jet of t -> f(x exp(t xi)) (or exp(t xi) x for side='right'); its d1 and
     d2 are the left- (right-) invariant derivatives xi~f and xi~^2 f at each row x."""
-    return _ensure_jet(f._eval(EvalContext(algebra, _curve(algebra, coords, xi, side))))
+    return _ensure_jet(f._eval(algebra, _curve(algebra, coords, xi, side)))
 
 
 def frame_jets(algebra, coords):
@@ -388,7 +405,7 @@ def horizontal_jets(f, algebra, coords, frame=None):
     """
     if frame is None:
         frame = frame_jets(algebra, coords)
-    return [_ensure_jet(f._eval(EvalContext(algebra, gamma))) for gamma in frame]
+    return [_ensure_jet(f._eval(algebra, gamma)) for gamma in frame]
 
 
 def horizontal_sums(f, algebra, coords, frame=None):
@@ -418,8 +435,7 @@ def euler_derivative_batch(f, algebra, coords) -> np.ndarray:
         Jet2(coords[:, i], float(j) * coords[:, i], float(j) ** 2 * coords[:, i])
         for i, j in enumerate(algebra.layer_of)
     ]
-    out = _ensure_jet(f._eval(EvalContext(algebra, jets)))
-    return np.broadcast_to(np.asarray(out.d1, dtype=float), (coords.shape[0],)).copy()
+    return _column(_ensure_jet(f._eval(algebra, jets)).d1, coords.shape[0])
 
 
 def partial_derivative_batch(f, algebra, coords, idx: int) -> np.ndarray:
@@ -429,8 +445,7 @@ def partial_derivative_batch(f, algebra, coords, idx: int) -> np.ndarray:
         Jet2(coords[:, i], 1.0 if i == idx else 0.0, 0.0)
         for i in range(algebra.dim)
     ]
-    out = _ensure_jet(f._eval(EvalContext(algebra, jets)))
-    return np.broadcast_to(np.asarray(out.d1, dtype=float), (coords.shape[0],)).copy()
+    return _column(_ensure_jet(f._eval(algebra, jets)).d1, coords.shape[0])
 
 
 def euler_derivative_coordinate_formula(f, algebra, coords) -> np.ndarray:
@@ -484,7 +499,9 @@ def parse_field(expr: str, params: dict | None = None) -> ScalarField:
         if pos >= len(tokens):
             raise ConfigError(f"unterminated '(' in {expr!r}")
         pos += 1  # consume ')'
-        return build(op, args)
+        if op not in _PARSERS:
+            raise ConfigError(f"unknown operator {op!r}")
+        return _PARSERS[op](args)
 
     def atom(tok: str) -> ScalarField:
         m = _VAR_RE.match(tok)
@@ -496,60 +513,30 @@ def parse_field(expr: str, params: dict | None = None) -> ScalarField:
             return Const(float(params[tok]))
         raise ConfigError(f"unknown symbol {tok!r} (not a variable, number or parameter)")
 
-    def build(op: str, args: list) -> ScalarField:
-        if op == "+":
-            if not args:
-                raise ConfigError("(+) needs at least one argument")
-            return args[0] if len(args) == 1 else Sum(*args)
-        if op == "*":
-            if not args:
-                raise ConfigError("(*) needs at least one argument")
-            return args[0] if len(args) == 1 else Prod(*args)
-        if op == "-":
-            if len(args) == 1:
-                return Prod(Const(-1.0), args[0])
-            if len(args) == 2:
-                return Sum(args[0], Prod(Const(-1.0), args[1]))
-            raise ConfigError("(-) takes one or two arguments")
-        if op == "pow":
-            if len(args) != 2 or not isinstance(args[1], Const):
-                raise ConfigError("(pow f p) needs a field and a numeric exponent")
-            return Pow(args[0], args[1].value)
-        if op == "exp":
-            if len(args) != 1:
-                raise ConfigError("(exp f) takes one argument")
-            return Exp(args[0])
-        if op == "log":
-            if len(args) != 1:
-                raise ConfigError("(log f) takes one argument")
-            return Log(args[0])
-        if op == "dilated":
-            if len(args) != 2 or not isinstance(args[1], Const):
-                raise ConfigError("(dilated f t) needs a field and a numeric log-scale t")
-            return Dilated(args[0], args[1].value)
-        raise ConfigError(f"unknown operator {op!r}")
-
     out = parse()
     if pos != len(tokens):
         raise ConfigError(f"trailing tokens in field expression {expr!r}")
     return out
 
 
+def _parse_minus(args) -> ScalarField:
+    if len(args) == 1:
+        return -args[0]
+    if len(args) == 2:
+        return args[0] - args[1]
+    raise ConfigError("(-) takes one or two arguments")
+
+
+# op -> the builder of its form from the parsed arguments; ``-`` is sugar
+_PARSERS = {cls.op: cls._parse for cls in (Sum, Prod, Pow, Exp, Log, Dilated)}
+_PARSERS["-"] = _parse_minus
+
+
 def _coordinates(f: ScalarField) -> set:
     """The (j, k) of every coordinate variable in f's tree."""
-    if isinstance(f, Const):
-        return set()
     if isinstance(f, Var):
         return {(f.j, f.k)}
-    if isinstance(f, (Sum, Prod)):
-        return set().union(*map(_coordinates, f.children))
-    if isinstance(f, Pow):
-        return _coordinates(f.base)
-    if isinstance(f, (Exp, Log)):
-        return _coordinates(f.arg)
-    if isinstance(f, Dilated):
-        return _coordinates(f.inner)
-    raise TypeError(f"unknown field node {type(f)!r}")
+    return set().union(*(_coordinates(a) for a in f.args if isinstance(a, ScalarField)))
 
 
 def to_expr(f: ScalarField) -> str:
@@ -558,16 +545,4 @@ def to_expr(f: ScalarField) -> str:
         return repr(f.value)
     if isinstance(f, Var):
         return f"x_{f.j}_{f.k}"
-    if isinstance(f, Sum):
-        return "(+ " + " ".join(to_expr(c) for c in f.children) + ")"
-    if isinstance(f, Prod):
-        return "(* " + " ".join(to_expr(c) for c in f.children) + ")"
-    if isinstance(f, Pow):
-        return f"(pow {to_expr(f.base)} {f.p!r})"
-    if isinstance(f, Exp):
-        return f"(exp {to_expr(f.arg)})"
-    if isinstance(f, Log):
-        return f"(log {to_expr(f.arg)})"
-    if isinstance(f, Dilated):
-        return f"(dilated {to_expr(f.inner)} {f.t!r})"
-    raise TypeError(f"unknown field node {type(f)!r}")
+    return f"({' '.join([f.op, *(to_expr(_as_field(a)) for a in f.args)])})"

@@ -106,6 +106,13 @@ def _floats(values) -> list:
     return [float(v) for v in values]
 
 
+def _integer(value) -> int:
+    """value as an int when heat's integer rule holds; a float, string or bool raises."""
+    if not heat._is_integer(value):
+        raise TypeError("not an integer")
+    return int(value)
+
+
 def _tj_or_float(t):
     return t if t == "tJ" else float(t)
 
@@ -215,7 +222,7 @@ _CHECKS = {
         needs_batch=False, needs_field=False),
     "lsh": _Kind(
         _run_lsh, optional={"points": "grid", "grid_n": 1000, "radius": 3.0, "tol": 1e-9},
-        types={"grid_n": int, "radius": float, "tol": float}, needs_batch=False,
+        types={"grid_n": _integer, "radius": float, "tol": float}, needs_batch=False,
         positive=("grid_n", "radius"), validate=_lsh_tol),
 }
 
@@ -246,7 +253,8 @@ def _converted(conv, value, where: str, key: str):
     try:
         out = conv(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where}: {key!r} must be numeric, got {value!r}") from None
+        what = "an integer" if conv is _integer else "numeric"
+        raise ConfigError(f"{where}: {key!r} must be {what}, got {value!r}") from None
     numbers = out if isinstance(out, list) else [out]
     if any(isinstance(v, float) and not math.isfinite(v) for v in numbers):
         raise ConfigError(f"{where}: {key!r} must be finite, got {value!r}")
@@ -258,8 +266,8 @@ def _batch_config(bc: dict, where: str) -> dict:
         if key not in bc:
             raise ConfigError(f"{where} needs {key!r}")
     return {"s": _converted(float, bc["s"], where, "s"),
-            "n": _converted(int, bc["n"], where, "n"),
-            "steps": _converted(int, bc.get("steps", 512), where, "steps"),
+            "n": _converted(_integer, bc["n"], where, "n"),
+            "steps": _converted(_integer, bc.get("steps", 512), where, "steps"),
             "seed": _seed(bc["seed"], where)}
 
 

@@ -120,8 +120,13 @@ def load_csv(path: str, algebra: StratifiedAlgebra) -> np.ndarray:
     return data
 
 
+def _is_integer(value) -> bool:
+    """The one integer rule: an int or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and type(value) is not bool
+
+
 def _seed_ok(seed) -> bool:
-    return isinstance(seed, (int, np.integer)) and type(seed) is not bool and 0 <= seed < 2 ** 64
+    return _is_integer(seed) and 0 <= seed < 2 ** 64
 
 
 def _validate_params(s, n_samples, n_steps, seed):
@@ -129,10 +134,11 @@ def _validate_params(s, n_samples, n_steps, seed):
         raise ParameterError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     if not (s > 0):
         raise ParameterError(f"time s must be > 0, got {s}")
-    if n_steps < 1:
-        raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
-    if n_samples < 1:
-        raise ParameterError(f"n_samples must be >= 1, got {n_samples}")
+    for name, value in (("n_steps", n_steps), ("n_samples", n_samples)):
+        if not _is_integer(value):
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ParameterError(f"{name} must be >= 1, got {value}")
 
 
 def _increments(algebra: StratifiedAlgebra, s: float, n_samples: int,
@@ -245,10 +251,11 @@ def coupled_refinement(algebra: StratifiedAlgebra, s: float, n_samples: int,
     exactly while coupling the discretization errors across resolutions, so
     refinement trends are not drowned in independent sampling noise.
     """
+    for k in steps_list:
+        _validate_params(s, n_samples, k, seed)
     steps_list = sorted(set(int(k) for k in steps_list))
     finest = steps_list[-1]
     for k in steps_list:
-        _validate_params(s, n_samples, k, seed)
         if finest % k:
             raise ParameterError(f"{k} does not divide finest step count {finest}")
     return {

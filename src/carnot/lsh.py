@@ -6,8 +6,9 @@ exact jets and must agree; verification is pointwise on finite point sets,
 so a pass means "LSH-consistent on the tested points", never a proof.
 
 The class is closed under products, sums, positive powers and dilations;
-:func:`lsh_combine` builds those combinations and the closure is exercised
-by the test suite over the labeled builtin library.
+those combinations are the field operators ``f * g``, ``f + g``, ``f ** p``
+and :func:`calculus.compose_dilation`, and the closure is exercised by the
+test suite over the labeled builtin library.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from .calculus import (
     Const,
     Exp,
     Log,
-    Pow,
-    Prod,
     ScalarField,
     Sum,
     Var,
@@ -57,21 +56,10 @@ class LshVerdict(Report):
         return self.verdict == LSH_CONSISTENT
 
 
-def _as_points(points, algebra: StratifiedAlgebra | None):
-    if hasattr(points, "samples") and hasattr(points, "algebra"):
-        return points.algebra, np.asarray(points.samples, dtype=float)
-    if algebra is None:
-        raise ParameterError("pass an algebra when points are a bare array")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != algebra.dim:
-        raise StructureError(
-            f"points must be (n, {algebra.dim}) for this algebra, got {pts.shape}")
-    return algebra, pts
-
-
-def check_lsh(f: ScalarField, points, tol: float = DEFAULT_TOL,
-              algebra: StratifiedAlgebra | None = None, frame=None) -> LshVerdict:
-    """Evaluate Delta log f over the points; cross-check the ratio form.
+def check_lsh(f: ScalarField, points, tol: float = DEFAULT_TOL, *,
+              algebra: StratifiedAlgebra, frame=None) -> LshVerdict:
+    """Evaluate Delta log f over the points, an (n, dim) array of ``algebra``;
+    cross-check the ratio form.
 
     The two routes share nothing past the field tree and the frame jets of
     the points: one differentiates log f by the jet chain rule, the other
@@ -81,9 +69,12 @@ def check_lsh(f: ScalarField, points, tol: float = DEFAULT_TOL,
     gives the domain-error verdict; a value that is +0.0 with none such is an
     underflow or a zero of f and raises ParameterError, not a violation.
     """
-    alg, pts = _as_points(points, algebra)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[1] != algebra.dim:
+        raise StructureError(
+            f"points must be (n, {algebra.dim}) for this algebra, got {pts.shape}")
     try:
-        vals = evaluate_batch(f, alg, pts)
+        vals = evaluate_batch(f, algebra, pts)
     except DomainError as exc:
         return LshVerdict(LSH_DOMAIN_ERROR, None, None, tol, None, True,
                           pts.shape[0], detail=str(exc))
@@ -100,9 +91,9 @@ def check_lsh(f: ScalarField, points, tol: float = DEFAULT_TOL,
         )
 
     if frame is None:
-        frame = frame_jets(alg, pts)
-    _, delta_log = horizontal_sums(Log(f), alg, pts, frame)
-    grad_sq, lap = horizontal_sums(f, alg, pts, frame)
+        frame = frame_jets(algebra, pts)
+    _, delta_log = horizontal_sums(Log(f), algebra, pts, frame)
+    grad_sq, lap = horizontal_sums(f, algebra, pts, frame)
     lemma = (lap - grad_sq / vals) / vals
 
     i_worst = int(np.argmin(delta_log))
@@ -120,28 +111,6 @@ def check_lsh(f: ScalarField, points, tol: float = DEFAULT_TOL,
         routes_agree=(v1 == v2),
         n_points=pts.shape[0],
     )
-
-
-def lsh_combine(op: str, f: ScalarField, g: ScalarField | None = None,
-                p: float | None = None, lam: float | None = None) -> ScalarField:
-    """Closure operations: product, sum, power(p > 0), dilate(lambda > 0)."""
-    if op == "product":
-        if g is None:
-            raise ParameterError("product needs a second field")
-        return Prod(f, g)
-    if op == "sum":
-        if g is None:
-            raise ParameterError("sum needs a second field")
-        return Sum(f, g)
-    if op == "power":
-        if p is None or p <= 0:
-            raise ParameterError(f"power needs p > 0, got {p}")
-        return Pow(f, float(p))
-    if op == "dilate":
-        if lam is None or lam <= 0:
-            raise ParameterError(f"dilate needs lambda > 0, got {lam}")
-        return compose_dilation(f, float(lam))
-    raise ParameterError(f"unknown LSH combination {op!r}")
 
 
 def grid_points(algebra: StratifiedAlgebra, n: int = 1000, radius: float = 3.0,
@@ -181,20 +150,16 @@ def builtin_lsh_library(algebra: StratifiedAlgebra) -> list[LibraryField]:
     out = [
         LibraryField("const1", Const(1.0), "lsh", "positive constant"),
         LibraryField("expx1", expx1, "lsh", "exp(x_1_1)"),
-        LibraryField("coshx1", Sum(Exp(x1), Exp(Prod(Const(-1.0), x1))), "lsh",
-                     "exp(x_1_1) + exp(-x_1_1)"),
-        LibraryField("exppow", Pow(expx1, 2.5), "lsh", "exp(x_1_1)^2.5"),
+        LibraryField("coshx1", Exp(x1) + Exp(-x1), "lsh", "exp(x_1_1) + exp(-x_1_1)"),
+        LibraryField("exppow", expx1 ** 2.5, "lsh", "exp(x_1_1)^2.5"),
         LibraryField("expdil", compose_dilation(expx1, 1.5), "lsh",
                      "exp(x_1_1) o delta_1.5"),
     ]
     if d1 >= 2:
-        out.insert(2, LibraryField(
-            "explin",
-            Exp(Sum(Prod(Const(0.7), Var(1, 1)), Prod(Const(-0.3), Var(1, 2)))),
-            "lsh", "exp(0.7 x_1_1 - 0.3 x_1_2)",
-        ))
+        out.insert(2, LibraryField("explin", Exp(Sum(0.7 * Var(1, 1), -0.3 * Var(1, 2))),
+                                   "lsh", "exp(0.7 x_1_1 - 0.3 x_1_2)"))
 
-    sq = Sum(*[Pow(Var(1, k), 2.0) for k in range(1, d1 + 1)], Const(0.25))
+    sq = Sum(*[Var(1, k) ** 2 for k in range(1, d1 + 1)], Const(0.25))
     if d1 == 1:
         sq_status = "not-lsh"
     elif algebra.step <= 2:
@@ -206,15 +171,14 @@ def builtin_lsh_library(algebra: StratifiedAlgebra) -> list[LibraryField]:
     ))
 
     out.append(LibraryField(
-        "gauss-neg", Exp(Prod(Const(-1.0), Pow(x1, 2.0))), "not-lsh",
+        "gauss-neg", Exp(-x1 ** 2), "not-lsh",
         "exp(-x_1_1^2): strictly superharmonic exponent",
     ))
     if d1 >= 2:
-        neg2 = Exp(Sum(Prod(Const(-1.0), Pow(Var(1, 1), 2.0)),
-                       Prod(Const(-1.0), Pow(Var(1, 2), 2.0))))
+        neg2 = Exp(Sum(-Var(1, 1) ** 2, -Var(1, 2) ** 2))
         desc = "exp(-x_1_1^2 - x_1_2^2)"
     else:
-        neg2 = Exp(Prod(Const(-2.0), Pow(x1, 2.0)))
+        neg2 = Exp(-2.0 * x1 ** 2)
         desc = "exp(-2 x_1_1^2)"
     out.append(LibraryField("gauss-neg2", neg2, "not-lsh", desc))
     return out

@@ -221,19 +221,17 @@ def test_criterion_08_lsh_closure_suite(h3, announce):
     n_checks = 0
     for i, a in enumerate(library):
         for b in library[i:]:
-            for op in ("product", "sum"):
-                combo = lsh.lsh_combine(op, a.field, b.field)
+            for op, combo in (("product", a.field * b.field), ("sum", a.field + b.field)):
                 v = lsh.check_lsh(combo, points, tol=1e-9, algebra=h3)
                 assert v.is_lsh_consistent and v.routes_agree, (op, a.name, b.name)
                 n_checks += 1
     for a in library:
         for p in (0.5, 2.0, 3.0):
-            v = lsh.check_lsh(lsh.lsh_combine("power", a.field, p=p), points,
-                              tol=1e-9, algebra=h3)
+            v = lsh.check_lsh(a.field ** p, points, tol=1e-9, algebra=h3)
             assert v.is_lsh_consistent, ("power", a.name, p)
             n_checks += 1
         for lam in (0.5, 2.0):
-            v = lsh.check_lsh(lsh.lsh_combine("dilate", a.field, lam=lam), points,
+            v = lsh.check_lsh(calc.compose_dilation(a.field, lam), points,
                               tol=1e-9, algebra=h3)
             assert v.is_lsh_consistent, ("dilate", a.name, lam)
             n_checks += 1

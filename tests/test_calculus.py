@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from carnot import algebra, calculus as calc, cli, group, lsh
-from carnot.errors import ConfigError, DomainError, StructureError
+from carnot.errors import ConfigError, DomainError, ParameterError, StructureError
 
 
 def rand_points(alg, n, seed, scale=2.0):
@@ -40,7 +40,7 @@ def test_jets_match_polynomial_differentiation(r1):
                    for k, c in enumerate(coeffs)])
     x0, v = 0.7, 1.3
     jets = [calc.Jet2(x0, v, 0.0)]
-    out = f._eval(calc.EvalContext(r1, jets))
+    out = f._eval(r1, jets)
     d1 = sum(k * c * x0 ** (k - 1) for k, c in enumerate(coeffs) if k >= 1) * v
     d2 = sum(k * (k - 1) * c * x0 ** (k - 2) for k, c in enumerate(coeffs) if k >= 2) * v ** 2
     assert np.isclose(out.d1, d1, atol=1e-12)
@@ -436,7 +436,13 @@ def test_pullback_composition_is_exact(h3):
     f = calc.x(2, 1)
     g = calc.dilation_pullback(calc.dilation_pullback(f, 0.3), 0.4)
     assert isinstance(g, calc.Dilated)
-    assert g.t == 0.7
+    assert g.args == (f, 0.7)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0])
+def test_compose_dilation_needs_a_positive_factor(lam):
+    with pytest.raises(ParameterError, match="dilation factor must be > 0"):
+        calc.compose_dilation(calc.Exp(calc.x(1, 1)), lam)
 
 
 def test_evaluate_single_point(h3):
@@ -501,6 +507,46 @@ def test_parse_field_errors():
                  "(exp x_1_1) trailing", "(dilated x_1_1)", "(dilated x_1_1 x_1_2)"]:
         with pytest.raises(ConfigError):
             calc.parse_field(expr)
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("(boom x_1_1)", "unknown operator 'boom'"),
+    ("(+)", "(+) needs at least one argument"),
+    ("(*)", "(*) needs at least one argument"),
+    ("(-)", "(-) takes one or two arguments"),
+    ("(- x_1_1 x_1_2 x_2_1)", "(-) takes one or two arguments"),
+    ("(pow x_1_1)", "(pow f p) needs a field and a numeric exponent"),
+    ("(pow x_1_1 x_1_1)", "(pow f p) needs a field and a numeric exponent"),
+    ("(exp)", "(exp f) takes one argument"),
+    ("(log a b)", "(log f) takes one argument"),
+    ("(dilated x_1_1)", "(dilated f t) needs a field and a numeric log-scale t"),
+])
+def test_parse_field_error_texts(expr, message):
+    with pytest.raises(ConfigError) as exc:
+        calc.parse_field(expr, {"a": 1.0, "b": 2.0})
+    assert str(exc.value) == message
+
+
+# one expression per operator of the mini-language, and the coordinates it reads
+OPERATOR_EXPRS = {
+    "(+ x_1_1 x_1_2 2.0)": {(1, 1), (1, 2)},
+    "(* 0.5 x_1_1 x_2_1)": {(1, 1), (2, 1)},
+    "(- x_1_2)": {(1, 2)},
+    "(- x_1_1 x_2_1)": {(1, 1), (2, 1)},
+    "(pow x_1_1 2.5)": {(1, 1)},
+    "(exp (* 0.7 x_1_2))": {(1, 2)},
+    "(log (+ 1.0 (pow x_2_1 2.0)))": {(2, 1)},
+    "(dilated (dilated (+ x_1_1 x_2_1) 0.3) -0.2)": {(1, 1), (2, 1)},
+}
+
+
+@pytest.mark.parametrize("expr", sorted(OPERATOR_EXPRS))
+def test_every_operator_round_trips(expr):
+    f = calc.parse_field(expr)
+    text = calc.to_expr(f)
+    again = calc.parse_field(text)
+    assert calc.to_expr(again) == text
+    assert calc._coordinates(again) == calc._coordinates(f) == OPERATOR_EXPRS[expr]
 
 
 def test_domain_errors_name_the_sample(r1):

@@ -93,6 +93,18 @@ BAD_CONFIGS = {
     "inf-heat-s": ({"heat": {"s": math.inf, "n": 100, "seed": 1}},
                    ["heat", "'s'", "finite"]),
     "inf-heat-n": ({"heat": {"s": 1.0, "n": math.inf, "seed": 1}}, ["heat", "'n'"]),
+    "fractional-n": ({"heat": {"s": 1.0, "n": 200.7, "seed": 1}},
+                     ["heat", "'n'", "integer", "200.7"]),
+    "fractional-steps": ({"heat": {"s": 1.0, "n": 100, "steps": 8.9, "seed": 1}},
+                         ["heat", "'steps'", "integer", "8.9"]),
+    "string-n": ({"extra_batches": {"b": {"s": 0.25, "n": "300", "seed": 1}},
+                  "checks": [{"check": "scaling", "lambda": 2.0, "batch": "b"}]},
+                 ["extra_batches.b", "'n'", "integer", "'300'"]),
+    "bool-steps": ({"extra_batches": {"b": {"s": 0.25, "n": 100, "steps": True, "seed": 1}},
+                    "checks": [{"check": "scaling", "lambda": 2.0, "batch": "b"}]},
+                   ["extra_batches.b", "'steps'", "integer", "True"]),
+    "fractional-grid-n": ({"checks": [{"check": "lsh", "field": "f", "grid_n": 100.7}]},
+                          ["checks[0]", "lsh", "'grid_n'", "integer", "100.7"]),
     "negative-seed": ({"heat": {"s": 1.0, "n": 100, "seed": -1}},
                       ["heat", "'seed'", "[0, 2^64)", "-1"]),
     "huge-seed": ({"heat": {"s": 1.0, "n": 100, "seed": 2 ** 64}},

@@ -197,6 +197,15 @@ def test_prefix_property_of_streams(h3):
     assert np.array_equal(small.samples, large.samples[:100])
 
 
+@pytest.mark.parametrize("n_samples, n_steps", [(2.5, 8), (10, 8.9), ("10", 8), (10, True)])
+def test_counts_must_be_integers(h3, n_samples, n_steps):
+    with pytest.raises(ParameterError, match="must be an integer"):
+        heat.sample(h3, 1.0, n_samples, n_steps, seed=1)
+    with pytest.raises(ParameterError, match="must be an integer"):
+        heat.coupled_refinement(h3, 1.0, n_samples, [n_steps], seed=1)
+    assert heat.sample(h3, 1.0, np.int64(10), np.int32(8), seed=1).samples.shape == (10, 3)
+
+
 def test_parameter_validation(r1):
     with pytest.raises(ParameterError):
         heat.sample(r1, 0.0, 10, 4, seed=0)

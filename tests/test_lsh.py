@@ -92,12 +92,12 @@ def test_closure_operations(h3, h3_grid):
     f = lib["expx1"].field
     g = lib["sqnorm-eps"].field
     combos = [
-        lsh.lsh_combine("product", f, g),
-        lsh.lsh_combine("sum", f, g),
-        lsh.lsh_combine("power", f, p=2.5),
-        lsh.lsh_combine("power", g, p=0.5),
-        lsh.lsh_combine("dilate", g, lam=2.0),
-        lsh.lsh_combine("dilate", f, lam=0.5),
+        f * g,
+        f + g,
+        f ** 2.5,
+        g ** 0.5,
+        calc.compose_dilation(g, 2.0),
+        calc.compose_dilation(f, 0.5),
     ]
     for combo in combos:
         v = lsh.check_lsh(combo, h3_grid, tol=1e-9, algebra=h3)
@@ -108,21 +108,9 @@ def test_closure_operations(h3, h3_grid):
 def test_product_of_exponentials_explicit(h3, h3_grid):
     f = calc.Exp(calc.x(1, 1))
     g = calc.Exp(calc.x(1, 2))
-    v = lsh.check_lsh(lsh.lsh_combine("product", f, g), h3_grid, algebra=h3)
+    v = lsh.check_lsh(f * g, h3_grid, algebra=h3)
     assert v.is_lsh_consistent
     assert abs(v.min_delta_log) < 1e-10
-
-
-def test_combine_parameter_validation(h3):
-    f = calc.Exp(calc.x(1, 1))
-    with pytest.raises(ParameterError):
-        lsh.lsh_combine("power", f, p=0.0)
-    with pytest.raises(ParameterError):
-        lsh.lsh_combine("dilate", f, lam=-1.0)
-    with pytest.raises(ParameterError):
-        lsh.lsh_combine("product", f)
-    with pytest.raises(ParameterError):
-        lsh.lsh_combine("convolve", f, f)
 
 
 def test_dilation_scales_delta_log_exactly(h3):
@@ -132,7 +120,7 @@ def test_dilation_scales_delta_log_exactly(h3):
     entry = lib_by_name(h3)["sqnorm-eps"]
     pts = lsh.grid_points(h3, 200, 2.0, seed=5)
     lam = 1.8
-    fd = lsh.lsh_combine("dilate", entry.field, lam=lam)
+    fd = calc.compose_dilation(entry.field, lam)
 
     def delta_log(field, points):
         out = np.zeros(len(points))
@@ -163,12 +151,10 @@ def test_grid_points_inside_quasi_ball(h3):
     assert np.array_equal(pts, again)
 
 
-def test_check_lsh_accepts_arrays_and_batches(h3, engel, h3_batch_s1):
+def test_check_lsh_takes_an_n_by_dim_array(h3, engel):
     pts = [[0.1, 0.2, 0.3], [-1.0, 0.5, 0.0]]
     v = lsh.check_lsh(calc.Exp(calc.x(1, 1)), pts, algebra=h3)
     assert v.is_lsh_consistent and v.n_points == 2
-    v2 = lsh.check_lsh(calc.Exp(calc.x(1, 1)), h3_batch_s1)
-    assert v2.is_lsh_consistent and v2.n_points == h3_batch_s1.n_samples
     # an engel-wide array is not a set of heisenberg(1) points
     with pytest.raises(StructureError, match=r"\(n, 3\)"):
         lsh.check_lsh(calc.Exp(calc.x(1, 1)), np.zeros((5, engel.dim)), algebra=h3)
