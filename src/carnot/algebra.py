@@ -12,6 +12,7 @@ k = 1..dim V_j, or by a flat 0-based index in layer order.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotStepTwoError, StructureError
+from .errors import NotStepTwoError, StructureError, is_integer
 from .reports import Report
 
 # Residual thresholds: algebraic axioms are checked in floating point, so
@@ -42,9 +43,16 @@ class StratifiedAlgebra:
     """
 
     def __init__(self, layer_dims, brackets, metric_v1=None, name=None):
+        try:
+            layer_dims = tuple(layer_dims)
+        except TypeError:
+            raise StructureError(f"layer_dims must be a list, got {layer_dims!r}") from None
+        if not layer_dims:
+            raise StructureError("layer_dims must be positive integers, got none")
+        for d in layer_dims:
+            if not is_integer(d) or d <= 0:
+                raise StructureError(f"layer_dims must be positive integers, got {d!r}")
         layer_dims = tuple(int(d) for d in layer_dims)
-        if not layer_dims or any(d <= 0 for d in layer_dims):
-            raise StructureError(f"layer_dims must be positive integers, got {layer_dims}")
         self.layer_dims = layer_dims
         self.step = len(layer_dims)
         self.dim = sum(layer_dims)
@@ -99,9 +107,12 @@ class StratifiedAlgebra:
     def flat_index(self, jk) -> int:
         """Flat 0-based index of basis vector (j, k), both 1-based."""
         try:
-            j, k = int(jk[0]), int(jk[1])
-        except (TypeError, ValueError, IndexError) as exc:
+            j, k = jk[0], jk[1]
+        except (TypeError, KeyError, IndexError) as exc:
             raise StructureError(f"bad basis index {jk!r}") from exc
+        if not (is_integer(j) and is_integer(k)):
+            raise StructureError(f"basis index {jk!r} must be a pair of integers")
+        j, k = int(j), int(k)
         if not (1 <= j <= self.step) or not (1 <= k <= self.layer_dims[j - 1]):
             raise StructureError(
                 f"basis index {jk!r} out of range for layers {self.layer_dims}"
@@ -133,6 +144,12 @@ class StratifiedAlgebra:
         for a, b, g, c in self.sparse:
             out[g] += c * u[a] * v[b]
         return out
+
+    @functools.cached_property
+    def is_h_type(self) -> bool:
+        """classify_h_type(self).is_h_type under the identity V_2 metric, kept
+        on the instance after the first call; a step-2 algebra only."""
+        return classify_h_type(self).is_h_type
 
     def orthonormal_v1_frame(self):
         """Columns are V_1 coefficient vectors forming an orthonormal basis.

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import __version__, algebra as algebra_mod, calculus, heat, inequalities, lsh
-from .errors import CarnotError, ConfigError
+from .errors import CarnotError, ConfigError, is_integer
 from .reports import MODE_EXPLORATORY, VERDICT_HOLDS, VERDICT_INCONCLUSIVE, VERDICT_VIOLATED
 
 EXIT_OK = 0
@@ -107,8 +107,8 @@ def _floats(values) -> list:
 
 
 def _integer(value) -> int:
-    """value as an int when heat's integer rule holds; a float, string or bool raises."""
-    if not heat._is_integer(value):
+    """value as an int when the integer rule holds; a float, string or bool raises."""
+    if not is_integer(value):
         raise TypeError("not an integer")
     return int(value)
 

@@ -1,4 +1,12 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and its one integer rule."""
+
+import numbers
+
+
+def is_integer(value) -> bool:
+    """The one integer rule for counts, indices and seeds: an int or NumPy
+    integer, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class CarnotError(Exception):

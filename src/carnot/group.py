@@ -25,11 +25,13 @@ from .errors import ParameterError, StructureError
 # letters in bracket words: 0 = X (left factor), 1 = Y (right factor)
 
 
-def _dynkin_terms(step: int):
-    """(coefficient, word) list for log(exp x exp y), words of length 2..step.
+@lru_cache(maxsize=None)
+def _dynkin_terms(step: int) -> tuple:
+    """(coefficient, word) pairs of log(exp x exp y), words of length 2..step.
 
     Degree-1 terms (x + y) are implicit and handled by the evaluator.
-    Coefficients are exact rationals converted to float at the end.
+    Coefficients are exact rationals converted to float at the end.  Computed
+    once per step, the only thing the series depends on.
     """
     # series in the free associative algebra: word (tuple of 0/1) -> Fraction
     prod: dict[tuple, Fraction] = {}
@@ -74,17 +76,16 @@ def _dynkin_terms(step: int):
         folded[w] = folded.get(w, Fraction(0)) + coeff
     terms = [(float(c), w) for w, c in folded.items() if c != 0]
     terms.sort(key=lambda t: (len(t[1]), t[1]))
-    return terms
+    return tuple(terms)
 
 
-@lru_cache(maxsize=None)
 def bch_table(algebra: StratifiedAlgebra) -> tuple:
     """Truncated Dynkin series of one algebra: (coefficient, word) pairs.
 
     Each word is a tuple over {0, 1} naming the factors of a left-normed
     bracket.  Words longer than the algebra's step are absent (nilpotency).
     """
-    return tuple(_dynkin_terms(algebra.step))
+    return _dynkin_terms(algebra.step)
 
 
 # -- structural zeros -----------------------------------------------------------
@@ -143,7 +144,7 @@ def multiply_jets(algebra: StratifiedAlgebra, xs, ys):
     out = [_plus(xs[i], ys[i]) for i in range(algebra.dim)]
     letters = (xs, ys)
     prefix_cache: dict[tuple, list] = {}
-    for coeff, word in bch_table(algebra):
+    for coeff, word in _dynkin_terms(algebra.step):
         prefix = word[:2]
         if prefix not in prefix_cache:
             prefix_cache[prefix] = _bracket_jets(

@@ -11,18 +11,22 @@ X_k exp(sigma Z_k . xi) with sigma = sqrt(h/2).  Because first-layer BCH
 terms are additive, first-layer marginals are exact in law for any number
 of steps; the full law converges at weak order 1.
 
-Reproducibility: block b of _BLOCK_PATHS paths draws its paths' normals,
-one path after another, from its own SFC64 stream keyed by (seed, b), and a
-partial last block takes a prefix of it.  So a batch is bit-identical however
-its paths are chunked, and its paths are the first n of any larger batch at
-the same seed.
+Reproducibility: block b of _BLOCK_PATHS paths draws its normals from its
+own SFC64 stream keyed by (seed, b), step by step: all the block's paths'
+first-layer coordinates of step 1, then of step 2, and so on.  A partial last
+block draws its full width and keeps its first paths.  So a batch is
+bit-identical however its paths are chunked and its steps tiled, and its
+paths are the first n of any larger batch at the same seed.
 
-Cost: paths are sampled in chunks of whole blocks, of at most _CHUNK_BUDGET
-increments (2^20 floats, 8 MB) where one block fits, drawn into one buffer,
-so a call holds one chunk at any n_samples (a coupled refinement adds one
-buffer for its coarser walks' block sums).  The walk runs column-wise: each
-coordinate is one contiguous array over the chunk's paths, and each step goes
-through group.multiply_jets with its structurally zero upper layers as 0.0.
+Cost: paths are sampled in chunks of whole blocks, and a chunk's steps in
+tiles of about _TILE_STEPS steps, each of at most _CHUNK_BUDGET increments
+(2^18 floats, 2 MB) where one block fits: about 8k paths per chunk on a group
+with a 2-dim first layer.  Every tile is drawn into one buffer, so a call
+holds one tile at any n_samples and n_steps (a coupled refinement adds one
+buffer for its coarser walks' step sums).  The walk runs column-wise: each
+coordinate is one array over the chunk's paths, and each step is one
+group.multiply_jets call over all of them, with the step's structurally zero
+upper layers as 0.0.
 
 Optionally, sampling applies an exponential tilt in the first layer
 (importance sampling): with tilt vector b the first-layer mean shifts to
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import StratifiedAlgebra
-from .errors import ParameterError, StructureError
+from .errors import ParameterError, StructureError, is_integer
 from .group import dilate_batch, homogeneous_norm_batch, multiply_jets
 from .reports import (
     TailReport,
@@ -51,13 +55,12 @@ from .reports import (
     Z_THRESHOLD,
 )
 
-# upper bound on increments (floats) per chunk of paths
-_CHUNK_BUDGET = 2 ** 20
+# upper bound on the increments (floats) of one tile of a chunk of paths
+_CHUNK_BUDGET = 2 ** 18
 # paths per block of the normal stream: block b is keyed (seed, b)
 _BLOCK_PATHS = 256
-# the walk transposes increments to step-major order in tiles of this size
-_TILE_PATHS = 256
-_TILE_STEPS = 32
+# steps per tile: the walk takes a chunk's increments one tile at a time
+_TILE_STEPS = 16
 # pooled points per row block of the energy test's distance matrix
 _DIST_ROWS = 64
 # the energy test's permutations, and the points it keeps of each sample
@@ -120,13 +123,8 @@ def load_csv(path: str, algebra: StratifiedAlgebra) -> np.ndarray:
     return data
 
 
-def _is_integer(value) -> bool:
-    """The one integer rule: an int or numpy integer, and not a bool."""
-    return isinstance(value, (int, np.integer)) and type(value) is not bool
-
-
 def _seed_ok(seed) -> bool:
-    return _is_integer(seed) and 0 <= seed < 2 ** 64
+    return is_integer(seed) and 0 <= seed < 2 ** 64
 
 
 def _validate_params(s, n_samples, n_steps, seed):
@@ -135,89 +133,115 @@ def _validate_params(s, n_samples, n_steps, seed):
     if not (s > 0):
         raise ParameterError(f"time s must be > 0, got {s}")
     for name, value in (("n_steps", n_steps), ("n_samples", n_samples)):
-        if not _is_integer(value):
+        if not is_integer(value):
             raise ParameterError(f"{name} must be an integer, got {value!r}")
         if value < 1:
             raise ParameterError(f"{name} must be >= 1, got {value}")
 
 
-def _increments(algebra: StratifiedAlgebra, s: float, n_samples: int,
-                n_steps: int, seed: int, shift=None):
-    """First-layer walk increments chunk by chunk: yields (lo, hi, inc).
+def _tile_steps(steps_list) -> int:
+    """Steps per tile for the sorted step counts steps_list: about _TILE_STEPS,
+    at most the finest count, and a multiple of every block finest // k of fine
+    steps that a coarser walk sums."""
+    finest = steps_list[-1]
+    r = finest // math.gcd(*steps_list)
+    return min(finest, r * max(1, _TILE_STEPS // r))
 
-    inc is (hi - lo, n_steps, d1), sigma times the normals of paths lo..hi-1,
-    plus ``shift`` when given.  Block b fills its rows in one SFC64 draw keyed
-    by the fixed-width uint32 words (seed mod 2^32, b, seed div 2^32), so no
-    two (seed, b) share a stream.  Every chunk reuses one buffer: consume it first.
+
+def _increments(algebra: StratifiedAlgebra, s: float, n_samples: int,
+                n_steps: int, seed: int, tile_steps: int, shift=None):
+    """First-layer walk increments chunk by chunk: yields (lo, hi, tiles).
+
+    A chunk is whole blocks of _BLOCK_PATHS paths from path lo on, as many as
+    keep a tile of tile_steps steps (at least _TILE_STEPS) within
+    _CHUNK_BUDGET floats; its paths in the batch end at hi.  tiles yields the
+    chunk's increments tile_steps steps at a time, as a (blocks, steps, d1,
+    _BLOCK_PATHS) array: sigma times the normals, plus ``shift`` when given.
+    Block b draws its normals in (step, coordinate, path) order from one SFC64
+    stream keyed by the fixed-width uint32 words (seed mod 2^32, b, seed div
+    2^32), so no two (seed, b) share a stream, and writes each tile's share in
+    place; a partial last block draws its full width too.  Every tile reuses
+    one buffer: consume it first.
     """
     d1 = algebra.dim_v1
     sigma = math.sqrt(s / n_steps / 2.0)
-    chunk = max(1, _CHUNK_BUDGET // (n_steps * d1 * _BLOCK_PATHS)) * _BLOCK_PATHS
-    buf = np.empty((min(chunk, n_samples), n_steps, d1))
-    for lo in range(0, n_samples, chunk):
-        hi = min(lo + chunk, n_samples)
-        inc = buf[:hi - lo]
-        for b0 in range(0, hi - lo, _BLOCK_PATHS):
-            # first use of np.random, never at import; seed < 2^32 keys SeedSequence([seed, b])
-            key = np.random.SeedSequence(np.array(
-                [seed % 2 ** 32, (lo + b0) // _BLOCK_PATHS, seed >> 32], dtype=np.uint32))
-            np.random.Generator(np.random.SFC64(key)).standard_normal(
-                out=inc[b0:b0 + _BLOCK_PATHS])
-        inc *= sigma
-        if shift is not None:
-            inc += shift
-        yield lo, hi, inc
+    n_blocks = -(-n_samples // _BLOCK_PATHS)
+    width = max(1, _CHUNK_BUDGET // (max(tile_steps, _TILE_STEPS) * d1 * _BLOCK_PATHS))
+    buf = np.empty((min(width, n_blocks), tile_steps, d1, _BLOCK_PATHS))
+    if shift is not None:
+        shift = shift[:, None]
+
+    def tiles(streams):
+        for k0 in range(0, n_steps, tile_steps):
+            tile = buf[:len(streams), :min(tile_steps, n_steps - k0)]
+            for stream, part in zip(streams, tile):
+                stream.standard_normal(out=part)
+            tile *= sigma
+            if shift is not None:
+                tile += shift
+            yield tile
+
+    for b0 in range(0, n_blocks, width):
+        b1 = min(b0 + width, n_blocks)
+        # first use of np.random, never at import; seed < 2^32 keys SeedSequence([seed, b])
+        streams = [np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+            np.array([seed % 2 ** 32, b, seed >> 32], dtype=np.uint32))))
+            for b in range(b0, b1)]
+        yield b0 * _BLOCK_PATHS, min(b1 * _BLOCK_PATHS, n_samples), tiles(streams)
 
 
-def _walk(algebra: StratifiedAlgebra, inc: np.ndarray) -> np.ndarray:
-    """Endpoints X_k = X_{k-1} exp(inc_k . xi) of walks from e, for (m, k, d1) inc.
+def _walk(algebra: StratifiedAlgebra, X, tile: np.ndarray) -> list:
+    """Walks X advanced by a tile's steps, X_k = X_{k-1} exp(inc_k . xi).
 
-    An abelian walk is a plain sum of increments.  Otherwise X is dim
-    contiguous (m,) arrays, and a step is its d1 increment columns with 0.0
-    for the upper layers, which multiply_jets skips.  Blocks of steps are
-    transposed to step-major order tile by tile, keeping the copies cache-sized.
+    X is dim arrays of shape (blocks, paths), or None for walks from e; tile
+    is (blocks, steps, d1, paths).  A step is one multiply_jets call over the
+    whole chunk: its d1 increment columns, and 0.0 for the upper layers, which
+    multiply_jets skips.  An abelian walk is a plain sum of the increments,
+    added in place in step order.
     """
-    m, n_steps, d1 = inc.shape
-    if not algebra.sparse:
-        X = np.zeros((m, algebra.dim))
-        X[:, :d1] = inc.sum(axis=1)
-        return X
-    X = [np.zeros(m) for _ in range(algebra.dim)]
-    upper = [0.0] * (algebra.dim - d1)
-    buf = np.empty((min(_TILE_STEPS, n_steps), d1, m))
-    for k0 in range(0, n_steps, _TILE_STEPS):
-        block = buf[: min(_TILE_STEPS, n_steps - k0)]
-        for p0 in range(0, m, _TILE_PATHS):
-            p1 = min(p0 + _TILE_PATHS, m)
-            block[:, :, p0:p1] = inc[p0:p1, k0:k0 + len(block)].transpose(1, 2, 0)
-        for step in block:
+    if X is None:
+        X = list(np.zeros((algebra.dim, len(tile), tile.shape[-1])))
+    upper = [0.0] * (algebra.dim - algebra.dim_v1)
+    for step in tile.transpose(1, 2, 0, 3):
+        if algebra.sparse:
             X = multiply_jets(algebra, X, [*step, *upper])
-    return np.column_stack(X)
+        else:
+            for x, inc in zip(X, step):
+                x += inc
+    return X
 
 
 def _endpoints(algebra: StratifiedAlgebra, s: float, n_samples: int, steps_list,
                seed: int, shift=None) -> dict:
     """Walk endpoints {k: (n_samples, dim)} for the sorted step counts steps_list,
-    all driven by the finest walk's increments (plus ``shift``): a k-step walk
-    takes their sums over blocks of finest // k.
+    all driven by the finest walk's increments (plus ``shift``): step j of a
+    k-step walk is the sum, in step order, of fine steps j r .. j r + r - 1,
+    r = finest // k.
 
-    The finest walk takes each chunk as it is, without a copy.  The coarser
-    counts sum it, one after the other, into one buffer that is sized for the
-    largest of them at the first (largest) chunk.
+    Each tile of fine steps advances every walk: the finest takes the tile as
+    it is, without a copy, and the coarser counts sum it, one after the other,
+    into one buffer sized at the first tile for the largest of them.
     """
-    finest, d1 = steps_list[-1], algebra.dim_v1
+    finest = steps_list[-1]
+    tile_steps = _tile_steps(steps_list)
     out = {k: np.empty((n_samples, algebra.dim)) for k in steps_list}
-    coarse = None
-    for lo, hi, inc in _increments(algebra, s, n_samples, finest, seed, shift):
-        m = hi - lo
+    sums = None
+    for lo, hi, tiles in _increments(algebra, s, n_samples, finest, seed, tile_steps, shift):
+        X = dict.fromkeys(steps_list)
+        for tile in tiles:
+            for k in steps_list:
+                tile_k, r = tile, finest // k
+                if r > 1:
+                    if sums is None:
+                        sums = np.empty_like(tile[:, ::finest // steps_list[-2]])
+                    tile_k = sums[:len(tile), :tile.shape[1] // r]
+                    np.copyto(tile_k, tile[:, ::r])
+                    for i in range(1, r):
+                        tile_k += tile[:, i::r]
+                X[k] = _walk(algebra, X[k], tile_k)
         for k in steps_list:
-            inc_k = inc
-            if k < finest:
-                if coarse is None:
-                    coarse = np.empty(m * steps_list[-2] * d1)
-                inc_k = coarse[:m * k * d1].reshape(m, k, d1)
-                np.sum(inc.reshape(m, k, finest // k, d1), axis=2, out=inc_k)
-            out[k][lo:hi] = _walk(algebra, inc_k)
+            for c, x in enumerate(X[k]):
+                out[k][lo:hi, c] = x.reshape(-1)[:hi - lo]
     return out
 
 

@@ -30,11 +30,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import replace
-from functools import lru_cache
 
 import numpy as np
 
-from .algebra import StratifiedAlgebra, classify_h_type
+from .algebra import StratifiedAlgebra
 from .calculus import (
     ScalarField,
     dilation_pullback,
@@ -72,12 +71,11 @@ def defect_m(p: float, q: float, beta: float) -> float:
     return math.exp(beta * (1.0 / p - 1.0 / q))
 
 
-@lru_cache(maxsize=None)
 def lsi_mode(algebra: StratifiedAlgebra) -> str:
     """Label basis: LSI is known for step-1 (Gaussian) and H-type groups."""
     if algebra.step == 1:
         return MODE_VERIFIED
-    if algebra.step == 2 and classify_h_type(algebra).is_h_type:
+    if algebra.step == 2 and algebra.is_h_type:
         return MODE_VERIFIED
     return MODE_EXPLORATORY
 

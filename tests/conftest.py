@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -40,6 +41,32 @@ def r1_batch_s2_tilt2(r1):
 @pytest.fixture(scope="session")
 def h3_batch_s1(h3):
     return heat.sample(h3, 1.0, 50_000, 128, seed=7)
+
+
+@pytest.fixture
+def area_variance_z():
+    """z(batches): z-scores of a coupled refinement on heisenberg(1) against the
+    K-step walk's exact Var x_2_1 = (s^2/16)(1 - 1/K).
+
+    Returns the z of Var x_2_1 at the finest K, and per coarser K the z of the
+    paired difference Var_K - Var_finest, whose stderr comes from the per-path
+    differences of the squared deviations.
+    """
+    def z(batches) -> tuple:
+        finest = max(batches)
+        exact, sq = {}, {}
+        for k, batch in batches.items():
+            x = batch.samples[:, 2]
+            exact[k] = batch.s ** 2 / 16.0 * (1.0 - 1.0 / k)
+            sq[k] = (x - x.mean()) ** 2 * (x.size / (x.size - 1))
+
+        def z_of(d, want):
+            return float((d.mean() - want) / (d.std(ddof=1) / math.sqrt(d.size)))
+
+        return z_of(sq[finest], exact[finest]), {
+            k: z_of(sq[k] - sq[finest], exact[k] - exact[finest])
+            for k in batches if k < finest}
+    return z
 
 
 @pytest.fixture

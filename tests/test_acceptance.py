@@ -119,7 +119,7 @@ def test_criterion_03_time_space_identity(h3_batches, announce):
     )
 
 
-def test_criterion_04_heat_kernel_marginals(h3, announce):
+def test_criterion_04_heat_kernel_marginals(h3, announce, area_variance_z):
     for name in ["euclidean(3)", "heisenberg(1)", "heisenberg(2)", "engel"]:
         alg = algebra.builtin(name)
         s = 2.0
@@ -130,12 +130,15 @@ def test_criterion_04_heat_kernel_marginals(h3, announce):
             assert p > 0.01, (name, k, p)
 
     refined = heat.coupled_refinement(h3, 1.0, 100_000, [64, 256, 1024], seed=9)
-    errs = [abs(refined[k].samples[:, 2].var(ddof=1) - 1.0 / 16.0)
-            for k in (64, 256, 1024)]
-    assert errs[0] > errs[1] > errs[2]
+    # Var x3 = (1/16)(1 - 1/K) at K = 1024, and the coupled differences
+    # Var_K - Var_1024 = (1/16)(1/1024 - 1/K), each within 3 stderr
+    z_var, z_diff = area_variance_z(refined)
+    assert abs(z_var) < 3, z_var
+    assert all(abs(z) < 3 for z in z_diff.values()), z_diff
     announce(
         "ACCEPTANCE 4 PASS: first-layer KS on all builtins; "
-        f"Var(x3) errors {errs[0]:.2e} > {errs[1]:.2e} > {errs[2]:.2e} -> s^2/16"
+        f"Var(x3) at 1024 steps z = {z_var:.2f}, coupled bias z = "
+        + ", ".join(f"{z:.2f} ({k} steps)" for k, z in z_diff.items())
     )
 
 

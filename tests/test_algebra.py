@@ -91,6 +91,18 @@ def test_malformed_bracket_index_is_structural_error():
         algebra.StratifiedAlgebra((0,), [])
 
 
+def test_fractional_counts_and_indices_are_rejected():
+    # int() would truncate these to heisenberg(1); the integer rule names them
+    with pytest.raises(StructureError, match="layer_dims must be positive integers, got 2.7"):
+        algebra.StratifiedAlgebra((2.7, 1.2), [((1.9, 1), (1, 2.5), [((2, 1), 1.0)])])
+    with pytest.raises(StructureError, match=r"basis index \(1.9, 1\) must be a pair of integers"):
+        algebra.StratifiedAlgebra((2, 1), [((1.9, 1), (1, 2.5), [((2, 1), 1.0)])])
+    with pytest.raises(StructureError, match="got True"):
+        algebra.StratifiedAlgebra((2, True), [])
+    alg = algebra.StratifiedAlgebra((np.int64(2), 1), [((1, np.int32(1)), (1, 2), [((2, 1), 1.0)])])
+    assert alg.layer_dims == (2, 1) and alg.flat_index((np.int64(2), 1)) == 2
+
+
 def test_h3_j_matrix_matches_direct_computation(h3):
     J = algebra.j_matrix(h3, [1.0])
     assert np.allclose(J, [[0.0, -1.0], [1.0, 0.0]])

@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from carnot import algebra, calculus, cli, heat
+from carnot import algebra, calculus, cli, group, heat
 from carnot.errors import CarnotError, ConfigError
 
 
@@ -288,6 +289,24 @@ def test_run_reproducible_and_thread_invariant(monkeypatch):
         manifest = cli.run(copy.deepcopy(config))
         blobs.append(cli.manifest_canonical_bytes(manifest))
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_runs_leave_the_per_algebra_caches_flat():
+    # every run resolves a fresh algebra: no cache may keep one per run
+    config = small_time_space_config(heat={"s": 1.0, "n": 200, "steps": 8, "seed": 5},
+                                     fields={"f": {"expr": "(exp x_1_1)"}})
+    config["checks"] = [{"check": "slsi", "field": "f", "c": 0.5, "beta": 0.0}]
+
+    def sizes():
+        gc.collect()
+        live = sum(isinstance(o, algebra.StratifiedAlgebra) for o in gc.get_objects())
+        return live, group._dynkin_terms.cache_info().currsize
+
+    cli.run(copy.deepcopy(config))
+    before = sizes()
+    for _ in range(20):
+        cli.run(copy.deepcopy(config))
+    assert sizes() == before
 
 
 def test_timings_cover_extra_batches():
@@ -800,6 +819,14 @@ def test_cli_algebra_validate_and_htype(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["is_h_type"] is True
     assert cli.main(["algebra", "validate", "nonsense(9)"]) == 3
+
+
+def test_cli_algebra_validate_rejects_fractional_layer_dims(tmp_path, capsys):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(
+        {"layer_dims": [2.5, 1], "brackets": [[[1, 1], [1, 2], [[2, 1], 1.0]]]}))
+    assert cli.main(["algebra", "validate", str(path)]) == 3
+    assert "layer_dims must be positive integers, got 2.5" in capsys.readouterr().err
 
 
 def test_cli_sample_and_lsh_points_file(tmp_path, capsys):
