@@ -27,12 +27,16 @@ The entries are:
   on a heisenberg(1) batch CSV that ``heat.sample(...).save_csv`` of the
   first checkout writes once into a temporary directory, so every checkout
   reads the same bytes; the output is stdout;
-- two configs whose sweep fails, run by ``cli.run``: on engel, a
-  ``contractivity`` check at t = -300, where the dilation weight exp(300) ** 3
-  overflows, beside a ``time-space`` check; and an ``alpha-sweep`` whose power
-  underflows to 0 on every sample from an interior t of a 33-point grid, in
-  several blocks. The output is ``manifest_canonical_bytes``, or the type and
-  text of the exception that ended the run (with exit code 3).
+- three configs of sweeps at the edge of double range, run by ``cli.run``:
+  on engel, a ``contractivity`` check at t = -300, where the dilation weight
+  exp(300) ** 3 overflows, beside a ``time-space`` check, which fails the
+  sweep alone; a ``contractivity`` check of (pow x_1_1 2) on a 33-point grid
+  whose 21st t, 368, makes e^(-tE) f underflow to 0 on some samples, so the
+  sweep fails there, in the third of several blocks; and an ``alpha-sweep``
+  of 1e-200 exp(x_1_1), whose powers underflow to 0 on every sample from an
+  interior t of a 33-point grid while its norms do not, so it reports values.
+  The output is ``manifest_canonical_bytes``, or the type and text of the
+  exception that ended the run (with exit code 3).
 
 With one checkout (by default the one holding this script) it prints, per
 entry, the exit code and the sha256 of the output. With two it prints both
@@ -78,12 +82,17 @@ RENDER_EXPRS = ("(+ x_1_1 x_1_2 2.0)", "(* 0.5 x_1_1 x_2_1)", "(- x_1_2)",
                 "(dilated (dilated (+ x_1_1 x_2_1) 0.3) -0.2)")
 GRID_33 = ",".join(repr(i / 32) for i in range(33))
 POINTS_SAMPLE = {"s": 1.0, "n_samples": 500, "n_steps": 16, "seed": 3}
-FAILING_SWEEP_CONFIGS = {
+EDGE_SWEEP_CONFIGS = {
     "config engel time-space + contractivity grid [-300, 0]": {
         "algebra": "engel", "fields": {"f": {"library": "expx1"}},
         "heat": {"s": 1.0, "n": 200, "steps": 8, "seed": 1},
         "checks": [{"check": "time-space", "field": "f"},
                    {"check": "contractivity", "field": "f", "grid": [-300, 0]}]},
+    "config contractivity of (pow x_1_1 2), fails at t = 368 of 33, n=4000": {
+        "algebra": "heisenberg(1)", "fields": {"f": {"expr": "(pow x_1_1 2)"}},
+        "heat": {"s": 1.0, "n": 4000, "steps": 8, "seed": 1},
+        "checks": [{"check": "contractivity", "field": "f",
+                    "grid": [i / 19 for i in range(20)] + list(range(368, 381))}]},
     "config alpha-sweep of 1e-200 exp(x_1_1), 33 t, n=4000": {
         "algebra": "heisenberg(1)", "fields": {"f": {"expr": "(* 1e-200 (exp x_1_1))"}},
         "heat": {"s": 1.0, "n": 4000, "steps": 8, "seed": 1},
@@ -179,7 +188,7 @@ def run_jobs() -> list:
     jobs.append({"entry": "calculus.to_expr of the library and the operator forms",
                  "render": SAMPLE_ALGEBRAS, "exprs": RENDER_EXPRS})
     jobs += [{"entry": entry, "config": config, "threads": "1"}
-             for entry, config in FAILING_SWEEP_CONFIGS.items()]
+             for entry, config in EDGE_SWEEP_CONFIGS.items()]
     return jobs
 
 

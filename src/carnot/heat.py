@@ -33,7 +33,7 @@ Optionally, sampling applies an exponential tilt in the first layer
 b s/2, and each sample carries weight exp(-b.x_1 + s|b|^2/4), which has
 expectation 1.  Tilting makes heavy integrands of the form e^{b.x_1}
 estimable at small variance; plain estimators stay unbiased because means
-are taken against the weights.
+are taken against the weights.  A tilt whose weights all underflow is an error.
 """
 
 from __future__ import annotations
@@ -257,9 +257,10 @@ def sample(algebra: StratifiedAlgebra, s: float, n_samples: int,
     shift = None if tilt is None else tilt * (s / n_steps / 2.0)
     out = _endpoints(algebra, s, n_samples, [n_steps], seed, shift)[n_steps]
 
-    log_w = None
-    if tilt is not None:
-        log_w = -(out[:, :d1] @ tilt) + s * float(tilt @ tilt) / 4.0
+    log_w = None if tilt is None else -(out[:, :d1] @ tilt) + s * float(tilt @ tilt) / 4.0
+    if log_w is not None and np.exp(log_w.max()) == 0.0:
+        raise ParameterError(f"every weight of tilt {tilt.tolist()} underflows to 0: "
+                             f"the largest log weight is {log_w.max():.6g}")
     return HeatSampleBatch(
         algebra=algebra, s=float(s), n_samples=n_samples, n_steps=n_steps,
         seed=int(seed), samples=out, tilt=tilt, log_weights=log_w,

@@ -5,8 +5,9 @@ measure rho_s dm, estimated by (weighted) sample means over one common
 batch.  Both sides of every inequality are evaluated on the same samples
 (common random numbers), and combined standard errors are computed from
 per-sample influence functions, so correlations between the two sides are
-accounted for.  One core, ``_delta_method``, gives every margin, sweep point
-and norm its influence and stderr; ``_margin_report`` adds heavy tail and mode.
+accounted for.  One core, ``_delta_method``, gives every margin its influence
+and stderr; ``_margin_report`` adds heavy tail and mode.  One rule, ``_norms``,
+forms every L^r norm in logs against the batch's log weights.
 
 Checked statements, for user-supplied constants c, beta >= 0:
 
@@ -83,34 +84,29 @@ def lsi_mode(algebra: StratifiedAlgebra) -> str:
 # -- per-sample building blocks -------------------------------------------------
 
 
-def _se(infl: np.ndarray) -> float:
-    """Standard error of the mean of per-sample influences; NaN below two samples."""
-    if infl.size < 2:
-        return math.nan
-    return float(infl.std(ddof=1) / math.sqrt(infl.size))
-
-
-def _values(f, batch: HeatSampleBatch) -> np.ndarray:
-    return evaluate_batch(f, batch.algebra, batch.samples)
+def _ses(infl: np.ndarray):
+    """Standard errors of the means of the influences along the last axis of
+    ``infl``, a float for one row; NaN below two samples. Outside [2^-400,
+    2^400] the squares of the influences may have left double range, so there
+    the rows are scaled by a power of two near their largest entry first,
+    which is exact: inside that range it would change no bit of a stderr."""
+    n = infl.shape[-1]
+    if n < 2:
+        return np.full(infl.shape[:-1], math.nan).tolist()
+    with np.errstate(over="ignore"):
+        ses = infl.std(axis=-1, ddof=1) / math.sqrt(n)
+    if not np.all((ses > 2.0 ** -400) & (ses < 2.0 ** 400)):
+        k = 1 - np.frexp(np.abs(infl).max(axis=-1))[1]
+        ses = np.ldexp(np.ldexp(infl, k[..., None]).std(axis=-1, ddof=1) / math.sqrt(n), -k)
+    return ses.tolist()
 
 
 def _positive_values(f, batch: HeatSampleBatch, what: str) -> np.ndarray:
     """f on the batch; ``what`` is the requirement a non-positive value breaks."""
-    v = _values(f, batch)
+    v = evaluate_batch(f, batch.algebra, batch.samples)
     if (v <= 0).any():
         raise ParameterError(f"{what}; violated at sample {int(np.argmax(v <= 0))}")
     return v
-
-
-def _power_mean(m: float, power: str) -> float:
-    """m, the weighted mean of ``power`` (some f^r with f > 0).
-
-    f > 0 does not keep f^r from underflowing to 0 on every sample, and a
-    norm's derivative m^(1/r - 1) would then divide by zero.
-    """
-    if m == 0.0:
-        raise ParameterError(f"{power} underflows to 0 on every sample")
-    return m
 
 
 def _batch_params(batch: HeatSampleBatch) -> dict:
@@ -122,8 +118,8 @@ def _heavy(*contribs) -> bool:
 
 
 def _require_finite_mean(col, m: float) -> None:
-    """m, the mean of ``col``, must be finite: a non-finite mean is overflow,
-    which no margin can be decided from."""
+    """m, the mean (or the max) of ``col``, must be finite: a non-finite m is
+    overflow, which no margin can be decided from."""
     if not math.isfinite(m):
         bad = np.flatnonzero(~np.isfinite(col))
         where = f"at sample {bad[0]}" if bad.size else "in a column sum"
@@ -143,7 +139,35 @@ def _delta_method(cols, sides):
     lhs, rhs, grad = sides(*means)
     terms = [g * (c - m) for g, c, m in zip(grad, cols, means)]
     infl = sum(terms[1:], terms[0])
-    return lhs, rhs, infl, _se(infl)
+    return lhs, rhs, infl, _ses(infl)
+
+
+_LOG_MAX = math.log(np.finfo(float).max)  # a norm with a larger log overflows
+
+
+def _norms(u, batch: HeatSampleBatch, rs, labels):
+    """(means, norms, derivatives in the means) of the rows of positive samples
+    u: row i's L^rs[i] norm against the batch's weights. Each row becomes, in
+    place, w u^r / max(w u^r) = exp(log w + r log u - top), so no weighted power
+    leaves double range; with m its mean, the norm is exp((top + log m) / r)
+    and its derivative norm / (r m). A non-finite u is f's overflow; a norm of
+    0.0 or beyond double range is the error of its ``labels`` entry."""
+    np.log(u, out=u)
+    u *= np.asarray(rs, dtype=float)[:, None]
+    if batch.log_weights is not None:
+        u += batch.log_weights
+    tops = u.max(axis=1)
+    for row, top in zip(u, tops):
+        _require_finite_mean(row, top)
+    u -= tops[:, None]
+    np.exp(u, out=u)
+    means = u.mean(axis=1)
+    logs = [(top + math.log(m)) / r for top, m, r in zip(tops.tolist(), means.tolist(), rs)]
+    norms = np.array([math.exp(x) if x < _LOG_MAX else 0.0 for x in logs])
+    if not norms.all():
+        i = int(np.argmin(norms))
+        raise ParameterError(f"{labels[i]} = exp({logs[i]:.6g}) is outside double range")
+    return means, norms.tolist(), (norms / (np.asarray(rs, dtype=float) * means)).tolist()
 
 
 def _margin_report(name, batch: HeatSampleBatch, cols, sides, **kw) -> CheckReport:
@@ -166,13 +190,11 @@ def estimate(functional: str, f: ScalarField, batch: HeatSampleBatch,
     if functional == "lp":
         if p is None or p <= 0:
             raise ParameterError("lp functional needs p > 0")
-        v = _positive_values(f, batch, "lp norm needs f > 0")
-        col = w * v ** p
-        sides = lambda m: (m ** (1.0 / p), None, [
-            (1.0 / p) * _power_mean(m, f"lp norm: f^{p:g}") ** (1.0 / p - 1.0)])
-        params["p"] = p
+        col = _positive_values(f, batch, "lp norm needs f > 0")[None]
+        _, (norm,), (deriv,) = _norms(col, batch, [p], [f"lp norm |f|_{p:g}"])
+        col, sides, params["p"] = col[0], lambda m: (norm, None, [deriv]), p
     elif functional == "l1":
-        col = w * _values(f, batch)
+        col = w * evaluate_batch(f, batch.algebra, batch.samples)
     elif functional == "entropy":
         v = _positive_values(f, batch, "entropy needs f > 0")
         col = w * v * np.log(v)
@@ -337,20 +359,13 @@ def check_shc(f: ScalarField, batch: HeatSampleBatch, p: float, q: float,
         m_pq = defect_m(p, q, beta)
     except OverflowError as exc:
         raise ParameterError(f"sHC check: M(p, q) at p = {p:g}, q = {q:g}: {exc}") from exc
-    w = batch.weights
-    vv = w * _positive_values(f, batch, "sHC check needs f > 0 on samples") ** p
-    u = w * _positive_values(dilation_pullback(f, t), batch,
-                             "sHC check needs e^(-tE) f > 0 on samples") ** q
-
-    def sides(mv, mu):
-        mv = _power_mean(mv, f"sHC check: f^{p:g}")
-        mu = _power_mean(mu, f"sHC check: (e^(-tE) f)^{q:g}")
-        return (mu ** (1.0 / q), m_pq * mv ** (1.0 / p),
-                (m_pq * (1.0 / p) * mv ** (1.0 / p - 1.0),
-                 -((1.0 / q) * mu ** (1.0 / q - 1.0))))
-
+    u = np.array([_positive_values(f, batch, "sHC check needs f > 0 on samples"),
+                  _positive_values(dilation_pullback(f, t), batch,
+                                   "sHC check needs e^(-tE) f > 0 on samples")])
+    _, (nv, nu), (dv, du) = _norms(u, batch, [p, q], [f"sHC check: |f|_{p:g}",
+                                                       f"sHC check: |e^(-tE) f|_{q:g}"])
     return _margin_report(
-        "shc", batch, (vv, u), sides,
+        "shc", batch, u, lambda mv, mu: (nu, m_pq * nv, (m_pq * dv, -du)),
         params={"p": p, "q": q, "t": t, "t_J": t_j, "M": m_pq, "c": c,
                 "beta": beta, **_batch_params(batch), "exploratory": exploratory},
         notes=notes)
@@ -364,39 +379,24 @@ def check_shc(f: ScalarField, batch: HeatSampleBatch, p: float, q: float,
 _SWEEP_BLOCK_FLOATS = 2 ** 15
 
 
-def _row_ses(rows: np.ndarray) -> list:
-    """``_se`` of each row of a (k, n) array of influences."""
-    if rows.shape[1] < 2:
-        return [math.nan] * rows.shape[0]
-    return (rows.std(axis=1, ddof=1) / math.sqrt(rows.shape[1])).tolist()
-
-
-def _sweep_block(name, f, batch, w, ts, r_of, m_of):
+def _sweep_block(name, f, batch, ts, r_of, m_of):
     """(alpha values, (len(ts), n) influences) at the t of ``ts``, from one
-    evaluation of f: one (len(ts), n) array u holds e^{-tE} f, then
-    w (e^{-tE} f)^r(t), then the influences, each made in place from the last.
+    evaluation of f: one (len(ts), n) array u holds e^{-tE} f, then what
+    ``_norms`` makes of it, then the influences, each made in place.
 
     A block of one t raises that t's own error, first of these: r(t)'s or
-    M(t)'s, f's, e^(-tE) f <= 0, a non-finite mean, the value's, a zero mean.
-    """
-    rs, m_ts = [r_of(t) for t in ts], [m_of(t) for t in ts]
+    M(t)'s, f's, e^(-tE) f <= 0, a non-finite e^(-tE) f, a norm out of range."""
+    rs, m_ts = [r_of(t) for t in ts], np.array([m_of(t) for t in ts])
     u = evaluate_pullbacks(f, batch.algebra, batch.samples, ts)
     if (u <= 0).any():
         i, k = divmod(int(np.argmax(u <= 0)), u.shape[1])
         raise ParameterError(f"{name} needs e^(-tE) f > 0 on samples at t = {ts[i]:g}; "
                              f"violated at sample {k}")
-    for row, r in zip(u, rs):
-        row **= r  # row by row, so numpy takes the shortcuts of v ** r (r = 2, 0.5, ...)
-    u *= w
-    means = u.mean(axis=1).tolist()
-    for row, m in zip(u, means):
-        _require_finite_mean(row, m)
-    values = [m ** (1.0 / r) / m_t for m, r, m_t in zip(means, rs, m_ts)]
-    grads = [(1.0 / r) * _power_mean(m, f"{name} at t = {t:g}: (e^(-tE) f)^{r:g}")
-             ** (1.0 / r - 1.0) / m_t for t, m, r, m_t in zip(ts, means, rs, m_ts)]
-    u -= np.array(means)[:, None]
-    u *= np.array(grads)[:, None]
-    return values, u
+    means, norms, derivs = _norms(u, batch, rs, [f"{name} at t = {t:g}: |e^(-tE) f|_{r:g}"
+                                                 for t, r in zip(ts, rs)])
+    u -= means[:, None]
+    u *= np.divide(derivs, m_ts)[:, None]
+    return np.divide(norms, m_ts).tolist(), u
 
 
 def _sweep(name, f, batch, ts, r_of, m_of, params, notes) -> SweepReport:
@@ -405,9 +405,9 @@ def _sweep(name, f, batch, ts, r_of, m_of, params, notes) -> SweepReport:
     The grid is evaluated by ``_sweep_block`` in blocks of
     max(1, _SWEEP_BLOCK_FLOATS // n) t values; between blocks only the
     influence row of the block's last t is kept. From a block in which some
-    t fails on, the grid runs one t at a time, so the error is that of the
-    first failing t; an ArithmeticError there, such as r(t) overflowing,
-    becomes a ParameterError naming the sweep and t.
+    t fails on, the grid runs one t at a time, so the error is the first
+    failing t's, in ``_sweep_block``'s order; an ArithmeticError there, such
+    as r(t) overflowing, becomes a ParameterError naming the sweep and t.
 
     The verdict is "holds" when alpha is non-increasing within
     Z_THRESHOLD standard errors of each step plus ABS_FLOOR, and
@@ -417,13 +417,12 @@ def _sweep(name, f, batch, ts, r_of, m_of, params, notes) -> SweepReport:
     ts = np.asarray(sorted(float(t) for t in ts))
     if ts.size < 2:
         raise ParameterError(f"{name} needs a grid of at least two t values, got {ts.size}")
-    w = batch.weights
     rows = max(1, _SWEEP_BLOCK_FLOATS // batch.n_samples)
     values, stderrs, diff_ses, last, lo = [], [], [], None, 0
     while lo < ts.size:
         block = ts[lo:lo + rows]
         try:
-            vals, infl = _sweep_block(name, f, batch, w, block, r_of, m_of)
+            vals, infl = _sweep_block(name, f, batch, block, r_of, m_of)
         except (CarnotError, ArithmeticError) as exc:
             if block.size > 1:
                 rows = 1  # from here on one t at a time, so the first failing t raises
@@ -433,13 +432,13 @@ def _sweep(name, f, batch, ts, r_of, m_of, params, notes) -> SweepReport:
             raise ParameterError(f"{name} at t = {block[0]:g}: {exc}") from exc
         lo += block.size
         values += vals
-        stderrs += _row_ses(infl)
+        stderrs += _ses(infl)
         if last is not None:
-            diff_ses.append(_se(infl[0] - last))
+            diff_ses.append(_ses(infl[0] - last))
         last = infl[-1].copy()
         # let go of each (t, sample) array before the next one is made
         infl = np.diff(infl, axis=0)
-        diff_ses += _row_ses(infl)
+        diff_ses += _ses(infl)
         del infl
     tol = Z_THRESHOLD * np.asarray(diff_ses) + ABS_FLOOR
     diffs = np.diff(np.asarray(values))

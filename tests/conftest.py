@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from carnot import algebra, heat
 
@@ -41,6 +42,17 @@ def r1_batch_s2_tilt2(r1):
 @pytest.fixture(scope="session")
 def h3_batch_s1(h3):
     return heat.sample(h3, 1.0, 50_000, 128, seed=7)
+
+
+@pytest.fixture(scope="session")
+def lse_norm():
+    """norm(v, batch, r): the L^r norm of the positive samples v against the
+    batch's weights, exp((logsumexp(r log v + log w) - log n) / r), which no
+    power of v or weight can take out of double range."""
+    def norm(v, batch, r) -> float:
+        log_w = 0.0 if batch.log_weights is None else batch.log_weights
+        return math.exp((logsumexp(r * np.log(v) + log_w) - math.log(v.size)) / r)
+    return norm
 
 
 @pytest.fixture

@@ -552,32 +552,42 @@ UNDERFLOWING_CHECKS = {
 
 
 @pytest.mark.parametrize("case", sorted(UNDERFLOWING_CHECKS))
-def test_shc_and_sweep_power_underflow_is_a_per_check_error(case, tmp_path, capsys):
-    # f > 0 on every sample, but (e^(-tE) f)^4 ~ 1e-360 underflows to 0 on
-    # all of them: the norm's derivative would divide by a zero mean
+def test_shc_and_sweep_power_underflow_is_a_per_check_error(case, tmp_path, capsys, lse_norm):
+    # (e^(-tE) f)^4 ~ 1e-360 underflows to 0 on every sample, but the norms
+    # ~ 1e-90 do not: the check reports the values of a logsumexp reference,
+    # and the verdict of 1e90 f = expx1
+    heat_kw = {"s": 1.0, "n": 2000, "steps": 8, "seed": 1}
     config = small_time_space_config(
         fields={"tiny": {"expr": "(* 1e-90 (exp x_1_1))"}, "good": {"library": "expx1"}},
-        heat={"s": 1.0, "n": 2000, "steps": 8, "seed": 1},
-        checks=[{**UNDERFLOWING_CHECKS[case], "field": "tiny"},
-                {"check": "slsi", "field": "good", "c": 1.0}])
+        heat=heat_kw, checks=[{**UNDERFLOWING_CHECKS[case], "field": "tiny"},
+                              {**UNDERFLOWING_CHECKS[case], "field": "good"}])
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    assert cli.main(["run", str(path)]) == 3
+    assert cli.main(["run", str(path)]) == 0
     out, err = capsys.readouterr()
-    bad, good = json.loads(out)["reports"]
-    assert bad["verdict"] == cli.VERDICT_ERROR
-    assert "(e^(-tE) f)^4 underflows to 0 on every sample" in bad["error"]
-    assert good["verdict"] == "holds"
+    tiny, good = json.loads(out)["reports"]
+    assert tiny["verdict"] == good["verdict"] == "holds"
+    batch = heat.sample(algebra.builtin("heisenberg(1)"), *heat_kw.values())
+    f = calculus.parse_field("(* 1e-90 (exp x_1_1))")
+
+    def norm(t, r):  # |e^(-tE) f|_r; M(t) = 1 at beta = 0
+        g = calculus.dilation_pullback(f, t)
+        return lse_norm(calculus.evaluate_batch(g, batch.algebra, batch.samples), batch, r)
+
+    if case == "shc":  # p = 1, q = 4 and t = t_J = log 4
+        got, want = [tiny["lhs"], tiny["rhs"]], [norm(math.log(4.0), 4.0), norm(0.0, 1.0)]
+    else:
+        got, want = tiny["values"], [norm(t, math.exp(t)) for t in tiny["ts"]]
+    assert 1e-91 < min(want) and max(want) < 1e-89
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     assert "Traceback" not in err
 
 
-def _per_t_sweep_error(f, batch, name, ts, r_of):
+def _per_t_sweep_error(f, batch, name, ts):
     """The error of a sweep run one t of its sorted grid at a time: at the
-    first t that fails, f's own error, e^(-tE) f <= 0, a non-finite mean or a
-    power that underflows on every sample, in that order."""
-    w = batch.weights
+    first t that fails, f's own error, e^(-tE) f <= 0 or a non-finite
+    e^(-tE) f, in that order."""
     for t in sorted(ts):
-        r = r_of(t)
         try:
             v = calculus.evaluate_batch(calculus.dilation_pullback(f, t), batch.algebra,
                                         batch.samples)
@@ -586,12 +596,8 @@ def _per_t_sweep_error(f, batch, name, ts, r_of):
         if (v <= 0).any():
             return (f"{name} needs e^(-tE) f > 0 on samples at t = {t:g}; "
                     f"violated at sample {int(np.argmax(v <= 0))}")
-        col = w * v ** r
-        m = float(col.mean())
-        if not math.isfinite(m):
-            return f"non-finite value (overflow) at sample {np.flatnonzero(~np.isfinite(col))[0]}"
-        if m == 0.0:
-            return f"{name} at t = {t:g}: (e^(-tE) f)^{r:g} underflows to 0 on every sample"
+        if not np.isfinite(v).all():
+            return f"non-finite value (overflow) at sample {np.flatnonzero(~np.isfinite(v))[0]}"
     return None
 
 
@@ -606,6 +612,7 @@ FAILING_SWEEPS = {
                    {"check": "contractivity", "grid": UNDERFLOW_GRID}),
     "pow-domain": ("(pow (pow x_1_1 2) 0.5)",
                    {"check": "contractivity", "grid": UNDERFLOW_GRID}),
+    # the two sweeps below fail at no t, though their powers leave double range:
     # f^r(t) = exp(e^(9t) x_1_1) overflows on the largest samples from t near 0.6
     "overflow": ("(exp x_1_1)", {"check": "alpha-sweep", "q": 2.0, "c": 0.1,
                                  "grid": np.linspace(0.0, 1.0, 33).tolist()}),
@@ -618,9 +625,10 @@ FAILING_SWEEPS = {
 @pytest.mark.parametrize("rows", [None, 3], ids=["one-block", "blocks-of-3"])
 @pytest.mark.parametrize("case", sorted(FAILING_SWEEPS))
 def test_sweep_errors_name_the_first_failing_t_and_sample(case, rows, tmp_path, monkeypatch,
-                                                          capsys):
+                                                          capsys, lse_norm):
     # a sweep that fails at an interior t reports what a sweep run one t at a
-    # time raises there, whatever block holds that t and wherever it sits in it
+    # time raises there, whatever block holds that t and wherever it sits in
+    # it; a sweep that fails at no t reports the values of a logsumexp reference
     expr, chk = FAILING_SWEEPS[case]
     heat_kw = {"s": 1.0, "n": 500, "steps": 8, "seed": 1}
     if rows:
@@ -630,18 +638,25 @@ def test_sweep_errors_name_the_first_failing_t_and_sample(case, rows, tmp_path, 
         fields={"f": {"expr": expr}}, heat=heat_kw, checks=[{**chk, "field": "f"}])))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the LSH spot check's
-        assert cli.main(["run", str(path)]) == 3
+        code = cli.main(["run", str(path)])
     out, err = capsys.readouterr()
     rep = json.loads(out)["reports"][0]
     alg = algebra.builtin("heisenberg(1)")
     batch = heat.sample(alg, heat_kw["s"], heat_kw["n"], heat_kw["steps"], heat_kw["seed"])
-    c = chk.get("c")
+    c, f = chk.get("c"), calculus.parse_field(expr)
     name = "l1-contractivity" if c is None else "alpha-sweep"
     with np.errstate(all="ignore"):
-        want = _per_t_sweep_error(calculus.parse_field(expr), batch, name, chk["grid"],
-                                  lambda t: 1.0 if c is None else math.exp(t / c))
-    assert rep["verdict"] == cli.VERDICT_ERROR
-    assert rep["error"] == want
+        want = _per_t_sweep_error(f, batch, name, chk["grid"])
+    # at c = 0.1, below the Gaussian sLSI constant 1/2, alpha(t) increases
+    assert (want is None) == (case in ("overflow", "underflow"))
+    if want is None:  # alpha(t) = |e^(-tE) f|_r(t), r(t) = e^(t/c), M(t) = 1 at beta = 0
+        assert (code, rep["verdict"]) == ((1, "violated") if c == 0.1 else (0, "holds"))
+        np.testing.assert_allclose(rep["values"], [lse_norm(calculus.evaluate_batch(
+            calculus.dilation_pullback(f, t), alg, batch.samples), batch, math.exp(t / c))
+            for t in rep["ts"]], rtol=1e-12, atol=0.0)
+    else:
+        assert code == 3 and rep["verdict"] == cli.VERDICT_ERROR
+        assert rep["error"] == want
     assert "Traceback" not in err
 
 
@@ -935,6 +950,24 @@ def test_cli_check_with_params(capsys):
     assert rc == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["verdict"] == "holds"
+
+
+def test_a_tilt_whose_weights_all_underflow_exits_3(tmp_path, capsys):
+    # every weight exp(-60 x + 900) is 0.0: the batch, by check or by run,
+    # is one error line, not a math domain error or lhs = rhs = 0.0
+    want = "error: every weight of tilt [60.0] underflows to 0: the largest log weight is "
+    argv = ["--algebra", "euclidean(1)", "--field", "@expx1", "--tilt", "60", "--n", "200",
+            "--steps", "8"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(small_time_space_config(
+        algebra="euclidean(1)", fields={"f": {"library": "expx1"}},
+        heat={"s": 1.0, "n": 200, "steps": 8, "seed": 0, "tilt": [60.0]},
+        checks=[{"check": "time-space", "field": "f"},
+                {"check": "slsi", "field": "f", "c": 1.0}])))
+    for args in (["check", "slsi", *argv], ["check", "lsi", *argv], ["run", str(path)]):
+        assert cli.main(args) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(want) and err.count("\n") == 1, (args, err)
 
 
 def test_cli_sweep_alpha(capsys):

@@ -245,6 +245,15 @@ def test_parameter_validation(r1):
         heat.sample(r1, 1.0, 10, 4, seed=0, tilt=np.array([1.0, 2.0]))
 
 
+def test_a_tilt_whose_weights_all_underflow_is_an_error(r1):
+    # x ~ N(30, 1/2) under tilt 60, so every weight exp(-60 x + 900) is about
+    # e^-900, 0.0 as a double; at tilt 45 they are about e^-506, and the batch stands
+    with pytest.raises(ParameterError, match=r"^every weight of tilt \[60.0\] underflows to 0: "
+                                             r"the largest log weight is -7\d\d\.\d+$"):
+        heat.sample(r1, 1.0, 200, 8, seed=1, tilt=[60.0])
+    assert heat.sample(r1, 1.0, 200, 8, seed=1, tilt=[45.0]).weights.max() > 0.0
+
+
 def test_tilted_sampling_weights(r1):
     # optimal tilt for e^{bx}: weighted estimator is exact by construction
     b = 4.0

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,13 +65,56 @@ def test_lp_norm_needs_positive_f(p, h3):
             ineq.estimate("lp", calc.parse_field("(- x_1_1 3)"), batch, p=p)
 
 
-def test_lp_norm_power_underflow_is_an_error(h3):
-    # f > 0 on every sample, but f^4 ~ 1e-360 underflows to 0 on all of them
+def test_lp_norm_power_underflow_is_an_error(h3, lse_norm):
+    # f^4 ~ 1e-360 underflows to 0 on every sample, but |f|_4 ~ 1e-90 does
+    # not: the norm is formed in logs, and matches a logsumexp reference
     batch = heat.sample(h3, 1.0, 200, 8, seed=1)
+    f = calc.parse_field("(* 1e-90 (exp x_1_1))")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ParameterError, match="f\\^4 underflows to 0"):
-            ineq.estimate("lp", calc.parse_field("(* 1e-90 (exp x_1_1))"), batch, p=4.0)
+        est = ineq.estimate("lp", f, batch, p=4.0)
+    want = lse_norm(calc.evaluate_batch(f, h3, batch.samples), batch, 4.0)
+    assert 1e-91 < want < 1e-89
+    assert est.value == pytest.approx(want, rel=1e-12) and est.stderr > 0
+
+
+def test_a_norm_outside_double_range_is_an_error(r1):
+    # the weights exp(-45 x + 45^2/4) are about e^-506 and f = 1e-200, so
+    # |f|_1 ~ 1e-420 is 0.0 as a double; weights of e^800 make |1e100|_1 overflow
+    tilted = heat.sample(r1, 1.0, 200, 8, seed=1, tilt=[45.0])
+    with pytest.raises(ParameterError,
+                       match=r"^lp norm \|f\|_1 = exp\(-869\.258\) is outside double range$"):
+        ineq.estimate("lp", calc.Const(1e-200), tilted, p=1.0)
+    heavy = replace(tilted, log_weights=np.full(200, 800.0))
+    with pytest.raises(ParameterError,
+                       match=r"^sHC check: \|f\|_1 = exp\(1030\.26\) is outside double range$"):
+        ineq.check_shc(calc.Const(1e100), heavy, 1.0, 2.0, 1.0, 1.0, 0.0, lsh_status="lsh")
+
+
+@pytest.mark.parametrize("tilt", [None, [0.5, -1.0]], ids=["plain", "tilted"])
+def test_norm_checks_are_positively_homogeneous(h3, tilt):
+    # sHC, alpha(t), |e^(-tE) f|_1 and |f|_p are 1-homogeneous in f: kappa f
+    # gives kappa times every side, value and stderr, even where the powers
+    # of kappa f (up to kappa^3 here) leave double range
+    batch = heat.sample(h3, 1.0, 2000, 8, seed=3, tilt=tilt)
+    f = calc.parse_field("(exp (* 0.7 x_1_1))")
+
+    def run(g):
+        shc = ineq.check_shc(g, batch, 1.5, 3.0, 0.5 * math.log(2.0) + 0.1, 0.5, 0.3,
+                             lsh_status="lsh")
+        alpha = ineq.sweep_alpha(g, batch, 0.5, 0.3, 3.0, lsh_status="lsh")
+        l1 = ineq.check_l1_contractivity(g, batch, lsh_status="lsh")
+        lp = ineq.estimate("lp", g, batch, p=2.5)
+        sweeps = [x for sw in (alpha, l1) for x in (*sw.values, *sw.stderrs, *sw.diff_stderrs)]
+        return ([shc.lhs, shc.rhs, shc.stderr, *sweeps, lp.value, lp.stderr],
+                [shc.verdict, alpha.verdict, l1.verdict])
+
+    nums, verdicts = run(f)
+    assert len(nums) == 57 and 0.0 not in nums
+    for kappa in (1e-200, 1.0, 1e200):
+        got, got_verdicts = run(calc.Prod(calc.Const(kappa), f))
+        assert got_verdicts == verdicts, kappa
+        np.testing.assert_allclose(got, kappa * np.asarray(nums), rtol=1e-12, atol=0.0)
 
 
 # each functional's integrand of f = 1 + g, g = e^(800 x), x = x_1_1, on h3:
@@ -217,13 +261,12 @@ def _reports_reference(f, batch, c, beta):
     p, q = 1.5, 3.0
     t_j = c * math.log(q / p)
     t, m_pq = t_j + 0.1, math.exp(beta * (1.0 / p - 1.0 / q))
-    u = w * calc.evaluate_batch(calc.dilation_pullback(f, t), alg, batch.samples) ** q
-    vv = w * v ** p
-    mu, mv = float(np.mean(u)), float(np.mean(vv))
+    nu, mu, u = _log_norm(calc.evaluate_batch(calc.dilation_pullback(f, t), alg,
+                                              batch.samples), batch, q)
+    nv, mv, vv = _log_norm(v, batch, p)
     shc = CheckReport.from_margin(
-        "shc", mu ** (1.0 / q), m_pq * mv ** (1.0 / p),
-        _se(m_pq * (1.0 / p) * mv ** (1.0 / p - 1.0) * (vv - mv)
-            - (1.0 / q) * mu ** (1.0 / q - 1.0) * (u - mu)),
+        "shc", nu, m_pq * nv,
+        _se(m_pq * (nv / (p * mv)) * (vv - mv) - nu / (q * mu) * (u - mu)),
         mode=mode, params={"p": p, "q": q, "t": t, "t_J": t_j, "M": m_pq, "c": c,
                            "beta": beta, **bp, "exploratory": False},
         heavy_tail=_heavy(u, vv))
@@ -235,17 +278,33 @@ def _reports_reference(f, batch, c, beta):
     return l1, l2, slsi, ts, chain, shc, alpha, contraction
 
 
+def _log_norm(v, batch, r):
+    """(norm, m, e): the L^r norm of v > 0 against the batch's weights, in logs.
+
+    e = exp(r log v + log w - top), top being the largest exponent, m is the
+    mean of e and the norm is exp((top + log m) / r); its derivative in m is
+    norm / (r m).
+    """
+    lw = np.log(v) * r
+    if batch.log_weights is not None:
+        lw = lw + batch.log_weights
+    top = float(lw.max())
+    e = np.exp(lw - top)
+    m = float(np.mean(e))
+    return math.exp((top + math.log(m)) / r), m, e
+
+
 def _sweep_reference(f, batch, name, ts, r_of, m_of, params):
     """A sweep's report from the per-t formulas, one t of the sorted grid at a time."""
-    w, alg = batch.weights, batch.algebra
+    alg = batch.algebra
     ts = np.sort(np.asarray(ts, dtype=float))
     values, stderrs, infls = [], [], []
     for t in ts:
         r, m_t = r_of(t), m_of(t)
-        u = w * calc.evaluate_batch(calc.dilation_pullback(f, t), alg, batch.samples) ** r
-        m = float(np.mean(u))
-        values.append(m ** (1.0 / r) / m_t)
-        infls.append((1.0 / r) * m ** (1.0 / r - 1.0) / m_t * (u - m))
+        norm, m, e = _log_norm(calc.evaluate_batch(calc.dilation_pullback(f, t), alg,
+                                                   batch.samples), batch, r)
+        values.append(norm / m_t)
+        infls.append(norm / (r * m) / m_t * (e - m))
         stderrs.append(_se(infls[-1]))
     diff_ses = [_se(b - a) for a, b in zip(infls, infls[1:])]
     tol = Z_THRESHOLD * np.asarray(diff_ses) + ABS_FLOOR
