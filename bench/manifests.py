@@ -26,7 +26,10 @@ The entries are:
   all at small n, and ``carnot check lsh --points FILE``
   on a heisenberg(1) batch CSV that ``heat.sample(...).save_csv`` of the
   first checkout writes once into a temporary directory, so every checkout
-  reads the same bytes; the output is stdout;
+  reads the same bytes; at the edge of double range, ``carnot check lsi`` and
+  ``carnot check chain`` of 1e-170 (e^x + e^-x), x = x_1_1, whose |grad f|^2
+  is subnormal, and ``carnot check lsi --form L2`` of 1e-200 e^x, whose
+  mass |f|_2^2 is 0.0; the output is stdout;
 - three configs of sweeps at the edge of double range, run by ``cli.run``:
   on engel, a ``contractivity`` check at t = -300, where the dilation weight
   exp(300) ** 3 overflows, beside a ``time-space`` check, which fails the
@@ -80,6 +83,9 @@ RENDER_EXPRS = ("(+ x_1_1 x_1_2 2.0)", "(* 0.5 x_1_1 x_2_1)", "(- x_1_2)",
                 "(- x_1_1 x_2_1)", "(pow x_1_1 2.5)", "(exp (* 0.7 x_1_2))",
                 "(log (+ 1.0 (pow x_2_1 2.0)))",
                 "(dilated (dilated (+ x_1_1 x_2_1) 0.3) -0.2)")
+# fields at the edge of double range for the entropy checks
+SCALED_COSH = "(* 1e-170 (+ (exp x_1_1) (exp (- x_1_1))))"
+TINY_EXP = "(* 1e-200 (exp x_1_1))"
 GRID_33 = ",".join(repr(i / 32) for i in range(33))
 POINTS_SAMPLE = {"s": 1.0, "n_samples": 500, "n_steps": 16, "seed": 3}
 EDGE_SWEEP_CONFIGS = {
@@ -201,6 +207,11 @@ def cli_commands(points: str) -> dict:
         "--grid", GRID_33]
     commands["carnot check contractivity --tilt 0.5,-1.0 --grid <33 t>"] = [
         "check", "contractivity", *CLI_ARGS, "--tilt", "0.5,-1.0", "--grid", GRID_33]
+    for kind in ("lsi", "chain"):
+        commands[f"carnot check {kind} --field {SCALED_COSH}"] = [
+            "check", kind, *CLI_ARGS[:2], "--field", SCALED_COSH, *CLI_ARGS[4:]]
+    commands[f"carnot check lsi --form L2 --field {TINY_EXP}"] = [
+        "check", "lsi", "--form", "L2", *CLI_ARGS[:2], "--field", TINY_EXP, *CLI_ARGS[4:]]
     commands["carnot check lsh --points FILE"] = ["check", "lsh", "--points", points,
                                                   *CLI_ARGS]
     return commands

@@ -273,21 +273,12 @@ def j_matrix(algebra: StratifiedAlgebra, z, v2_metric=None) -> np.ndarray:
     """
     if algebra.step != 2:
         raise NotStepTwoError(f"J_z needs a step-2 algebra, got step {algebra.step}")
-    d1, d2 = algebra.layer_dims
     z = np.asarray(z, dtype=float)
-    g2 = np.eye(d2) if v2_metric is None else np.asarray(v2_metric, dtype=float)
-    frame = algebra.orthonormal_v1_frame()
-    J = np.zeros((d1, d1))
-    sl2 = algebra.layer_slice(2)
-    for i in range(d1):
-        for jj in range(d1):
-            u = np.zeros(algebra.dim)
-            w = np.zeros(algebra.dim)
-            u[:d1] = frame[:, jj]  # v = j-th orthonormal vector
-            w[:d1] = frame[:, i]
-            br = algebra.bracket(u, w)[sl2]
-            J[i, jj] = float(z @ g2 @ br)
-    return J
+    g2 = np.eye(algebra.layer_dims[1]) if v2_metric is None else np.asarray(v2_metric, float)
+    frame, v1 = algebra.orthonormal_v1_frame(), algebra.layer_slice(1)
+    # J[i, j] = <z, [frame_j, frame_i]>; the contracted structure constants
+    # are <z, [e_a, e_b]> in row a, so their transpose puts frame_j first
+    return frame.T @ (algebra.structure[v1, v1, algebra.layer_slice(2)] @ (z @ g2)).T @ frame
 
 
 def classify_h_type(algebra: StratifiedAlgebra, v2_metric=None) -> HTypeVerdict:

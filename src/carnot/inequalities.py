@@ -7,7 +7,8 @@ batch.  Both sides of every inequality are evaluated on the same samples
 per-sample influence functions, so correlations between the two sides are
 accounted for.  One core, ``_delta_method``, gives every margin its influence
 and stderr; ``_margin_report`` adds heavy tail and mode.  One rule, ``_norms``,
-forms every L^r norm in logs against the batch's log weights.
+forms every L^r norm in logs against the batch's log weights.  One table,
+``_columns``, writes every other weighted per-sample column of f.
 
 Checked statements, for user-supplied constants c, beta >= 0:
 
@@ -34,16 +35,16 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import calculus
 from .algebra import StratifiedAlgebra
 from .calculus import (
+    Log,
     ScalarField,
     dilation_pullback,
     euler_derivative_batch,
     evaluate_batch,
     evaluate_pullbacks,
     horizontal_sums,
-    sub_gradient_sq_batch,
-    sub_laplacian_batch,
 )
 from .errors import CarnotError, ParameterError
 from .heat import HeatSampleBatch
@@ -109,12 +110,35 @@ def _positive_values(f, batch: HeatSampleBatch, what: str) -> np.ndarray:
     return v
 
 
+def _columns(f, batch: HeatSampleBatch, ids, what=None) -> list:
+    """The weighted per-sample columns w g of f for the functional ids of ``ids``,
+    in order: g is f (l1), f log f (entropy), f |grad log f|^2 (dirichlet: it is
+    |grad f|^2 / f at f's own scale), |grad f|^2 (grad_sq), Ef (euler), Delta f
+    (laplacian), f^2 (f2) or f^2 log f (f2log). f's values, one frame, f's
+    horizontal sums and Ef are each formed at most once, and only if an id needs
+    them; ``what``, if given, is the requirement f > 0, checked before any jet."""
+    alg, pts, w, need = batch.algebra, batch.samples, batch.weights, set(ids)
+    if need & {"l1", "entropy", "dirichlet", "f2", "f2log"}:
+        v = evaluate_batch(f, alg, pts) if what is None else _positive_values(f, batch, what)
+    if need & {"dirichlet", "grad_sq", "laplacian"}:
+        frame = calculus.frame_jets(alg, pts)
+    if need & {"grad_sq", "laplacian"}:
+        gsq, lap = horizontal_sums(f, alg, pts, frame)
+    column = {
+        "l1": lambda: w * v,
+        "entropy": lambda: w * v * np.log(v),
+        "dirichlet": lambda: w * v * horizontal_sums(Log(f), alg, pts, frame)[0],
+        "grad_sq": lambda: w * gsq,
+        "euler": lambda: w * euler_derivative_batch(f, alg, pts),
+        "laplacian": lambda: w * lap,
+        "f2": lambda: w * v * v,
+        "f2log": lambda: w * v * v * np.log(v),
+    }
+    return [column[i]() for i in ids]
+
+
 def _batch_params(batch: HeatSampleBatch) -> dict:
     return {"s": batch.s, "n": batch.n_samples, "steps": batch.n_steps, "seed": batch.seed}
-
-
-def _heavy(*contribs) -> bool:
-    return any(heavy_tail_fraction(c) > HEAVY_TAIL_FRACTION for c in contribs)
 
 
 def _require_finite_mean(col, m: float) -> None:
@@ -173,40 +197,33 @@ def _norms(u, batch: HeatSampleBatch, rs, labels):
 def _margin_report(name, batch: HeatSampleBatch, cols, sides, **kw) -> CheckReport:
     """The report of one margin, with the columns' heavy-tail flag and the mode."""
     lhs, rhs, _, stderr = _delta_method(cols, sides)
-    return CheckReport.from_margin(name, lhs, rhs, stderr, heavy_tail=_heavy(*cols),
+    heavy = any(heavy_tail_fraction(c) > HEAVY_TAIL_FRACTION for c in cols)
+    return CheckReport.from_margin(name, lhs, rhs, stderr, heavy_tail=heavy,
                                    mode=lsi_mode(batch.algebra), **kw)
+
+
+# estimate's plain means, each with its requirement f > 0, if it has one
+_MEANS = {"l1": None, "grad_sq": None, "euler": None, "laplacian": None,
+          "entropy": "entropy needs f > 0", "dirichlet": "dirichlet form needs f > 0"}
 
 
 def estimate(functional: str, f: ScalarField, batch: HeatSampleBatch,
              p: float | None = None) -> FunctionalEstimate:
     """Estimate one functional of f against rho_s dm.
 
-    ids: l1, lp (needs p), entropy (int f log f), dirichlet (int |grad f|^2/f),
-    grad_sq, euler (int Ef), laplacian (int Delta f).
+    ids: l1, lp (needs p), entropy (int f log f), dirichlet (int |grad f|^2/f,
+    as int f |grad log f|^2), grad_sq, euler (int Ef), laplacian (int Delta f).
     """
-    w = batch.weights
     params = _batch_params(batch)
-    sides = lambda m: (m, None, [1.0])  # a plain mean
     if functional == "lp":
         if p is None or p <= 0:
             raise ParameterError("lp functional needs p > 0")
         col = _positive_values(f, batch, "lp norm needs f > 0")[None]
         _, (norm,), (deriv,) = _norms(col, batch, [p], [f"lp norm |f|_{p:g}"])
         col, sides, params["p"] = col[0], lambda m: (norm, None, [deriv]), p
-    elif functional == "l1":
-        col = w * evaluate_batch(f, batch.algebra, batch.samples)
-    elif functional == "entropy":
-        v = _positive_values(f, batch, "entropy needs f > 0")
-        col = w * v * np.log(v)
-    elif functional == "dirichlet":
-        v = _positive_values(f, batch, "dirichlet form needs f > 0")
-        col = w * sub_gradient_sq_batch(f, batch.algebra, batch.samples) / v
-    elif functional == "grad_sq":
-        col = w * sub_gradient_sq_batch(f, batch.algebra, batch.samples)
-    elif functional == "euler":
-        col = w * euler_derivative_batch(f, batch.algebra, batch.samples)
-    elif functional == "laplacian":
-        col = w * sub_laplacian_batch(f, batch.algebra, batch.samples)
+    elif functional in _MEANS:
+        (col,) = _columns(f, batch, [functional], _MEANS[functional])
+        sides = lambda m: (m, None, [1.0])  # a plain mean
     else:
         raise ParameterError(f"unknown functional id {functional!r}")
     val, _, _, se = _delta_method([col], sides)
@@ -245,16 +262,19 @@ def _warn_if_not_lsh(f, batch, lsh_status) -> list:
 # -- inequality checks -----------------------------------------------------------
 
 
-def _entropy_check(name, batch, ent, x, wf, k, h, beta, params, notes) -> CheckReport:
+def _entropy_check(name, batch, cols, k, h, mass, beta, params, notes) -> CheckReport:
     """Ent <= k X + h (m log m + beta m), the entropy inequality behind LSI and sLSI.
 
-    Ent, X and m are the means of the weighted per-sample entropy, energy and
-    mass terms ent, x and wf.
-    """
-    return _margin_report(name, batch, (x, wf, ent), lambda X, m, L: (
-        L, k * X + h * m * math.log(m) + h * beta * m,
-        (k, h * (math.log(m) + 1.0 + beta), -1.0)),
-        params=params, notes=notes)
+    X, m and Ent are the means of ``cols``, the weighted per-sample energy, mass
+    and entropy; an m below the smallest normal double, as of an f whose square
+    underflows, has lost its digits and is the check's error, naming ``mass``."""
+    def sides(X, m, L):
+        if m < np.finfo(float).tiny:
+            raise ParameterError(f"{name} check: mass {mass} = {m:.6g} is outside double range")
+        return L, k * X + h * m * math.log(m) + h * beta * m, (
+            k, h * (math.log(m) + 1.0 + beta), -1.0)
+
+    return _margin_report(name, batch, cols, sides, params=params, notes=notes)
 
 
 def check_lsi(f: ScalarField, batch: HeatSampleBatch, c: float, beta: float,
@@ -262,17 +282,14 @@ def check_lsi(f: ScalarField, batch: HeatSampleBatch, c: float, beta: float,
     """Classical logarithmic Sobolev inequality in its L1 or L2 form."""
     if beta < 0 or c < 0:
         raise ParameterError("constants c, beta must be >= 0")
-    w = batch.weights
-    v = _positive_values(f, batch, "LSI check needs f > 0 on samples")
-    gsq = sub_gradient_sq_batch(f, batch.algebra, batch.samples)
-    logv = np.log(v)
     if form == "L1":
-        terms = w * v * logv, w * gsq / v, w * v, c * batch.s / 2.0, 1.0
+        ids, k, h, mass = ("dirichlet", "l1", "entropy"), c * batch.s / 2.0, 1.0, "|f|_1"
     elif form == "L2":
-        terms = w * v * v * logv, w * gsq, w * v * v, c * batch.s, 0.5
+        ids, k, h, mass = ("grad_sq", "f2", "f2log"), c * batch.s, 0.5, "|f|_2^2"
     else:
         raise ParameterError(f"form must be 'L1' or 'L2', got {form!r}")
-    return _entropy_check(f"lsi-{form.lower()}", batch, *terms, beta,
+    cols = _columns(f, batch, ids, "LSI check needs f > 0 on samples")
+    return _entropy_check(f"lsi-{form.lower()}", batch, cols, k, h, mass, beta,
                           {"c": c, "beta": beta, "form": form, **_batch_params(batch)}, [])
 
 
@@ -282,19 +299,14 @@ def check_slsi(f: ScalarField, batch: HeatSampleBatch, c: float, beta: float,
     if beta < 0 or c < 0:
         raise ParameterError("constants c, beta must be >= 0")
     notes = _warn_if_not_lsh(f, batch, lsh_status)
-    w = batch.weights
-    v = _positive_values(f, batch, "sLSI check needs f > 0 on samples")
-    ef = w * euler_derivative_batch(f, batch.algebra, batch.samples)
-    return _entropy_check("slsi", batch, w * v * np.log(v), ef, w * v, c, 1.0, beta,
+    cols = _columns(f, batch, ("euler", "l1", "entropy"), "sLSI check needs f > 0 on samples")
+    return _entropy_check("slsi", batch, cols, c, 1.0, "|f|_1", beta,
                           {"c": c, "beta": beta, **_batch_params(batch)}, notes)
 
 
 def check_time_space(f: ScalarField, batch: HeatSampleBatch) -> CheckReport:
     """Equality int Ef rho_s dm = (s/2) int Delta f rho_s dm (two-sided)."""
-    w = batch.weights
-    ef = w * euler_derivative_batch(f, batch.algebra, batch.samples)
-    lap = w * sub_laplacian_batch(f, batch.algebra, batch.samples)
-    return _time_space(batch, ef, lap)
+    return _time_space(batch, *_columns(f, batch, ("euler", "laplacian")))
 
 
 def _time_space(batch, ef, lap) -> CheckReport:
@@ -313,27 +325,17 @@ def check_lsi_implies_slsi_chain(f: ScalarField, batch: HeatSampleBatch,
     int Ef = (s/2) int Delta f, reported as one chained check.
     """
     notes = _warn_if_not_lsh(f, batch, lsh_status)
-    w = batch.weights
-    v = _positive_values(f, batch, "chain check needs f > 0 on samples")
-    # one frame and one jet evaluation of f give both sums, for both checks
-    gsq, lap = horizontal_sums(f, batch.algebra, batch.samples)
-    lap = w * lap
-    ineq = _margin_report("chain-dirichlet-vs-laplacian", batch, (lap, w * gsq / v),
+    # one frame gives Delta f, for both checks, and |grad log f|^2
+    lap, dirichlet, ef = _columns(f, batch, ("laplacian", "dirichlet", "euler"),
+                                  "chain check needs f > 0 on samples")
+    ineq = _margin_report("chain-dirichlet-vs-laplacian", batch, (lap, dirichlet),
                           lambda D, G: (G, D, (1.0, -1.0)))
-    ef = w * euler_derivative_batch(f, batch.algebra, batch.samples)
     ts = _time_space(batch, ef, lap)
-
-    if VERDICT_VIOLATED in (ineq.verdict, ts.verdict):
-        verdict = VERDICT_VIOLATED
-    elif VERDICT_INCONCLUSIVE in (ineq.verdict, ts.verdict):
-        verdict = VERDICT_INCONCLUSIVE
-    else:
-        verdict = VERDICT_HOLDS
-    return replace(
-        ineq, name="lsi-implies-slsi-chain", verdict=verdict,
-        params=_batch_params(batch), notes=notes,
-        details={"inequality": ineq.as_dict(), "time_space": ts.as_dict()},
-    )
+    verdict = next((v for v in (VERDICT_VIOLATED, VERDICT_INCONCLUSIVE)
+                    if v in (ineq.verdict, ts.verdict)), VERDICT_HOLDS)
+    return replace(ineq, name="lsi-implies-slsi-chain", verdict=verdict,
+                   params=_batch_params(batch), notes=notes,
+                   details={"inequality": ineq.as_dict(), "time_space": ts.as_dict()})
 
 
 def check_shc(f: ScalarField, batch: HeatSampleBatch, p: float, q: float,

@@ -726,6 +726,30 @@ def test_overflow_at_t_is_a_check_error(argv, error, capsys):
     assert rep["verdict"] == cli.VERDICT_ERROR and rep["error"] == error
 
 
+def test_an_entropy_mass_outside_double_range_is_a_check_error(tmp_path, capsys):
+    # f^2 ~ 1e-400 is 0.0 on every sample, so the L2 form's mass |f|_2^2 has
+    # no log: by check or by run, that check's report is the error, and the
+    # run keeps the other checks' reports
+    tiny = "(* 1e-200 (exp x_1_1))"
+    error = "lsi-l2 check: mass |f|_2^2 = 0 is outside double range"
+    rc = cli.main(["check", "lsi", "--form", "L2", "--algebra", "heisenberg(1)", "--field",
+                   tiny, "--c", "0.5", "--n", "2000", "--steps", "8"])
+    out, err = capsys.readouterr()
+    assert rc == 3 and err == ""
+    rep = json.loads(out)
+    assert rep["verdict"] == cli.VERDICT_ERROR and rep["error"] == error
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(small_time_space_config(
+        fields={"tiny": {"expr": tiny}, "good": {"library": "expx1"}},
+        heat={"s": 1.0, "n": 2000, "steps": 8, "seed": 1},
+        checks=[{"check": "lsi", "field": "tiny", "form": "L2", "c": 0.5},
+                {"check": "slsi", "field": "good", "c": 1.0}])))
+    assert cli.main(["run", str(path)]) == 3
+    lsi, slsi = json.loads(capsys.readouterr().out)["reports"]
+    assert lsi["verdict"] == cli.VERDICT_ERROR and lsi["error"] == error
+    assert slsi["verdict"] == "holds"
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "slsi", "--algebra", "heisenberg(1)", "--field", "@expx1", "--c", "abc"],
     ["bogus"],

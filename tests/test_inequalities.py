@@ -218,7 +218,9 @@ def _reports_reference(f, batch, c, beta):
             name, lhs, rhs, _se(infl), mode=mode,
             params={"c": c, "beta": beta, **form, **bp}, heavy_tail=heavy)
 
-    ent, dir_, wf = w * v * logv, w * gsq / v, w * v
+    # the Dirichlet integrand |grad f|^2 / f is f |grad log f|^2, at f's scale
+    glog = calc.horizontal_sums(calc.Log(f), alg, batch.samples)[0]
+    ent, dir_, wf = w * v * logv, w * v * glog, w * v
     m1, L, G = float(np.mean(wf)), float(np.mean(ent)), float(np.mean(dir_))
     l1 = report(
         "lsi-l1", L, (c * s / 2.0) * G + m1 * math.log(m1) + beta * m1,
@@ -243,8 +245,7 @@ def _reports_reference(f, batch, c, beta):
             two_sided=True, mode=mode, params=bp, heavy_tail=_heavy(ef, lap))
 
     ts = time_space(w * calc.sub_laplacian_batch(f, alg, batch.samples))
-    hgsq, hlap = calc.horizontal_sums(f, alg, batch.samples)
-    cdir, clap = w * hgsq / v, w * hlap
+    cdir, clap = w * v * glog, w * calc.horizontal_sums(f, alg, batch.samples)[1]
     CG, CD = float(np.mean(cdir)), float(np.mean(clap))
     se1 = _se((clap - CD) - (cdir - CG))
     cineq = CheckReport.from_margin("chain-dirichlet-vs-laplacian", CG, CD, se1,
@@ -404,6 +405,48 @@ def test_slsi_verdicts_scale_invariant_in_s(h3):
     want = 0.25 * math.exp(0.25)
     for m, se in margins:
         assert abs(m - want) < 4 * se
+
+
+def test_lsi_l2_mass_outside_double_range_is_an_error(h3):
+    # kappa f with f = e^(x_1_1): f^2 ~ 1e-340 is subnormal or 0.0 below kappa
+    # = 1e-154, so |f|_2^2 has lost its digits; at 1e160 f^2 overflows
+    batch = heat.sample(h3, 1.0, 2000, 8, seed=1)
+    for kappa, error in [
+            (1e-170, r"^lsi-l2 check: mass \|f\|_2\^2 = \S+ is outside double range$"),
+            (1e-200, r"^lsi-l2 check: mass \|f\|_2\^2 = 0 is outside double range$"),
+            (1e160, r"^non-finite value \(overflow\) at sample \d+$")]:
+        f = calc.Prod(calc.Const(kappa), calc.Exp(calc.x(1, 1)))
+        with pytest.raises(ParameterError, match=error), np.errstate(over="ignore"):
+            ineq.check_lsi(f, batch, 0.5, 0.0, form="L2")
+        assert ineq.check_lsi(f, batch, 0.5, 0.0).verdict == "holds"
+
+
+@pytest.mark.parametrize("tilt", [None, [0.5, -1.0]], ids=["plain", "tilted"])
+def test_entropy_checks_are_positively_homogeneous(h3, tilt):
+    # LSI (L1), sLSI, time-space, the chain and the Dirichlet form are
+    # 1-homogeneous in f: kappa f gives kappa times every margin, value and
+    # stderr, even where |grad (kappa f)|^2 leaves double range. f is not the
+    # exponential of a linear form, so Delta log f > 0 and the chain's margin
+    # is not rounding noise
+    batch = heat.sample(h3, 1.0, 2000, 8, seed=3, tilt=tilt)
+    f = calc.parse_field("(+ (exp (* 0.7 x_1_1)) (exp (- x_1_2)))")
+
+    def run(g):
+        reps = [ineq.check_lsi(g, batch, 0.5, 0.3),
+                ineq.check_slsi(g, batch, 0.5, 0.3, lsh_status="lsh"),
+                ineq.check_time_space(g, batch),
+                ineq.check_lsi_implies_slsi_chain(g, batch, lsh_status="lsh")]
+        dirichlet = ineq.estimate("dirichlet", g, batch)
+        return ([x for r in reps for x in (r.margin, r.stderr)]
+                + [dirichlet.value, dirichlet.stderr], [r.verdict for r in reps])
+
+    nums, verdicts = run(f)
+    assert 0.0 not in nums
+    for kappa in (1e-170, 1e160):
+        with np.errstate(over="ignore"):  # |grad (1e160 f)|^2, which no check reads
+            got, got_verdicts = run(calc.Prod(calc.Const(kappa), f))
+        assert got_verdicts == verdicts, kappa
+        np.testing.assert_allclose(got, kappa * np.asarray(nums), rtol=1e-11, atol=0.0)
 
 
 # -- time-space and the chain ------------------------------------------------------
