@@ -23,10 +23,10 @@ pointwise or vectorized over a whole sample batch at once.
 
 A component that is the Python float 0.0 is structurally zero, by the one
 rule that group.py states and holds for the group law and the jets alike
-(``_zero``, ``_plus`` and ``_times``, imported here): the jet operators
-skip every term that has it as a factor and return 0.0, or the other
-operand of a sum, without touching an array or computing the term's other
-factor (``pow`` forms no v ** (p - 2) when d1 is zero).  A curve's
+(``_zero``, ``_plus``, ``_minus`` and ``_times``, imported here): the jet
+operators skip every term that has it as a factor and return 0.0, or the
+other operand of a sum, without touching an array or computing the term's
+other factor (``pow`` forms no v ** (p - 2) when d1 is zero).  A curve's
 coordinate jets are mostly such zeros (x + 0 t, exp(t xi) with most xi_i
 zero), so this removes most of the arithmetic of a frame.
 """
@@ -42,16 +42,10 @@ import numpy as np
 
 from .algebra import StratifiedAlgebra
 from .errors import ConfigError, DomainError, ParameterError
-from .group import _plus, _times, _zero, multiply_jets
+from .group import _minus, _plus, _times, _zero, multiply_jets
 
 
 # -- 2-jets -------------------------------------------------------------------
-
-
-def _minus(a, b):
-    if _zero(b):
-        return a
-    return -b if _zero(a) else a - b
 
 
 @dataclass(frozen=True)
@@ -69,6 +63,13 @@ class Jet2:
         return Jet2(_plus(self.val, other), self.d1, self.d2)
 
     __radd__ = __add__
+
+    def __neg__(self):
+        return Jet2(_minus(0.0, self.val), _minus(0.0, self.d1), _minus(0.0, self.d2))
+
+    def __sub__(self, other):
+        return Jet2(_minus(self.val, other.val), _minus(self.d1, other.d1),
+                    _minus(self.d2, other.d2))
 
     def __mul__(self, other):
         if isinstance(other, Jet2):
@@ -408,24 +409,34 @@ def horizontal_jets(f, algebra, coords, frame=None):
     return [_ensure_jet(f._eval(algebra, gamma)) for gamma in frame]
 
 
+def _frame_sum(terms, n: int) -> np.ndarray:
+    """The sum of one term per frame vector, each a float or an (n,) array,
+    added in frame order to zeros."""
+    acc = np.zeros(n)
+    for term in terms:
+        acc += np.broadcast_to(np.asarray(term, dtype=float), (n,))
+    return acc
+
+
 def horizontal_sums(f, algebra, coords, frame=None):
     """(|grad f|^2, Delta f) = sum_i ((xi_i~ f)^2, xi_i~^2 f) over an orthonormal
     V_1 frame; ``frame`` is ``frame_jets(algebra, coords)``, when the caller has it.
     """
+    jets = horizontal_jets(f, algebra, coords, frame)
     n = np.atleast_2d(coords).shape[0]
-    grad_sq, lap = np.zeros(n), np.zeros(n)
-    for jet in horizontal_jets(f, algebra, coords, frame):
-        grad_sq += np.broadcast_to(np.asarray(jet.d1 * jet.d1, dtype=float), (n,))
-        lap += np.broadcast_to(np.asarray(jet.d2, dtype=float), (n,))
-    return grad_sq, lap
+    return _frame_sum((j.d1 * j.d1 for j in jets), n), _frame_sum((j.d2 for j in jets), n)
 
 
-def sub_gradient_sq_batch(f, algebra, coords) -> np.ndarray:
-    return horizontal_sums(f, algebra, coords)[0]
+def sub_gradient_sq_batch(f, algebra, coords, frame=None) -> np.ndarray:
+    """|grad f|^2 of ``horizontal_sums``, without Delta f."""
+    jets = horizontal_jets(f, algebra, coords, frame)
+    return _frame_sum((j.d1 * j.d1 for j in jets), np.atleast_2d(coords).shape[0])
 
 
-def sub_laplacian_batch(f, algebra, coords) -> np.ndarray:
-    return horizontal_sums(f, algebra, coords)[1]
+def sub_laplacian_batch(f, algebra, coords, frame=None) -> np.ndarray:
+    """Delta f of ``horizontal_sums``, without |grad f|^2."""
+    jets = horizontal_jets(f, algebra, coords, frame)
+    return _frame_sum((j.d2 for j in jets), np.atleast_2d(coords).shape[0])
 
 
 def euler_derivative_batch(f, algebra, coords) -> np.ndarray:
@@ -537,6 +548,11 @@ def _coordinates(f: ScalarField) -> set:
     if isinstance(f, Var):
         return {(f.j, f.k)}
     return set().union(*(_coordinates(a) for a in f.args if isinstance(a, ScalarField)))
+
+
+def layers_read(f: ScalarField) -> set:
+    """The layer j of every coordinate variable x_j_k in f's tree."""
+    return {j for j, _ in _coordinates(f)}
 
 
 def to_expr(f: ScalarField) -> str:

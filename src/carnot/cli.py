@@ -7,8 +7,9 @@ A run executes the checks of a JSON experiment config in declaration order
 and emits a manifest embedding the fully resolved config, a config hash,
 and one report per check (every estimate carries its standard error).
 Re-running the same config and seed reproduces the manifest bit for bit,
-modulo the separate "timings" block; the CARNOT_THREADS environment
-variable only changes how checks are scheduled, never their values.
+modulo the separate "timings" and "batches" blocks; the CARNOT_THREADS
+environment variable only changes how checks are scheduled, never their
+values.
 
 Exit codes: 0 all checks hold, 1 any violated, 2 any inconclusive,
 3 structural/config error, a command-line usage error included.
@@ -399,20 +400,27 @@ def run(config: dict) -> dict:
     paths = dict.fromkeys(c.get("points", "grid") for c in config["checks"]
                           if c["check"] == "lsh")
     points = {path: heat.load_csv(path, alg) for path in paths if path != "grid"}
-    timings = {}
+    timings, batches = {}, {}
     batch = None
     hc = config["heat"]
-    if hc is not None and any(_CHECKS[c["check"]].needs_batch for c in config["checks"]):
+    on_batch = [c for c in config["checks"] if _CHECKS[c["check"]].needs_batch]
+    if hc is not None and on_batch:
+        # one step, an exact first-layer batch (see heat), when every check on
+        # the batch reads a field of the first layer alone; a heat check reads all
+        exact = all(_CHECKS[c["check"]].needs_field
+                    and calculus.layers_read(fields[c["field"]][0]) <= {1} for c in on_batch)
         t0 = time.perf_counter()
-        batch = heat.sample(alg, hc["s"], hc["n"], hc["steps"], hc["seed"],
+        batch = heat.sample(alg, hc["s"], hc["n"], 1 if exact else hc["steps"], hc["seed"],
                             tilt=hc.get("tilt"))
         timings["sampling"] = time.perf_counter() - t0
+        batches["heat"] = _batch_record(batch)
     extra = {}
     for name in dict.fromkeys(c["batch"] for c in config["checks"] if "batch" in c):
         bc = config["extra_batches"][name]
         t0 = time.perf_counter()
         extra[name] = heat.sample(alg, bc["s"], bc["n"], bc["steps"], bc["seed"])
         timings[f"sampling.{name}"] = time.perf_counter() - t0
+        batches[f"extra_batches.{name}"] = _batch_record(extra[name])
 
     cx = _Context(alg, fields, batch, extra, hc["seed"] if hc else 0, points)
     tasks = list(enumerate(config["checks"]))
@@ -462,9 +470,16 @@ def run(config: dict) -> dict:
         "verdict_counts": counts,
         "exit_code": exit_code,
         "timings": timings,
+        "batches": batches,
     }
     _write_outputs(manifest, config)
     return manifest
+
+
+def _batch_record(batch) -> dict:
+    """What a batch of the run is: its kind, its steps and the normals drawn."""
+    return {"kind": "exact-first-layer" if batch.n_steps == 1 else "walk",
+            "steps": batch.n_steps, "normals": batch.normals}
 
 
 def _json_text(obj) -> str:
@@ -472,10 +487,14 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
 
 
+# the manifest's telemetry: how the run went, not what it found
+_TELEMETRY = ("timings", "batches")
+
+
 def manifest_canonical_bytes(manifest: dict) -> bytes:
-    """Manifest serialization with the timing block stripped (wall-clock
+    """Manifest serialization with the telemetry blocks stripped (wall-clock
     noise is the one legitimately irreproducible part)."""
-    stripped = {k: v for k, v in manifest.items() if k != "timings"}
+    stripped = {k: v for k, v in manifest.items() if k not in _TELEMETRY}
     return _json_text(stripped).encode()
 
 

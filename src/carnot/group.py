@@ -96,8 +96,8 @@ def bch_table(algebra: StratifiedAlgebra) -> tuple:
 # term with a known-zero factor is never formed.  Every other term is computed
 # as dense arithmetic would, so a finite non-zero result keeps its bits; only
 # 0 * inf in a skipped term gives 0, not NaN, and the sign of an exact zero may
-# differ.  The float test is written out, not called, in _plus, _times and the
-# loops below, which run once per term.
+# differ.  The float test is written out, not called, in _plus, _minus, _times
+# and the loops below, which run once per term.
 
 
 def _zero(c) -> bool:
@@ -111,6 +111,12 @@ def _plus(a, b):
     return a if type(b) is float and b == 0.0 else a + b
 
 
+def _minus(a, b):
+    if type(b) is float and b == 0.0:
+        return a
+    return -b if type(a) is float and a == 0.0 else a - b
+
+
 def _times(a, b):
     if type(a) is float and a == 0.0 or type(b) is float and b == 0.0:
         return 0.0
@@ -118,24 +124,31 @@ def _times(a, b):
 
 
 def _bracket_jets(algebra, u, v):
-    """[u, v] for coordinate vectors whose entries support + and * (jets).
+    """[u, v] for coordinate vectors whose entries support +, - and * (jets).
 
     Structurally zero entries (0.0; nested words only populate higher
     layers) are skipped, and an output entry nothing contributes to is 0.0.
+    A structure constant of 1.0 or -1.0 adds or subtracts the product, with
+    the bits of multiplying by it.
     """
     out = [0.0] * algebra.dim
     for a, b, g, c in algebra.sparse:
         ua, vb = u[a], v[b]
         if type(ua) is float and ua == 0.0 or type(vb) is float and vb == 0.0:
             continue
-        out[g] = _plus(out[g], (ua * vb) * c)
+        if c == 1.0:
+            out[g] = _plus(out[g], ua * vb)
+        elif c == -1.0:
+            out[g] = _minus(out[g], ua * vb)
+        else:
+            out[g] = _plus(out[g], (ua * vb) * c)
     return out
 
 
 def multiply_jets(algebra: StratifiedAlgebra, xs, ys):
     """Group product of two coordinate vectors given as length-dim sequences.
 
-    Entries are anything with + and *: jets, to push curves t -> x(t)y(t)
+    Entries are anything with +, - and *: jets, to push curves t -> x(t)y(t)
     through the group law with exact derivatives, or (n,) arrays, one per
     coordinate, to multiply n pairs of points at once.  An entry may be 0.0
     for a structurally zero coordinate (the upper layers of a walk step); it

@@ -9,7 +9,14 @@ Var(x_{1,k}(X_s)) = s/2 and, at s = 2, by the standard Gaussian.
 The scheme is a McKean-Gangolli injection: X_0 = e and X_{k+1} =
 X_k exp(sigma Z_k . xi) with sigma = sqrt(h/2).  Because first-layer BCH
 terms are additive, first-layer marginals are exact in law for any number
-of steps; the full law converges at weak order 1.
+of steps, N(b s/2, (s/2) I) with tilt b; the full law converges at weak
+order 1.  So a one-step batch is an exact first-layer batch: its first
+layer is that law, drawn from one step's normals, and its upper layers are
+absent, NaN, never the zeros of a one-step walk.  A check of a field that
+reads an upper layer refuses it, and so does every heat check
+(HeatSampleBatch.require_layers).
+On euclidean(n) the first layer is every layer, so a one-step batch there
+is the whole law.
 
 Reproducibility: block b of _BLOCK_PATHS paths draws its normals from its
 own SFC64 stream keyed by (seed, b), step by step: all the block's paths'
@@ -93,7 +100,30 @@ class HeatSampleBatch:
     def is_tilted(self) -> bool:
         return self.tilt is not None
 
+    @property
+    def layers(self) -> int:
+        """The layers the batch holds, 1 to this count: 1 for a one-step batch,
+        an exact first-layer batch whose upper layers are absent (NaN)."""
+        return 1 if self.n_steps == 1 else self.algebra.step
+
+    @property
+    def normals(self) -> int:
+        """The normals ``sample`` draws for the batch: every block draws its full width."""
+        blocks = -(-self.n_samples // _BLOCK_PATHS)
+        return blocks * _BLOCK_PATHS * self.n_steps * self.algebra.dim_v1
+
+    def require_layers(self, layers, what: str):
+        """Each of ``layers`` must be one the batch holds; ``what`` is who reads
+        them, as in "the field reads"."""
+        absent = sorted(j for j in layers if j > self.layers)
+        if absent:
+            raise ParameterError(
+                f"{what} layer {absent[0]}, which a one-step batch does not hold: "
+                f"it is an exact first-layer batch, its upper layers absent; "
+                f"draw more steps")
+
     def save_csv(self, path: str):
+        self.require_layers(range(1, self.algebra.step + 1), "a batch CSV writes")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.algebra.coordinate_labels())
@@ -193,21 +223,19 @@ def _increments(algebra: StratifiedAlgebra, s: float, n_samples: int,
 def _walk(algebra: StratifiedAlgebra, X, tile: np.ndarray) -> list:
     """Walks X advanced by a tile's steps, X_k = X_{k-1} exp(inc_k . xi).
 
-    X is dim arrays of shape (blocks, paths), or None for walks from e; tile
-    is (blocks, steps, d1, paths).  A step is one multiply_jets call over the
-    whole chunk: its d1 increment columns, and 0.0 for the upper layers, which
-    multiply_jets skips.  An abelian walk is a plain sum of the increments,
-    added in place in step order.
+    X is dim arrays of shape (blocks, paths), or None for walks from e, whose
+    first step is a copy of its increments, with zero upper layers; tile is
+    (blocks, steps, d1, paths).  Every other step is one multiply_jets call
+    over the whole chunk: its d1 increment columns, and 0.0 for the upper
+    layers, which multiply_jets skips.  On a step-1 algebra that is the sum.
     """
+    steps = tile.transpose(1, 2, 0, 3)
     if X is None:
-        X = list(np.zeros((algebra.dim, len(tile), tile.shape[-1])))
+        X = [*np.array(steps[0]), *np.zeros((algebra.dim - algebra.dim_v1, *steps.shape[2:]))]
+        steps = steps[1:]
     upper = [0.0] * (algebra.dim - algebra.dim_v1)
-    for step in tile.transpose(1, 2, 0, 3):
-        if algebra.sparse:
-            X = multiply_jets(algebra, X, [*step, *upper])
-        else:
-            for x, inc in zip(X, step):
-                x += inc
+    for step in steps:
+        X = multiply_jets(algebra, X, [*step, *upper])
     return X
 
 
@@ -242,6 +270,8 @@ def _endpoints(algebra: StratifiedAlgebra, s: float, n_samples: int, steps_list,
         for k in steps_list:
             for c, x in enumerate(X[k]):
                 out[k][lo:hi, c] = x.reshape(-1)[:hi - lo]
+    if 1 in out:  # an exact first-layer batch: its upper layers are absent
+        out[1][:, algebra.dim_v1:] = np.nan
     return out
 
 
@@ -377,9 +407,11 @@ def _energy_z(A: np.ndarray, B: np.ndarray, seed: int) -> float:
     return float((obs - null.mean()) / sd) if sd > 0 else 0.0
 
 
-def _require_untilted(batch: HeatSampleBatch, what: str):
+def _require_whole(batch: HeatSampleBatch, what: str):
+    """A heat check reads every layer of the batch, and needs it untilted."""
     if batch.is_tilted:
         raise ParameterError(f"{what} requires an untilted batch")
+    batch.require_layers(range(1, batch.algebra.step + 1), f"{what} reads")
 
 
 def _two_sample(A: np.ndarray, B: np.ndarray, z_of, energy_seed: int, *,
@@ -406,7 +438,7 @@ def empirical_check_inverse_symmetry(batch: HeatSampleBatch) -> TwoSampleReport:
     The heat kernel measure is invariant under the inverse, so all paired
     moment z-scores and the energy statistic stay within threshold.
     """
-    _require_untilted(batch, "inverse-symmetry check")
+    _require_whole(batch, "inverse-symmetry check")
     return _two_sample(
         batch.samples, -batch.samples, _paired_z, batch.seed,
         labels=batch.algebra.coordinate_labels(), name="heat-inverse-symmetry",
@@ -418,8 +450,8 @@ def empirical_check_inverse_symmetry(batch: HeatSampleBatch) -> TwoSampleReport:
 def empirical_check_scaling(batch_s: HeatSampleBatch, lam: float,
                             batch_sp: HeatSampleBatch) -> TwoSampleReport:
     """delta_{1/lambda}(X_s) should match X_{s lambda^{-2}} in law."""
-    _require_untilted(batch_s, "scaling check")
-    _require_untilted(batch_sp, "scaling check")
+    _require_whole(batch_s, "scaling check")
+    _require_whole(batch_sp, "scaling check")
     if batch_s.algebra is not batch_sp.algebra:
         raise StructureError("scaling check needs batches over one algebra")
     target = batch_s.s / lam ** 2
@@ -451,7 +483,7 @@ def empirical_tail_profile(batch: HeatSampleBatch) -> TailReport:
     strictly negative slope.  The sharp constants in the two-sided kernel
     bounds are NOT reproduced; this is a shape check only.
     """
-    _require_untilted(batch, "tail profile")
+    _require_whole(batch, "tail profile")
     if batch.n_samples < 10_000:
         raise ParameterError("tail profile needs at least 1e4 samples")
     norms = homogeneous_norm_batch(batch.algebra, batch.samples)

@@ -8,7 +8,9 @@ per-sample influence functions, so correlations between the two sides are
 accounted for.  One core, ``_delta_method``, gives every margin its influence
 and stderr; ``_margin_report`` adds heavy tail and mode.  One rule, ``_norms``,
 forms every L^r norm in logs against the batch's log weights.  One table,
-``_columns``, writes every other weighted per-sample column of f.
+``_columns``, writes every other weighted per-sample column of f.  Every
+check first refuses, by ``_require_layers``, a field that reads a layer the
+batch does not hold.
 
 Checked statements, for user-supplied constants c, beta >= 0:
 
@@ -44,7 +46,8 @@ from .calculus import (
     euler_derivative_batch,
     evaluate_batch,
     evaluate_pullbacks,
-    horizontal_sums,
+    sub_gradient_sq_batch,
+    sub_laplacian_batch,
 )
 from .errors import CarnotError, ParameterError
 from .heat import HeatSampleBatch
@@ -102,6 +105,13 @@ def _ses(infl: np.ndarray):
     return ses.tolist()
 
 
+def _require_layers(f, batch: HeatSampleBatch) -> None:
+    """Every public check's first step: f may read only the layers the batch
+    holds (an exact first-layer batch holds layer 1 alone), found once from
+    f's tree, before any sample is read."""
+    batch.require_layers(calculus.layers_read(f), "the field reads")
+
+
 def _positive_values(f, batch: HeatSampleBatch, what: str) -> np.ndarray:
     """f on the batch; ``what`` is the requirement a non-positive value breaks."""
     v = evaluate_batch(f, batch.algebra, batch.samples)
@@ -114,23 +124,22 @@ def _columns(f, batch: HeatSampleBatch, ids, what=None) -> list:
     """The weighted per-sample columns w g of f for the functional ids of ``ids``,
     in order: g is f (l1), f log f (entropy), f |grad log f|^2 (dirichlet: it is
     |grad f|^2 / f at f's own scale), |grad f|^2 (grad_sq), Ef (euler), Delta f
-    (laplacian), f^2 (f2) or f^2 log f (f2log). f's values, one frame, f's
-    horizontal sums and Ef are each formed at most once, and only if an id needs
-    them; ``what``, if given, is the requirement f > 0, checked before any jet."""
+    (laplacian), f^2 (f2) or f^2 log f (f2log). f's values, one frame and Ef
+    are each formed at most once, and only if an id needs them, and each
+    horizontal sum only for its own id; ``what``, if given, is the requirement
+    f > 0, checked before any jet."""
     alg, pts, w, need = batch.algebra, batch.samples, batch.weights, set(ids)
     if need & {"l1", "entropy", "dirichlet", "f2", "f2log"}:
         v = evaluate_batch(f, alg, pts) if what is None else _positive_values(f, batch, what)
     if need & {"dirichlet", "grad_sq", "laplacian"}:
         frame = calculus.frame_jets(alg, pts)
-    if need & {"grad_sq", "laplacian"}:
-        gsq, lap = horizontal_sums(f, alg, pts, frame)
     column = {
         "l1": lambda: w * v,
         "entropy": lambda: w * v * np.log(v),
-        "dirichlet": lambda: w * v * horizontal_sums(Log(f), alg, pts, frame)[0],
-        "grad_sq": lambda: w * gsq,
+        "dirichlet": lambda: w * v * sub_gradient_sq_batch(Log(f), alg, pts, frame),
+        "grad_sq": lambda: w * sub_gradient_sq_batch(f, alg, pts, frame),
         "euler": lambda: w * euler_derivative_batch(f, alg, pts),
-        "laplacian": lambda: w * lap,
+        "laplacian": lambda: w * sub_laplacian_batch(f, alg, pts, frame),
         "f2": lambda: w * v * v,
         "f2log": lambda: w * v * v * np.log(v),
     }
@@ -214,6 +223,7 @@ def estimate(functional: str, f: ScalarField, batch: HeatSampleBatch,
     ids: l1, lp (needs p), entropy (int f log f), dirichlet (int |grad f|^2/f,
     as int f |grad log f|^2), grad_sq, euler (int Ef), laplacian (int Delta f).
     """
+    _require_layers(f, batch)
     params = _batch_params(batch)
     if functional == "lp":
         if p is None or p <= 0:
@@ -280,6 +290,7 @@ def _entropy_check(name, batch, cols, k, h, mass, beta, params, notes) -> CheckR
 def check_lsi(f: ScalarField, batch: HeatSampleBatch, c: float, beta: float,
               form: str = "L1") -> CheckReport:
     """Classical logarithmic Sobolev inequality in its L1 or L2 form."""
+    _require_layers(f, batch)
     if beta < 0 or c < 0:
         raise ParameterError("constants c, beta must be >= 0")
     if form == "L1":
@@ -296,6 +307,7 @@ def check_lsi(f: ScalarField, batch: HeatSampleBatch, c: float, beta: float,
 def check_slsi(f: ScalarField, batch: HeatSampleBatch, c: float, beta: float,
                lsh_status: str | None = None) -> CheckReport:
     """Strong LSI: entropy <= c int Ef + |f|_1 log |f|_1 + beta |f|_1."""
+    _require_layers(f, batch)
     if beta < 0 or c < 0:
         raise ParameterError("constants c, beta must be >= 0")
     notes = _warn_if_not_lsh(f, batch, lsh_status)
@@ -306,6 +318,7 @@ def check_slsi(f: ScalarField, batch: HeatSampleBatch, c: float, beta: float,
 
 def check_time_space(f: ScalarField, batch: HeatSampleBatch) -> CheckReport:
     """Equality int Ef rho_s dm = (s/2) int Delta f rho_s dm (two-sided)."""
+    _require_layers(f, batch)
     return _time_space(batch, *_columns(f, batch, ("euler", "laplacian")))
 
 
@@ -324,6 +337,7 @@ def check_lsi_implies_slsi_chain(f: ScalarField, batch: HeatSampleBatch,
     int |grad f|^2/f <= int Delta f   together with the time-space equality
     int Ef = (s/2) int Delta f, reported as one chained check.
     """
+    _require_layers(f, batch)
     notes = _warn_if_not_lsh(f, batch, lsh_status)
     # one frame gives Delta f, for both checks, and |grad log f|^2
     lap, dirichlet, ef = _columns(f, batch, ("laplacian", "dirichlet", "euler"),
@@ -347,6 +361,7 @@ def check_shc(f: ScalarField, batch: HeatSampleBatch, p: float, q: float,
     Janson's time is how sharpness is demonstrated).  Both norms come from
     the one supplied batch.
     """
+    _require_layers(f, batch)
     if not (0 < p <= q):
         raise ParameterError(f"need 0 < p <= q, got p={p}, q={q}")
     if beta < 0 or c < 0:
@@ -463,6 +478,7 @@ def sweep_alpha(f: ScalarField, batch: HeatSampleBatch, c: float, beta: float,
     Under sLSI, alpha is non-increasing on [0, t_J(1, q)]; alpha(0) = |f|_1
     and alpha(t_J) = M(1,q)^{-1} |e^{-t_J E} f|_q.
     """
+    _require_layers(f, batch)
     if q < 1:
         raise ParameterError(f"q must be >= 1, got {q}")
     notes = _warn_if_not_lsh(f, batch, lsh_status)
@@ -477,6 +493,7 @@ def sweep_alpha(f: ScalarField, batch: HeatSampleBatch, c: float, beta: float,
 def check_l1_contractivity(f: ScalarField, batch: HeatSampleBatch, ts=None,
                            lsh_status: str | None = None) -> SweepReport:
     """|e^{-tE} f|_1 over a t grid; non-increasing for log-subharmonic f."""
+    _require_layers(f, batch)
     notes = _warn_if_not_lsh(f, batch, lsh_status)
     return _sweep(
         "l1-contractivity", f, batch, np.linspace(0.0, 1.0, 9) if ts is None else ts,

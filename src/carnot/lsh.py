@@ -29,6 +29,7 @@ from .calculus import (
     evaluate_batch,
     frame_jets,
     horizontal_sums,
+    sub_laplacian_batch,
 )
 from .errors import DomainError, ParameterError, StructureError
 from .reports import Report
@@ -92,7 +93,7 @@ def check_lsh(f: ScalarField, points, tol: float = DEFAULT_TOL, *,
 
     if frame is None:
         frame = frame_jets(algebra, pts)
-    _, delta_log = horizontal_sums(Log(f), algebra, pts, frame)
+    delta_log = sub_laplacian_batch(Log(f), algebra, pts, frame)
     grad_sq, lap = horizontal_sums(f, algebra, pts, frame)
     lemma = (lap - grad_sq / vals) / vals
 

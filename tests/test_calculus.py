@@ -65,6 +65,12 @@ class _DenseJet:
 
     __radd__ = __add__
 
+    def __neg__(self):
+        return _DenseJet(-self.val, -self.d1, -self.d2)
+
+    def __sub__(self, other):
+        return _DenseJet(self.val - other.val, self.d1 - other.d1, self.d2 - other.d2)
+
     def __mul__(self, other):
         if isinstance(other, _DenseJet):
             return _DenseJet(

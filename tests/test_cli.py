@@ -26,6 +26,13 @@ def small_time_space_config(**overrides):
     return config
 
 
+def drawn_batch(manifest):
+    """The main batch of a run, drawn again at the steps its manifest records."""
+    hc = manifest["config"]["heat"]
+    return heat.sample(algebra.resolve(manifest["config"]["algebra"]), hc["s"], hc["n"],
+                       manifest["batches"]["heat"]["steps"], hc["seed"], tilt=hc.get("tilt"))
+
+
 # -- config validation -------------------------------------------------------------
 
 
@@ -309,6 +316,89 @@ def test_runs_leave_the_per_algebra_caches_flat():
     assert sizes() == before
 
 
+# the main batch's kind by what its checks read: (fields, checks, kind)
+BATCH_KINDS = {
+    "first-layer fields": ({"f": {"expr": "(pow x_1_1 2)"}, "g": {"library": "expx1"}},
+                           [{"check": "time-space", "field": "f"},
+                            {"check": "slsi", "field": "g", "c": 1.0},
+                            {"check": "lsh", "field": "g", "grid_n": 50}],
+                           "exact-first-layer"),
+    "a field reads layer 2": ({"f": {"expr": "(pow x_1_1 2)"},
+                               "g": {"expr": "(+ x_1_1 x_2_1 8)"}},
+                              [{"check": "time-space", "field": "f"},
+                               {"check": "time-space", "field": "g"}], "walk"),
+    "a heat check": ({"f": {"expr": "(pow x_1_1 2)"}},
+                     [{"check": "time-space", "field": "f"},
+                      {"check": "inverse-symmetry"}], "walk"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_KINDS))
+def test_main_batch_is_exact_when_its_checks_read_only_the_first_layer(case):
+    # the kind is chosen from the config alone: no key names it, so the
+    # config and its hash are those of the walk
+    fields, checks, kind = BATCH_KINDS[case]
+    config = small_time_space_config(fields=fields, checks=checks,
+                                     heat={"s": 1.0, "n": 600, "steps": 8, "seed": 5})
+    manifest = cli.run(copy.deepcopy(config))
+    steps = 1 if kind == "exact-first-layer" else 8
+    # 600 paths draw three whole blocks of 256, each of 2 normals per step
+    assert manifest["batches"] == {"heat": {"kind": kind, "steps": steps,
+                                            "normals": 768 * 2 * steps}}
+    assert manifest["config"]["heat"]["steps"] == 8
+    assert manifest["config_hash"] == cli._config_hash(cli.validate_config(config))
+    assert {r["params"]["steps"] for r in manifest["reports"] if "params" in r} <= {steps}
+    assert manifest["exit_code"] == 0
+    want = heat.sample(algebra.builtin("heisenberg(1)"), 1.0, 600, steps, 5)
+    assert drawn_batch(manifest).samples.tobytes() == want.samples.tobytes()
+
+
+def test_extra_batches_walk_and_the_batch_block_is_telemetry():
+    # an extra batch serves only scaling, which reads every layer; the
+    # batches block, like timings, is out of the canonical bytes
+    config = small_time_space_config(
+        heat={"s": 1.0, "n": 300, "steps": 8, "seed": 5},
+        extra_batches={"b": {"s": 0.25, "n": 200, "steps": 4, "seed": 1}},
+        checks=[{"check": "scaling", "lambda": 2.0, "batch": "b"}])
+    manifest = cli.run(config)
+    assert manifest["batches"] == {
+        "heat": {"kind": "walk", "steps": 8, "normals": 512 * 2 * 8},
+        "extra_batches.b": {"kind": "walk", "steps": 4, "normals": 256 * 2 * 4}}
+    canonical = cli.manifest_canonical_bytes(manifest)
+    assert "batches" not in json.loads(canonical) and "timings" not in json.loads(canonical)
+    assert canonical == cli.manifest_canonical_bytes(
+        {k: v for k, v in manifest.items() if k != "batches"})
+
+
+def test_one_step_field_of_an_upper_layer_exits_3_naming_the_layer(capsys):
+    # --steps 1 is an exact first-layer batch: (exp x_2_1) reads a layer it
+    # does not hold, and its report's one error names that layer
+    argv = ["check", "time-space", "--algebra", "heisenberg(1)", "--n", "500",
+            "--steps", "1", "--seed", "2"]
+    assert cli.main([*argv, "--field", "(exp x_2_1)"]) == 3
+    out, err = capsys.readouterr()
+    assert out.count('"error": ') == 1 and err == ""
+    rep = json.loads(out)
+    assert rep["verdict"] == cli.VERDICT_ERROR
+    assert rep["error"].startswith("the field reads layer 2, which a one-step batch does not hold")
+    assert cli.main([*argv, "--field", "(exp x_1_1)"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["steps"] == 1
+
+
+def test_one_step_sample_of_a_step_2_group_writes_no_rows(tmp_path, capsys):
+    # its upper layers are absent, not zeros: no CSV could hold them
+    path = tmp_path / "batch.csv"
+    argv = ["sample", "--s", "1.0", "--n", "50", "--steps", "1", "--seed", "3",
+            "--out", str(path)]
+    assert cli.main([*argv, "--algebra", "heisenberg(1)"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: a batch CSV writes layer 2, which a one-step batch")
+    assert not path.exists()
+    assert cli.main([*argv, "--algebra", "euclidean(2)"]) == 0
+    assert open(path).readline().strip() == "x_1_1,x_1_2"
+
+
 def test_timings_cover_extra_batches():
     config = small_time_space_config(
         extra_batches={"b": {"s": 0.25, "n": 200, "steps": 8, "seed": 1}})
@@ -565,9 +655,10 @@ def test_shc_and_sweep_power_underflow_is_a_per_check_error(case, tmp_path, caps
     path.write_text(json.dumps(config))
     assert cli.main(["run", str(path)]) == 0
     out, err = capsys.readouterr()
-    tiny, good = json.loads(out)["reports"]
+    manifest = json.loads(out)
+    tiny, good = manifest["reports"]
     assert tiny["verdict"] == good["verdict"] == "holds"
-    batch = heat.sample(algebra.builtin("heisenberg(1)"), *heat_kw.values())
+    batch = drawn_batch(manifest)
     f = calculus.parse_field("(* 1e-90 (exp x_1_1))")
 
     def norm(t, r):  # |e^(-tE) f|_r; M(t) = 1 at beta = 0
@@ -640,9 +731,10 @@ def test_sweep_errors_name_the_first_failing_t_and_sample(case, rows, tmp_path, 
         warnings.simplefilter("ignore")  # the LSH spot check's
         code = cli.main(["run", str(path)])
     out, err = capsys.readouterr()
-    rep = json.loads(out)["reports"][0]
-    alg = algebra.builtin("heisenberg(1)")
-    batch = heat.sample(alg, heat_kw["s"], heat_kw["n"], heat_kw["steps"], heat_kw["seed"])
+    manifest = json.loads(out)
+    rep = manifest["reports"][0]
+    batch = drawn_batch(manifest)
+    alg = batch.algebra
     c, f = chk.get("c"), calculus.parse_field(expr)
     name = "l1-contractivity" if c is None else "alpha-sweep"
     with np.errstate(all="ignore"):

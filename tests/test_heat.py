@@ -225,6 +225,61 @@ def test_prefix_property_of_streams(h3):
     assert np.array_equal(mid.samples, large.samples[:300])
 
 
+EXACT_CASES = {
+    "heisenberg(1)": None,
+    "heisenberg(1)-tilted": [0.5, -1.0],
+    "engel": None,
+    "euclidean(2)-tilted": [1.0, 0.0],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_CASES))
+def test_exact_first_layer_batch_law(case):
+    # one step draws each path's first layer once from its block's stream:
+    # exactly N(b s/2, (s/2) I), with today's log weights and no upper layers
+    tilt = EXACT_CASES[case]
+    alg, s, n = algebra.builtin(case.removesuffix("-tilted")), 1.3, 100_000
+    batch = heat.sample(alg, s, n, 1, seed=31, tilt=tilt)
+    d1 = alg.dim_v1
+    x = batch.samples[:, :d1]
+    assert x.tobytes() == _reference_increments(alg, s, n, 1, 31, tilt)[:, 0].tobytes()
+    assert batch.layers == 1 and np.isnan(batch.samples[:, d1:]).all()
+    mean = np.zeros(d1) if tilt is None else np.asarray(tilt) * s / 2
+    assert np.all(np.abs(x.mean(axis=0) - mean) < 4 * math.sqrt(s / 2 / n))
+    assert np.all(np.abs(x.var(axis=0, ddof=1) - s / 2) < 4 * (s / 2) * math.sqrt(2 / (n - 1)))
+    if tilt is None:
+        assert batch.log_weights is None
+    else:
+        want = -(x @ np.asarray(tilt)) + s * float(np.dot(tilt, tilt)) / 4.0
+        assert batch.log_weights.tobytes() == want.tobytes()
+
+
+def test_prefix_property_of_exact_batches(engel):
+    # a one-step batch's first n paths are those of any larger one-step batch
+    small = heat.sample(engel, 1.0, 100, 1, seed=8)
+    large = heat.sample(engel, 1.0, 600, 1, seed=8)
+    assert small.samples.tobytes() == large.samples[:100].tobytes()
+    assert small.normals == 256 * 2 and large.normals == 768 * 2
+
+
+def test_exact_batches_refuse_upper_layer_reads(h3, r1, tmp_path):
+    # the heat checks read every layer, and a batch CSV writes every layer
+    batch = heat.sample(h3, 1.0, 10_000, 1, seed=2)
+    for run in (lambda: heat.empirical_check_inverse_symmetry(batch),
+                lambda: heat.empirical_tail_profile(batch),
+                lambda: heat.empirical_check_scaling(batch, 2.0,
+                                                     heat.sample(h3, 0.25, 100, 8, seed=3))):
+        with pytest.raises(ParameterError, match=r"reads layer 2, which a one-step batch"):
+            run()
+    path = tmp_path / "batch.csv"
+    with pytest.raises(ParameterError, match=r"^a batch CSV writes layer 2, "):
+        batch.save_csv(str(path))
+    assert not path.exists()
+    # on a step-1 algebra the first layer is every layer
+    heat.sample(r1, 1.0, 10, 1, seed=2).save_csv(str(path))
+    assert heat.load_csv(str(path), r1).shape == (10, 1)
+
+
 @pytest.mark.parametrize("n_samples, n_steps", [(2.5, 8), (10, 8.9), ("10", 8), (10, True)])
 def test_counts_must_be_integers(h3, n_samples, n_steps):
     with pytest.raises(ParameterError, match="must be an integer"):

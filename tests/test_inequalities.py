@@ -443,10 +443,38 @@ def test_entropy_checks_are_positively_homogeneous(h3, tilt):
     nums, verdicts = run(f)
     assert 0.0 not in nums
     for kappa in (1e-170, 1e160):
-        with np.errstate(over="ignore"):  # |grad (1e160 f)|^2, which no check reads
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no check forms |grad (1e160 f)|^2
             got, got_verdicts = run(calc.Prod(calc.Const(kappa), f))
         assert got_verdicts == verdicts, kappa
         np.testing.assert_allclose(got, kappa * np.asarray(nums), rtol=1e-11, atol=0.0)
+
+
+# every public check of a field on a batch, each with its own constants
+FIELD_CHECKS = {
+    "estimate": lambda f, b: ineq.estimate("l1", f, b),
+    "lsi": lambda f, b: ineq.check_lsi(f, b, 0.5, 0.0),
+    "slsi": lambda f, b: ineq.check_slsi(f, b, 0.5, 0.0, lsh_status="lsh"),
+    "time-space": lambda f, b: ineq.check_time_space(f, b),
+    "chain": lambda f, b: ineq.check_lsi_implies_slsi_chain(f, b, lsh_status="lsh"),
+    "shc": lambda f, b: ineq.check_shc(f, b, 1.0, 2.0, 1.0, 1.0, 0.0, lsh_status="lsh"),
+    "alpha-sweep": lambda f, b: ineq.sweep_alpha(f, b, 1.0, 0.0, 2.0, lsh_status="lsh"),
+    "contractivity": lambda f, b: ineq.check_l1_contractivity(f, b, lsh_status="lsh"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FIELD_CHECKS))
+def test_a_read_of_an_absent_layer_names_the_layer(kind, engel):
+    # a one-step batch holds layer 1 alone: a field that reads x_3_1 stops
+    # with that layer named, not with the NaN overflow of its values; one
+    # that reads only layer 1 runs as on a walk
+    batch = heat.sample(engel, 1.0, 500, 1, seed=4)
+    upper = calc.parse_field("(exp (+ x_1_1 (* 0.1 x_3_1)))")
+    with pytest.raises(ParameterError, match=r"^the field reads layer 3, which a one-step "
+                                             r"batch does not hold: it is an exact "
+                                             r"first-layer batch"):
+        FIELD_CHECKS[kind](upper, batch)
+    FIELD_CHECKS[kind](calc.parse_field("(exp x_1_1)"), batch)
 
 
 # -- time-space and the chain ------------------------------------------------------
