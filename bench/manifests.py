@@ -39,7 +39,11 @@ The entries are:
   of 1e-200 exp(x_1_1), whose powers underflow to 0 on every sample from an
   interior t of a 33-point grid while its norms do not, so it reports values.
   The output is ``manifest_canonical_bytes``, or the type and text of the
-  exception that ended the run (with exit code 3).
+  exception that ended the run (with exit code 3);
+- a config run by ``cli.run`` at ``CARNOT_THREADS=2`` of an ``lsh`` check
+  of each field of the builtin LSH library on heisenberg(2), all on one
+  80 000-point grid, which ``lsh.check_lsh`` takes in 2.4 blocks of points;
+  the output is ``manifest_canonical_bytes``.
 
 With one checkout (by default the one holding this script) it prints, per
 entry, the exit code and the sha256 of the output. With two it prints both
@@ -105,6 +109,14 @@ EDGE_SWEEP_CONFIGS = {
         "checks": [{"check": "alpha-sweep", "field": "f", "q": 2.0, "c": 1.0,
                     "grid": [i / 32 for i in range(33)]}]},
 }
+
+# every field of the builtin LSH library on heisenberg(2)
+H5_LIBRARY = ("const1", "expx1", "explin", "coshx1", "exppow", "expdil", "sqnorm-eps",
+              "gauss-neg", "gauss-neg2")
+LSH_BLOCKS_ENTRY = "config heisenberg(2) lsh of the library, grid_n=80000 (2.4 blocks)"
+LSH_BLOCKS_CONFIG = {
+    "algebra": "heisenberg(2)", "fields": {name: {"library": name} for name in H5_LIBRARY},
+    "checks": [{"check": "lsh", "field": name, "grid_n": 80_000} for name in H5_LIBRARY]}
 
 # Writes the points file of the lsh entry: argv is the path and the keywords
 # of heat.sample as JSON.
@@ -195,6 +207,7 @@ def run_jobs() -> list:
                  "render": SAMPLE_ALGEBRAS, "exprs": RENDER_EXPRS})
     jobs += [{"entry": entry, "config": config, "threads": "1"}
              for entry, config in EDGE_SWEEP_CONFIGS.items()]
+    jobs.append({"entry": LSH_BLOCKS_ENTRY, "config": LSH_BLOCKS_CONFIG, "threads": "2"})
     return jobs
 
 

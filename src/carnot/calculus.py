@@ -366,13 +366,20 @@ def _ensure_jet(out) -> Jet2:
     return out if isinstance(out, Jet2) else Jet2(out, 0.0, 0.0)
 
 
-def _curve(algebra, coords, xi, side: str = "left"):
-    """Coordinate jets of t -> x exp(t xi), or exp(t xi) x for side='right'."""
-    # one contiguous copy of the points, a row per coordinate: a value that
-    # passes through x + 0 unchanged is that row, not a strided view of the
-    # caller's array (which later ops read up to 2x slower) or the array itself
-    cols = np.array(np.atleast_2d(np.asarray(coords, dtype=float)).T, order="C")
-    xj = [Jet2(c, 0.0, 0.0) for c in cols]
+def _point_columns(coords) -> np.ndarray:
+    """One contiguous copy of the points' columns, a row per coordinate.
+
+    A curve's value that passes through x + 0 unchanged is that row, not a
+    strided view of the caller's array (which later ops read up to 2x
+    slower) or the array itself.
+    """
+    return np.array(np.atleast_2d(np.asarray(coords, dtype=float)).T, order="C")
+
+
+def _curve(algebra, columns, xi, side: str = "left"):
+    """Coordinate jets of t -> x exp(t xi), or exp(t xi) x for side='right',
+    at the points whose ``_point_columns`` are ``columns``."""
+    xj = [Jet2(c, 0.0, 0.0) for c in columns]
     yj = [Jet2(0.0, float(a), 0.0) for a in np.asarray(xi, dtype=float)]
     if side == "left":
         return multiply_jets(algebra, xj, yj)
@@ -384,19 +391,33 @@ def _curve(algebra, coords, xi, side: str = "left"):
 def curve_jet(f, algebra, coords, xi, side: str = "left") -> Jet2:
     """2-jet of t -> f(x exp(t xi)) (or exp(t xi) x for side='right'); its d1 and
     d2 are the left- (right-) invariant derivatives xi~f and xi~^2 f at each row x."""
-    return _ensure_jet(f._eval(algebra, _curve(algebra, coords, xi, side)))
+    return _ensure_jet(f._eval(algebra, _curve(algebra, _point_columns(coords), xi, side)))
 
 
 def frame_jets(algebra, coords):
     """Coordinate jets of t -> x exp(t xi_i), one list per orthonormal V_1 vector.
 
     They depend on the algebra and the points only, not on a field, so one
-    frame serves every field evaluated on the same points. Field evaluation
-    never writes into them.
+    frame serves every field evaluated on the same points. Every direction
+    shares one copy of the points' coordinates (each curve's value), and
+    field evaluation never writes into them.
     """
     upper = algebra.dim - algebra.dim_v1
-    return [_curve(algebra, coords, np.pad(xi, (0, upper)))
+    columns = _point_columns(coords)
+    return [_curve(algebra, columns, np.pad(xi, (0, upper)))
             for xi in algebra.orthonormal_v1_frame().T]
+
+
+def frame_rows(frame, lo: int, hi: int):
+    """The frame jets of points lo:hi, as views into ``frame``, the
+    ``frame_jets`` of all the points: the same bits as ``frame_jets`` of
+    those points alone, with no copy. A known-zero or constant component
+    is kept as it is."""
+    def rows(c):
+        return c[lo:hi] if isinstance(c, np.ndarray) else c
+
+    return [[Jet2(rows(j.val), rows(j.d1), rows(j.d2)) for j in gamma]
+            for gamma in frame]
 
 
 def horizontal_jets(f, algebra, coords, frame=None):
@@ -409,7 +430,7 @@ def horizontal_jets(f, algebra, coords, frame=None):
     return [_ensure_jet(f._eval(algebra, gamma)) for gamma in frame]
 
 
-def _frame_sum(terms, n: int) -> np.ndarray:
+def frame_sum(terms, n: int) -> np.ndarray:
     """The sum of one term per frame vector, each a float or an (n,) array,
     added in frame order to zeros."""
     acc = np.zeros(n)
@@ -424,19 +445,19 @@ def horizontal_sums(f, algebra, coords, frame=None):
     """
     jets = horizontal_jets(f, algebra, coords, frame)
     n = np.atleast_2d(coords).shape[0]
-    return _frame_sum((j.d1 * j.d1 for j in jets), n), _frame_sum((j.d2 for j in jets), n)
+    return frame_sum((j.d1 * j.d1 for j in jets), n), frame_sum((j.d2 for j in jets), n)
 
 
 def sub_gradient_sq_batch(f, algebra, coords, frame=None) -> np.ndarray:
     """|grad f|^2 of ``horizontal_sums``, without Delta f."""
     jets = horizontal_jets(f, algebra, coords, frame)
-    return _frame_sum((j.d1 * j.d1 for j in jets), np.atleast_2d(coords).shape[0])
+    return frame_sum((j.d1 * j.d1 for j in jets), np.atleast_2d(coords).shape[0])
 
 
 def sub_laplacian_batch(f, algebra, coords, frame=None) -> np.ndarray:
     """Delta f of ``horizontal_sums``, without |grad f|^2."""
     jets = horizontal_jets(f, algebra, coords, frame)
-    return _frame_sum((j.d2 for j in jets), np.atleast_2d(coords).shape[0])
+    return frame_sum((j.d2 for j in jets), np.atleast_2d(coords).shape[0])
 
 
 def euler_derivative_batch(f, algebra, coords) -> np.ndarray:

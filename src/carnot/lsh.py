@@ -1,9 +1,16 @@
 """Log-subharmonicity checking and the LSH closure algebra.
 
 A positive C^2 function f is log-subharmonic (LSH) when Delta log f >= 0,
-equivalently Delta f >= |grad f|^2 / f.  Both forms are evaluated here via
-exact jets and must agree; verification is pointwise on finite point sets,
-so a pass means "LSH-consistent on the tested points", never a proof.
+equivalently Delta f >= |grad f|^2 / f.  Both forms are evaluated here from
+one set of exact jets of f per frame vector: Delta log f by the jet chain
+rule for log, and the lemma form (Delta f - |grad f|^2 / f) / f from the
+same jets' sums, so the two routes cross-check the log chain rule against
+the lemma.  Verification is pointwise on finite point sets, so a pass means
+"LSH-consistent on the tested points", never a proof.
+
+The points are taken in blocks of ``_BLOCK_POINTS``, so every array of the
+check is block-sized, not grid-sized; the reports and errors are those of
+one pass over the whole grid, to the bit and to the sample index.
 
 The class is closed under products, sums, positive powers and dilations;
 those combinations are the field operators ``f * g``, ``f + g``, ``f ** p``
@@ -21,15 +28,15 @@ from .algebra import StratifiedAlgebra
 from .calculus import (
     Const,
     Exp,
-    Log,
     ScalarField,
     Sum,
     Var,
     compose_dilation,
     evaluate_batch,
     frame_jets,
-    horizontal_sums,
-    sub_laplacian_batch,
+    frame_rows,
+    frame_sum,
+    horizontal_jets,
 )
 from .errors import DomainError, ParameterError, StructureError
 from .reports import Report
@@ -39,6 +46,10 @@ LSH_VIOLATED = "violated"
 LSH_DOMAIN_ERROR = "domain-error"
 
 DEFAULT_TOL = 1e-9
+
+# points per block of check_lsh: a block's jets and sums stay in cache where
+# whole-grid arrays would not (2 ** 14 used less memory but was slower)
+_BLOCK_POINTS = 2 ** 15
 
 
 @dataclass
@@ -62,23 +73,31 @@ def check_lsh(f: ScalarField, points, tol: float = DEFAULT_TOL, *,
     """Evaluate Delta log f over the points, an (n, dim) array of ``algebra``;
     cross-check the ratio form.
 
-    The two routes share nothing past the field tree and the frame jets of
-    the points: one differentiates log f by the jet chain rule, the other
-    assembles (Delta f - |grad f|^2/f) / f from jets of f itself. ``frame``
-    is ``frame_jets`` of the points, when the caller has it; otherwise it
-    is built once here for both routes. A negative value of f (or -0.0)
-    gives the domain-error verdict; a value that is +0.0 with none such is an
-    underflow or a zero of f and raises ParameterError, not a violation.
+    f is evaluated once per frame vector as a jet; Delta log f comes from
+    the log of those jets (the chain rule), and (Delta f - |grad f|^2/f) / f
+    from the sums of the same jets and f's values. ``frame`` is
+    ``frame_jets`` of the points, when the caller has it, and is read one
+    block of points at a time; otherwise each block builds its own, once
+    for both routes. A negative value of f (or -0.0) gives the domain-error
+    verdict; a value that is +0.0 with none such is an underflow or a zero
+    of f and raises ParameterError, not a violation. ``worst_point`` is the
+    first point of the minimum of Delta log f.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != algebra.dim:
         raise StructureError(
             f"points must be (n, {algebra.dim}) for this algebra, got {pts.shape}")
+    n = pts.shape[0]
+    vals = np.empty(n)
+
+    def values(lo, hi):
+        vals[lo:hi] = evaluate_batch(f, algebra, pts[lo:hi])
+
     try:
-        vals = evaluate_batch(f, algebra, pts)
+        _by_blocks(values, n)
     except DomainError as exc:
         return LshVerdict(LSH_DOMAIN_ERROR, None, None, tol, None, True,
-                          pts.shape[0], detail=str(exc))
+                          n, detail=str(exc))
     if np.any(vals <= 0):
         bad = int(np.argmax(vals <= 0))
         # a positive f that underflows gives +0.0; -0.0 comes from a negative
@@ -87,19 +106,28 @@ def check_lsh(f: ScalarField, points, tol: float = DEFAULT_TOL, *,
             raise ParameterError(
                 f"f is 0 at point index {bad} (underflow, or a zero of f)")
         return LshVerdict(
-            LSH_DOMAIN_ERROR, None, pts[bad], tol, None, True, pts.shape[0],
+            LSH_DOMAIN_ERROR, None, pts[bad], tol, None, True, n,
             detail=f"f <= 0 at point index {bad}",
         )
 
-    if frame is None:
-        frame = frame_jets(algebra, pts)
-    delta_log = sub_laplacian_batch(Log(f), algebra, pts, frame)
-    grad_sq, lap = horizontal_sums(f, algebra, pts, frame)
-    lemma = (lap - grad_sq / vals) / vals
+    def minima(lo, hi):
+        """(index, Delta log f) of the block's first minimum, and its least
+        lemma margin."""
+        gammas = (frame_jets(algebra, pts[lo:hi]) if frame is None
+                  else frame_rows(frame, lo, hi))
+        jets = horizontal_jets(f, algebra, pts[lo:hi], gammas)
+        delta_log = frame_sum((j.log().d2 for j in jets), hi - lo)
+        grad_sq = frame_sum((j.d1 * j.d1 for j in jets), hi - lo)
+        lap = frame_sum((j.d2 for j in jets), hi - lo)
+        v = vals[lo:hi]
+        i = int(np.argmin(delta_log))
+        return lo + i, float(delta_log[i]), float(np.min((lap - grad_sq / v) / v))
 
-    i_worst = int(np.argmin(delta_log))
-    min_dl = float(delta_log[i_worst])
-    min_lm = float(np.min(lemma))
+    blocks = _by_blocks(minima, n)
+    # argmin over the blocks' minima finds the first block holding the grid's
+    # first minimum (or first NaN), as argmin over the whole grid would
+    i_worst, min_dl, _ = blocks[int(np.argmin([b[1] for b in blocks]))]
+    min_lm = float(np.min([b[2] for b in blocks]))
     v1 = min_dl < -tol
     v2 = min_lm < -tol
     verdict = LSH_VIOLATED if v1 else LSH_CONSISTENT
@@ -110,8 +138,23 @@ def check_lsh(f: ScalarField, points, tol: float = DEFAULT_TOL, *,
         tolerance=tol,
         min_lemma_margin=min_lm,
         routes_agree=(v1 == v2),
-        n_points=pts.shape[0],
+        n_points=n,
     )
+
+
+def _by_blocks(step, n: int) -> list:
+    """[step(lo, hi)] over the blocks of ``_BLOCK_POINTS`` of n points, in order.
+
+    If a block raises, ``step(0, n)`` runs on the whole grid and raises what
+    it raises: the error of one pass over the grid, in the tree's order and
+    naming its sample by the index in the grid, where the block's error
+    would name an index in the block.
+    """
+    try:
+        return [step(lo, min(lo + _BLOCK_POINTS, n)) for lo in range(0, n, _BLOCK_POINTS)]
+    except Exception:
+        step(0, n)
+        raise
 
 
 def grid_points(algebra: StratifiedAlgebra, n: int = 1000, radius: float = 3.0,

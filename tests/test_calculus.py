@@ -183,11 +183,29 @@ def test_structural_zero_times_overflow_is_zero(h3, monkeypatch):
 
 
 def test_frame_jets_peak_memory(engel, traced_peak):
-    # a frame forms no array for a known-zero term; forming them all peaked
-    # at 26.0 MiB on this grid, skipping them peaks at 12.2 MiB
+    # a frame forms no array for a known-zero term, and its directions share
+    # one copy of the points' columns: forming every term peaked at 26.0 MiB
+    # on this grid, a copy per direction at 12.2 MiB, one copy at 9.2 MiB
     pts = lsh.grid_points(engel, 100_000, 3.0, seed=0)
     peak = traced_peak(lambda: calc.frame_jets(engel, pts))
-    assert peak < 16 * 2 ** 20, peak
+    assert peak < 10.5 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("name", ["heisenberg(1)", "engel"])
+def test_frame_rows_are_the_frame_of_those_points(name):
+    # rows lo:hi of a frame are views with the bits of the frame of those
+    # points alone; every direction's value is the same copy of the points
+    alg = algebra.builtin(name)
+    pts = rand_points(alg, 300, seed=42)
+    frame = calc.frame_jets(alg, pts)
+    assert all(np.shares_memory(gamma[i].val, frame[0][i].val)
+               for gamma in frame for i in range(alg.dim))
+    for lo, hi in ((0, 300), (0, 128), (128, 256), (256, 300)):
+        rows = calc.frame_rows(frame, lo, hi)
+        alone = calc.frame_jets(alg, pts[lo:hi])
+        assert [[_bytes(j) for j in gamma] for gamma in rows] == \
+            [[_bytes(j) for j in gamma] for gamma in alone], (lo, hi)
+        assert all(np.shares_memory(j.val, whole.val) for j, whole in zip(rows[0], frame[0]))
 
 
 # -- pullbacks on a t grid -------------------------------------------------------

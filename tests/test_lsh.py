@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from carnot import calculus as calc, lsh
+from carnot import algebra, calculus as calc, lsh
 from carnot.errors import ParameterError, StructureError
 
 
@@ -184,3 +186,91 @@ def test_check_lsh_builds_one_frame_for_both_routes(h3, h3_grid, monkeypatch):
     given = lsh.check_lsh(f, h3_grid, algebra=h3, frame=frame)
     assert (len(builds), len(products)) == (0, 0)
     assert given.as_dict() == own.as_dict()
+
+
+# -- blocks of points ----------------------------------------------------------------
+
+
+def _lsh_reference(f, alg, pts, tol=lsh.DEFAULT_TOL) -> lsh.LshVerdict:
+    """check_lsh's report of a positive f from one pass over the whole grid,
+    by the two routes written out: Delta log f from the jets of log f, the
+    lemma (Delta f - |grad f|^2 / f) / f from the jets of f and its values."""
+    vals = calc.evaluate_batch(f, alg, pts)
+    delta_log = calc.sub_laplacian_batch(calc.Log(f), alg, pts)
+    grad_sq, lap = calc.horizontal_sums(f, alg, pts)
+    lemma = (lap - grad_sq / vals) / vals
+    i = int(np.argmin(delta_log))
+    v1, v2 = delta_log[i] < -tol, np.min(lemma) < -tol
+    return lsh.LshVerdict(lsh.LSH_VIOLATED if v1 else lsh.LSH_CONSISTENT,
+                          float(delta_log[i]), pts[i], tol, float(np.min(lemma)),
+                          bool(v1 == v2), len(pts))
+
+
+@pytest.mark.parametrize("name", ["heisenberg(1)", "heisenberg(2)", "engel"])
+def test_blocks_give_the_whole_grid_report(name):
+    # 2.5 blocks, with the rows of each field's least Delta log f moved into
+    # the partial last block (a field whose every row has it keeps its order,
+    # and the tie goes to row 0); with a frame given or built block by block
+    alg = algebra.builtin(name)
+    block = lsh._BLOCK_POINTS
+    base = lsh.grid_points(alg, 5 * block // 2, 3.0, seed=8)
+    for entry in lsh.builtin_lsh_library(alg):
+        delta_log = calc.sub_laplacian_batch(calc.Log(entry.field), alg, base)
+        least = delta_log == delta_log.min()
+        pts = base[np.argsort(least, kind="stable")]
+        want = _lsh_reference(entry.field, alg, pts)
+        worst = 0 if least.all() else len(pts) - int(least.sum())
+        assert worst == 0 or worst >= 2 * block, entry.name
+        assert np.array_equal(want.worst_point, pts[worst]), entry.name
+        own = lsh.check_lsh(entry.field, pts, algebra=alg)
+        given = lsh.check_lsh(entry.field, pts, algebra=alg,
+                              frame=calc.frame_jets(alg, pts))
+        assert json.dumps(own.as_dict()) == json.dumps(want.as_dict()), entry.name
+        assert json.dumps(given.as_dict()) == json.dumps(want.as_dict()), entry.name
+
+
+def _engel_zeros_with(engel, row: int, value: float) -> np.ndarray:
+    pts = np.zeros((40_000, engel.dim))
+    pts[row, 0] = value
+    return pts
+
+
+def test_overflow_in_a_later_block_names_the_grid_index(engel):
+    # the jets of f fail in the second block; the index is the grid's, not
+    # the block's (35000 - 2 ** 15 = 2232)
+    pts = _engel_zeros_with(engel, 35_000, 3.0)
+    f = calc.parse_field("(exp (* 300 x_1_1))")
+    with np.errstate(all="ignore"):
+        with pytest.raises(ParameterError,
+                           match=r"^log of non-finite value \(overflow\) at sample 35000$"):
+            lsh.check_lsh(f, pts, algebra=engel)
+        with pytest.raises(ParameterError, match=r"at sample 35000$"):
+            lsh.check_lsh(f, pts, algebra=engel, frame=calc.frame_jets(engel, pts))
+
+
+def test_domain_errors_in_a_later_block_name_the_grid_index(engel):
+    pts = _engel_zeros_with(engel, 35_000, 3.0)
+    v = lsh.check_lsh(calc.parse_field("(- 1 x_1_1)"), pts, algebra=engel)
+    assert (v.verdict, v.detail) == (lsh.LSH_DOMAIN_ERROR, "f <= 0 at point index 35000")
+    assert np.array_equal(v.worst_point, pts[35_000])
+    v = lsh.check_lsh(calc.parse_field("(log (- 2 x_1_1))"), pts, algebra=engel)
+    assert (v.verdict, v.detail) == (lsh.LSH_DOMAIN_ERROR,
+                                     "log of non-positive value at sample 35000")
+    # the first error in the tree's order over the whole grid, as one pass
+    # would meet it: the first log fails at 35000, before the second fails at 5
+    pts[5, 1] = -3.0
+    f = calc.parse_field("(+ (log (- 2 x_1_1)) (log (+ 2 x_1_2)))")
+    v = lsh.check_lsh(f, pts, algebra=engel)
+    assert v.detail == "log of non-positive value at sample 35000"
+
+
+def test_check_lsh_peak_memory(engel, traced_peak):
+    # with the grid's frame given, every array the check forms is block-sized
+    # but f's values: one pass over the whole grid peaked at 6.9-9.2 MiB on
+    # these fields, blocks of 2 ** 15 points at 2.0-4.0 MiB
+    pts = lsh.grid_points(engel, 100_000, 3.0, seed=0)
+    frame = calc.frame_jets(engel, pts)
+    for entry in lsh.builtin_lsh_library(engel):
+        peak = traced_peak(lambda: lsh.check_lsh(entry.field, pts, algebra=engel,
+                                                 frame=frame))
+        assert peak < 6 * 2 ** 20, (entry.name, peak)
