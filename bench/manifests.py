@@ -29,7 +29,11 @@ The entries are:
   reads the same bytes; at the edge of double range, ``carnot check lsi`` and
   ``carnot check chain`` of 1e-170 (e^x + e^-x), x = x_1_1, whose |grad f|^2
   is subnormal, and ``carnot check lsi --form L2`` of 1e-200 e^x, whose
-  mass |f|_2^2 is 0.0; the output is stdout;
+  mass |f|_2^2 is 0.0; and where ``reports.ABS_FLOOR`` decides, ``carnot
+  check contractivity`` of 1e-9 exp(-x_1_1^2), which holds only through the
+  floor (the same field at scale 1 is violated), and ``carnot check chain``
+  of 1e160 exp(0.7 x_1_1) on a tilted batch, violated with z = -22.77 on a
+  margin of one ulp of its sides; the output is stdout;
 - three configs of sweeps at the edge of double range, run by ``cli.run``:
   on engel, a ``contractivity`` check at t = -300, where the dilation weight
   exp(300) ** 3 overflows, beside a ``time-space`` check, which fails the
@@ -90,6 +94,17 @@ RENDER_EXPRS = ("(+ x_1_1 x_1_2 2.0)", "(* 0.5 x_1_1 x_2_1)", "(- x_1_2)",
 # fields at the edge of double range for the entropy checks
 SCALED_COSH = "(* 1e-170 (+ (exp x_1_1) (exp (- x_1_1))))"
 TINY_EXP = "(* 1e-200 (exp x_1_1))"
+# the edges of the verdict floor, each with its full argv
+FLOOR_COMMANDS = {
+    "carnot check contractivity of 1e-9 exp(-x_1_1^2), n=4000": [
+        "check", "contractivity", "--algebra", "heisenberg(1)",
+        "--field", "(* 1e-9 (exp (- (pow x_1_1 2))))", "--n", "4000", "--steps", "8",
+        "--seed", "0"],
+    "carnot check chain of 1e160 exp(0.7 x_1_1), n=2000, tilted": [
+        "check", "chain", "--algebra", "heisenberg(1)",
+        "--field", "(* 1e160 (exp (* 0.7 x_1_1)))", "--n", "2000", "--steps", "8",
+        "--seed", "3", "--tilt", "0.5,-1.0"],
+}
 GRID_33 = ",".join(repr(i / 32) for i in range(33))
 POINTS_SAMPLE = {"s": 1.0, "n_samples": 500, "n_steps": 16, "seed": 3}
 EDGE_SWEEP_CONFIGS = {
@@ -225,6 +240,7 @@ def cli_commands(points: str) -> dict:
             "check", kind, *CLI_ARGS[:2], "--field", SCALED_COSH, *CLI_ARGS[4:]]
     commands[f"carnot check lsi --form L2 --field {TINY_EXP}"] = [
         "check", "lsi", "--form", "L2", *CLI_ARGS[:2], "--field", TINY_EXP, *CLI_ARGS[4:]]
+    commands.update(FLOOR_COMMANDS)
     commands["carnot check lsh --points FILE"] = ["check", "lsh", "--points", points,
                                                   *CLI_ARGS]
     return commands

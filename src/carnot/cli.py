@@ -34,14 +34,16 @@ import numpy as np
 
 from . import __version__, algebra as algebra_mod, calculus, heat, inequalities, lsh
 from .errors import CarnotError, ConfigError, is_integer
-from .reports import MODE_EXPLORATORY, VERDICT_HOLDS, VERDICT_INCONCLUSIVE, VERDICT_VIOLATED
+from .reports import (MODE_EXPLORATORY, VERDICT_ERROR, VERDICT_HOLDS, VERDICT_INCONCLUSIVE,
+                      VERDICT_VIOLATED, worst_verdict)
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_STRUCTURAL = 3
-
-VERDICT_ERROR = "error"
+# a run's exit code is that of its worst verdict
+_EXIT_CODES = {VERDICT_HOLDS: EXIT_OK, VERDICT_VIOLATED: EXIT_VIOLATED,
+               VERDICT_INCONCLUSIVE: EXIT_INCONCLUSIVE, VERDICT_ERROR: EXIT_STRUCTURAL}
 
 
 # -- check registry -------------------------------------------------------------
@@ -112,6 +114,13 @@ def _integer(value) -> int:
     if not is_integer(value):
         raise TypeError("not an integer")
     return int(value)
+
+
+def _boolean(value) -> bool:
+    """value itself when it is JSON true or false; any other value raises."""
+    if not isinstance(value, bool):
+        raise TypeError("not a boolean")
+    return value
 
 
 def _tj_or_float(t):
@@ -187,7 +196,7 @@ _CHECKS = {
     "shc": _Kind(
         _run_shc, required=("p", "q", "c"),
         optional={"t": "tJ", "beta": 0.0, "exploratory": False},
-        types={**_C_BETA, "p": float, "q": float, "t": _tj_or_float, "exploratory": bool},
+        types={**_C_BETA, "p": float, "q": float, "t": _tj_or_float, "exploratory": _boolean},
         validate=_p_at_most_q),
     "time-space": _Kind(
         lambda a, cx: inequalities.check_time_space(a["f"], cx.batch).as_dict()),
@@ -254,12 +263,17 @@ def _converted(conv, value, where: str, key: str):
     try:
         out = conv(value)
     except (TypeError, ValueError, OverflowError):
-        what = "an integer" if conv is _integer else "numeric"
+        what = {_integer: "an integer", _boolean: "true or false"}.get(conv, "numeric")
         raise ConfigError(f"{where}: {key!r} must be {what}, got {value!r}") from None
     numbers = out if isinstance(out, list) else [out]
     if any(isinstance(v, float) and not math.isfinite(v) for v in numbers):
         raise ConfigError(f"{where}: {key!r} must be finite, got {value!r}")
     return out
+
+
+def _require_string(mapping: dict, key: str, where: str):
+    if key in mapping and not isinstance(mapping[key], str):
+        raise ConfigError(f"{where}: {key!r} must be a string, got {mapping[key]!r}")
 
 
 def _batch_config(bc: dict, where: str) -> dict:
@@ -287,6 +301,7 @@ def validate_config(config: dict) -> dict:
         raise ConfigError("config needs an 'algebra'")
     if "checks" not in config or not isinstance(config["checks"], list):
         raise ConfigError("config needs a 'checks' list")
+    _require_string(config, "algebra", "config")
 
     out = {
         "name": config.get("name", "run"),
@@ -295,14 +310,18 @@ def validate_config(config: dict) -> dict:
         "heat": None,
         "extra_batches": {},
         "checks": [],
-        "exploratory": bool(config.get("exploratory", False)),
+        "exploratory": _converted(_boolean, config.get("exploratory", False), "config",
+                                  "exploratory"),
         "output": config.get("output", {}),
     }
-    _object(out["output"] or {}, "output")
+    _reject_unknown(out["output"] or {}, {"dir"}, "output")
+    _require_string(out["output"] or {}, "dir", "output")
     for name, fd in _object(config.get("fields") or {}, "fields").items():
         _reject_unknown(fd, _FIELD_KEYS, f"fields.{name}")
         if ("expr" in fd) == ("library" in fd):
             raise ConfigError(f"fields.{name} needs exactly one of 'expr' or 'library'")
+        for key in ("expr", "library"):
+            _require_string(fd, key, f"fields.{name}")
         where = f"fields.{name}.params"
         for key, value in _object(fd.get("params") or {}, where).items():
             _converted(float, value, where, key)
@@ -322,9 +341,7 @@ def validate_config(config: dict) -> dict:
         if "check" not in _object(chk, f"checks[{i}]"):
             raise ConfigError(f"checks[{i}] needs a 'check' kind")
         for key in _NAME_KEYS:
-            if key in chk and not isinstance(chk[key], str):
-                raise ConfigError(f"checks[{i}]: {key!r} must be a string, "
-                                  f"got {chk[key]!r}")
+            _require_string(chk, key, f"checks[{i}]")
         kind = _CHECKS.get(chk["check"])
         if kind is None:
             raise ConfigError(f"checks[{i}]: unknown check kind {chk['check']!r}")
@@ -448,18 +465,8 @@ def run(config: dict) -> dict:
     if n_workers > 1 and len(tasks) > 1:
         pool.shutdown()
 
-    counts = {VERDICT_HOLDS: 0, VERDICT_VIOLATED: 0, VERDICT_INCONCLUSIVE: 0,
-              VERDICT_ERROR: 0}
-    for rep in results:
-        counts[rep.get("verdict", VERDICT_INCONCLUSIVE)] += 1
-    if counts[VERDICT_ERROR]:
-        exit_code = EXIT_STRUCTURAL
-    elif counts[VERDICT_VIOLATED]:
-        exit_code = EXIT_VIOLATED
-    elif counts[VERDICT_INCONCLUSIVE]:
-        exit_code = EXIT_INCONCLUSIVE
-    else:
-        exit_code = EXIT_OK
+    verdicts = [rep.get("verdict", VERDICT_INCONCLUSIVE) for rep in results]
+    counts = {v: verdicts.count(v) for v in _EXIT_CODES}
     timings["total"] = time.perf_counter() - t_start
 
     manifest = {
@@ -468,7 +475,7 @@ def run(config: dict) -> dict:
         "config_hash": _config_hash(config),
         "reports": results,
         "verdict_counts": counts,
-        "exit_code": exit_code,
+        "exit_code": _EXIT_CODES[worst_verdict(verdicts)],
         "timings": timings,
         "batches": batches,
     }

@@ -54,13 +54,7 @@ import numpy as np
 from .algebra import StratifiedAlgebra
 from .errors import ParameterError, StructureError, is_integer
 from .group import dilate_batch, homogeneous_norm_batch, multiply_jets
-from .reports import (
-    TailReport,
-    TwoSampleReport,
-    VERDICT_HOLDS,
-    VERDICT_VIOLATED,
-    Z_THRESHOLD,
-)
+from .reports import TailReport, TwoSampleReport
 
 # upper bound on the increments (floats) of one tile of a chunk of paths
 _CHUNK_BUDGET = 2 ** 18
@@ -414,24 +408,6 @@ def _require_whole(batch: HeatSampleBatch, what: str):
     batch.require_layers(range(1, batch.algebra.step + 1), f"{what} reads")
 
 
-def _two_sample(A: np.ndarray, B: np.ndarray, z_of, energy_seed: int, *,
-                labels, name: str, n: int, params: dict) -> TwoSampleReport:
-    """Moment and energy z-scores of A against B, one verdict over all."""
-    zs = _moment_z(A, B, labels, z_of)
-    ez = _energy_z(A, B, energy_seed)
-    worst = max(abs(v) for v in [*zs.values(), ez])
-    return TwoSampleReport(
-        name=name,
-        moment_z=zs,
-        energy_z=ez,
-        max_abs_z=worst,
-        z_threshold=Z_THRESHOLD,
-        verdict=VERDICT_HOLDS if worst < Z_THRESHOLD else VERDICT_VIOLATED,
-        n=n,
-        params=params,
-    )
-
-
 def empirical_check_inverse_symmetry(batch: HeatSampleBatch) -> TwoSampleReport:
     """Compare the batch against its group inverses (coordinate negation).
 
@@ -439,12 +415,11 @@ def empirical_check_inverse_symmetry(batch: HeatSampleBatch) -> TwoSampleReport:
     moment z-scores and the energy statistic stay within threshold.
     """
     _require_whole(batch, "inverse-symmetry check")
-    return _two_sample(
-        batch.samples, -batch.samples, _paired_z, batch.seed,
-        labels=batch.algebra.coordinate_labels(), name="heat-inverse-symmetry",
-        n=batch.n_samples,
-        params={"s": batch.s, "steps": batch.n_steps, "seed": batch.seed},
-    )
+    A, B = batch.samples, -batch.samples
+    return TwoSampleReport.from_z(
+        "heat-inverse-symmetry", _moment_z(A, B, batch.algebra.coordinate_labels(), _paired_z),
+        _energy_z(A, B, batch.seed), n=batch.n_samples,
+        params={"s": batch.s, "steps": batch.n_steps, "seed": batch.seed})
 
 
 def empirical_check_scaling(batch_s: HeatSampleBatch, lam: float,
@@ -459,13 +434,12 @@ def empirical_check_scaling(batch_s: HeatSampleBatch, lam: float,
         raise ParameterError(
             f"time mismatch: second batch at s={batch_sp.s}, expected {target}"
         )
-    return _two_sample(
-        dilate_batch(batch_s.algebra, 1.0 / lam, batch_s.samples), batch_sp.samples,
-        _unpaired_z, batch_s.seed ^ batch_sp.seed,
-        labels=batch_s.algebra.coordinate_labels(), name="heat-scaling",
+    A, B = dilate_batch(batch_s.algebra, 1.0 / lam, batch_s.samples), batch_sp.samples
+    return TwoSampleReport.from_z(
+        "heat-scaling", _moment_z(A, B, batch_s.algebra.coordinate_labels(), _unpaired_z),
+        _energy_z(A, B, batch_s.seed ^ batch_sp.seed),
         n=min(batch_s.n_samples, batch_sp.n_samples),
-        params={"s": batch_s.s, "lambda": lam, "s_prime": batch_sp.s},
-    )
+        params={"s": batch_s.s, "lambda": lam, "s_prime": batch_sp.s})
 
 
 def _fit_line(xs: np.ndarray, ys: np.ndarray):

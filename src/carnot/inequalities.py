@@ -53,18 +53,14 @@ from .errors import CarnotError, ParameterError
 from .heat import HeatSampleBatch
 from .lsh import LSH_CONSISTENT, check_lsh
 from .reports import (
-    ABS_FLOOR,
     CheckReport,
     FunctionalEstimate,
     MODE_EXPLORATORY,
     MODE_VERIFIED,
     SweepReport,
-    VERDICT_HOLDS,
-    VERDICT_INCONCLUSIVE,
-    VERDICT_VIOLATED,
-    Z_THRESHOLD,
     heavy_tail_fraction,
     HEAVY_TAIL_FRACTION,
+    worst_verdict,
 )
 
 
@@ -345,9 +341,8 @@ def check_lsi_implies_slsi_chain(f: ScalarField, batch: HeatSampleBatch,
     ineq = _margin_report("chain-dirichlet-vs-laplacian", batch, (lap, dirichlet),
                           lambda D, G: (G, D, (1.0, -1.0)))
     ts = _time_space(batch, ef, lap)
-    verdict = next((v for v in (VERDICT_VIOLATED, VERDICT_INCONCLUSIVE)
-                    if v in (ineq.verdict, ts.verdict)), VERDICT_HOLDS)
-    return replace(ineq, name="lsi-implies-slsi-chain", verdict=verdict,
+    return replace(ineq, name="lsi-implies-slsi-chain",
+                   verdict=worst_verdict((ineq.verdict, ts.verdict)),
                    params=_batch_params(batch), notes=notes,
                    details={"inequality": ineq.as_dict(), "time_space": ts.as_dict()})
 
@@ -425,11 +420,7 @@ def _sweep(name, f, batch, ts, r_of, m_of, params, notes) -> SweepReport:
     t fails on, the grid runs one t at a time, so the error is the first
     failing t's, in ``_sweep_block``'s order; an ArithmeticError there, such
     as r(t) overflowing, becomes a ParameterError naming the sweep and t.
-
-    The verdict is "holds" when alpha is non-increasing within
-    Z_THRESHOLD standard errors of each step plus ABS_FLOOR, and
-    "inconclusive" when a step's standard error is NaN, as from fewer than
-    two samples.
+    The verdict is ``SweepReport.from_curve``'s.
     """
     ts = np.asarray(sorted(float(t) for t in ts))
     if ts.size < 2:
@@ -457,18 +448,9 @@ def _sweep(name, f, batch, ts, r_of, m_of, params, notes) -> SweepReport:
         infl = np.diff(infl, axis=0)
         diff_ses += _ses(infl)
         del infl
-    tol = Z_THRESHOLD * np.asarray(diff_ses) + ABS_FLOOR
-    diffs = np.diff(np.asarray(values))
-    noninc = bool(np.all(diffs <= tol))
-    verdict = (VERDICT_INCONCLUSIVE if np.isnan(tol).any()
-               else VERDICT_HOLDS if noninc else VERDICT_VIOLATED)
-    return SweepReport(
-        name=name,
-        ts=ts.tolist(), values=values, stderrs=stderrs, diff_stderrs=diff_ses,
-        monotone_nonincreasing=noninc, monotone_nondecreasing=bool(np.all(diffs >= -tol)),
-        verdict=verdict, mode=lsi_mode(batch.algebra),
-        params={**params, **_batch_params(batch)}, notes=notes,
-    )
+    return SweepReport.from_curve(name, ts.tolist(), values, stderrs, diff_ses,
+                                  mode=lsi_mode(batch.algebra),
+                                  params={**params, **_batch_params(batch)}, notes=notes)
 
 
 def sweep_alpha(f: ScalarField, batch: HeatSampleBatch, c: float, beta: float,

@@ -1,18 +1,28 @@
-"""Report types shared by the empirical checks and inequality estimators.
+"""Report types, and the one policy that turns an estimate into a verdict.
 
-Monte Carlo checks can only falsify or be consistent; every verdict is
-decided by one fixed z-score rule with an absolute floor, the constants
-Z_THRESHOLD (4) and ABS_FLOOR (1e-9):
+Monte Carlo checks can only falsify or be consistent. A check hands its
+numbers to a report constructor here, which decides the verdict with two
+fixed constants, Z_THRESHOLD (4) and ABS_FLOOR (1e-9):
 
-- one-sided (inequality lhs <= rhs, margin = rhs - lhs):
-  holds iff margin >= -Z_THRESHOLD * stderr; violated iff margin is below
-  that and |margin| exceeds ABS_FLOOR; otherwise inconclusive.
-- two-sided (equality): same with |margin| <= Z_THRESHOLD * stderr.
-- a NaN stderr, as from fewer than two samples, is inconclusive, with z NaN.
-
-A heavy-tail diagnostic can force a report to "inconclusive": if the top
-0.1% of samples contributes more than 20% of a mean, the estimate is not
-trustworthy at the given sample size.
+- margin (``CheckReport.from_margin``), an inequality lhs <= rhs with
+  margin = rhs - lhs: holds iff margin >= -Z_THRESHOLD * stderr; violated
+  iff it is below that and |margin| > ABS_FLOOR; otherwise inconclusive.
+  Two-sided (an equality): the same with |margin| <= Z_THRESHOLD * stderr.
+  A NaN stderr, as from fewer than two samples, is inconclusive, with z NaN.
+- heavy tail: a margin report whose check flags a column where the top 0.1%
+  of samples carries more than 20% of sum |column| (``heavy_tail_fraction``)
+  is inconclusive, noted "inconclusive — heavy tail", whatever its margin.
+- sweep step (``SweepReport.from_curve``): each step of the curve is within
+  the tolerance Z_THRESHOLD * its diff stderr + ABS_FLOOR, the floor added
+  to the tolerance. The curve is non-increasing iff every step <= tol, and
+  non-decreasing iff every step >= -tol; the verdict holds iff it is
+  non-increasing, else violated, and inconclusive if a diff stderr is NaN.
+- two-sample (``TwoSampleReport.from_z``): holds iff the largest |z| of the
+  moment z-scores and the energy z is < Z_THRESHOLD (strict), else violated;
+  no floor, never inconclusive.
+- combined (``worst_verdict``): the worst in the order error, violated,
+  inconclusive, holds; holds for none. A run exits with the code of its
+  worst verdict: 3, 1, 2 and 0.
 """
 
 from __future__ import annotations
@@ -25,6 +35,9 @@ import numpy as np
 VERDICT_HOLDS = "holds"
 VERDICT_VIOLATED = "violated"
 VERDICT_INCONCLUSIVE = "inconclusive"
+VERDICT_ERROR = "error"
+# the order in which verdicts combine, worst first
+_VERDICT_ORDER = (VERDICT_ERROR, VERDICT_VIOLATED, VERDICT_INCONCLUSIVE, VERDICT_HOLDS)
 
 Z_THRESHOLD = 4.0
 ABS_FLOOR = 1e-9
@@ -45,6 +58,10 @@ def decide_verdict(margin: float, stderr: float, two_sided: bool = False) -> str
     if abs(margin) > ABS_FLOOR:
         return VERDICT_VIOLATED
     return VERDICT_INCONCLUSIVE
+
+
+def worst_verdict(verdicts) -> str:
+    return min(verdicts, key=_VERDICT_ORDER.index, default=VERDICT_HOLDS)
 
 
 def heavy_tail_fraction(contributions) -> float:
@@ -144,6 +161,15 @@ class TwoSampleReport(Report):
     n: int
     params: dict = field(default_factory=dict)
 
+    @staticmethod
+    def from_z(name, moment_z, energy_z, *, n, params):
+        worst = max(abs(v) for v in [*moment_z.values(), energy_z])
+        return TwoSampleReport(
+            name=name, moment_z=moment_z, energy_z=energy_z, max_abs_z=worst,
+            z_threshold=Z_THRESHOLD,
+            verdict=VERDICT_HOLDS if worst < Z_THRESHOLD else VERDICT_VIOLATED,
+            n=n, params=params)
+
 
 @dataclass
 class TailReport(Report):
@@ -178,3 +204,15 @@ class SweepReport(Report):
     mode: str = MODE_VERIFIED
     params: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
+
+    @staticmethod
+    def from_curve(name, ts, values, stderrs, diff_stderrs, *, mode, params, notes):
+        tol = Z_THRESHOLD * np.asarray(diff_stderrs) + ABS_FLOOR
+        diffs = np.diff(np.asarray(values))
+        noninc = bool(np.all(diffs <= tol))
+        verdict = (VERDICT_INCONCLUSIVE if np.isnan(tol).any()
+                   else VERDICT_HOLDS if noninc else VERDICT_VIOLATED)
+        return SweepReport(
+            name=name, ts=ts, values=values, stderrs=stderrs, diff_stderrs=diff_stderrs,
+            monotone_nonincreasing=noninc, monotone_nondecreasing=bool(np.all(diffs >= -tol)),
+            verdict=verdict, mode=mode, params=params, notes=notes)

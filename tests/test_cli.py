@@ -167,6 +167,18 @@ BAD_CONFIGS = {
     "one-point-grid": ({"checks": [{"check": "alpha-sweep", "field": "f", "q": 2, "c": 1.0,
                                     "grid": [0.3]}]},
                        ["checks[0]", "alpha-sweep", "'grid'", "at least two"]),
+    # JSON type swaps: a boolean key is true or false, never numeric
+    "string-exploratory": ({"exploratory": "false"},
+                           ["config", "'exploratory'", "true or false", "'false'"]),
+    "string-shc-exploratory": ({"checks": [{"check": "shc", "field": "f", "p": 1, "q": 2,
+                                            "c": 0.5, "t": 0.01, "exploratory": "false"}]},
+                               ["checks[0]", "shc", "'exploratory'", "true or false"]),
+    "int-algebra": ({"algebra": 5}, ["config", "'algebra'", "must be a string", "5"]),
+    "int-expr": ({"fields": {"f": {"expr": 5}}}, ["fields.f", "'expr'", "must be a string"]),
+    "int-library": ({"fields": {"f": {"library": 5}}},
+                    ["fields.f", "'library'", "must be a string"]),
+    "int-output-dir": ({"output": {"dir": 5}}, ["output", "'dir'", "must be a string"]),
+    "unknown-output-key": ({"output": {"dri": "out"}}, ["unknown key", "'dri'", "output"]),
 }
 
 

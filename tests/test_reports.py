@@ -8,8 +8,11 @@ from carnot import algebra, calculus as calc, cli, heat, inequalities as ineq
 from carnot.reports import (
     CheckReport,
     FunctionalEstimate,
+    SweepReport,
+    TwoSampleReport,
     decide_verdict,
     heavy_tail_fraction,
+    worst_verdict,
 )
 
 
@@ -34,6 +37,52 @@ def test_zero_stderr_exact_checks():
     assert decide_verdict(0.0, 0.0) == "holds"
     assert decide_verdict(1.0, 0.0) == "holds"
     assert decide_verdict(-1.0, 0.0) == "violated"
+
+
+def _curve(step, diff_stderr):
+    return SweepReport.from_curve("demo", [0.0, 1.0], [0.0, step], [0.1, 0.1], [diff_stderr],
+                                  mode="verified", params={}, notes=[])
+
+
+def test_sweep_step_rule_adds_the_floor_to_the_tolerance():
+    # tolerance 4 * 1e-10 + 1e-9 = 1.4e-9 on each step
+    rise = _curve(1.2e-9, 1e-10)
+    assert rise.verdict == "holds"
+    assert rise.monotone_nonincreasing and rise.monotone_nondecreasing
+    rise = _curve(1.5e-9, 1e-10)
+    assert rise.verdict == "violated"
+    assert not rise.monotone_nonincreasing and rise.monotone_nondecreasing
+    fall = _curve(-1.5e-9, 1e-10)
+    assert fall.verdict == "holds"
+    assert fall.monotone_nonincreasing and not fall.monotone_nondecreasing
+    nan = _curve(-1.0, math.nan)
+    assert nan.verdict == "inconclusive"
+    assert not nan.monotone_nonincreasing and not nan.monotone_nondecreasing
+
+
+def test_two_sample_rule_is_strict_without_floor():
+    small = {"x_1_1": 0.5, "x_1_2": -1.0}
+    for moment_z, energy_z, verdict in [
+            ({**small, "x_2_1": 4.0}, 0.0, "violated"),
+            ({**small, "x_2_1": -4.0}, 0.0, "violated"),
+            ({**small, "x_2_1": 3.999}, 0.0, "holds"),
+            (small, 3.999, "holds"),
+            (small, 4.0, "violated"),   # the energy z alone decides
+            (small, -4.5, "violated")]:
+        rep = TwoSampleReport.from_z("demo", moment_z, energy_z, n=10, params={})
+        assert rep.verdict == verdict
+        assert rep.max_abs_z == max(abs(z) for z in [*moment_z.values(), energy_z])
+        assert rep.z_threshold == 4.0
+
+
+def test_worst_verdict_order():
+    order = ["error", "violated", "inconclusive", "holds"]
+    for i, worse in enumerate(order):
+        assert worst_verdict([worse]) == worse
+        for better in order[i:]:
+            assert worst_verdict([worse, better]) == worse
+            assert worst_verdict([better, worse]) == worse
+    assert worst_verdict([]) == "holds"
 
 
 def test_from_margin_records_z_and_notes():
