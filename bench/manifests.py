@@ -11,10 +11,11 @@ The entries are:
   ``heat.coupled_refinement`` at steps [4, 16, 64] on three of them, at small
   n; the output is the samples (and log weights) as JSON lists, whose repr
   floats round-trip, so equal outputs mean equal bits;
-- ``calculus.horizontal_sums`` and ``calculus.euler_derivative_batch`` of each
-  field of the builtin LSH library, on a 1000-point ``lsh.grid_points`` grid
-  of engel and of heisenberg(2); the output is |grad f|^2, Delta f and Ef as
-  JSON lists;
+- ``calculus.frame_sum`` over ``calculus.horizontal_jets``, and
+  ``calculus.euler_derivative_batch``, of each field of the builtin LSH
+  library, on a 1000-point ``lsh.grid_points`` grid of engel and of
+  heisenberg(2); the output is |grad f|^2, Delta f, |grad log f|^2 (the sum
+  of the squared d1 of each jet's ``log()``) and Ef as JSON lists;
 - ``calculus.to_expr`` of each field of the builtin LSH library on each of
   the five ``heat.sample`` algebras, and of ``calculus.parse_field`` of one
   expression per operator of the mini-language; the output is the rendered
@@ -33,7 +34,10 @@ The entries are:
   check contractivity`` of 1e-9 exp(-x_1_1^2), which holds only through the
   floor (the same field at scale 1 is violated), and ``carnot check chain``
   of 1e160 exp(0.7 x_1_1) on a tilted batch, violated with z = -22.77 on a
-  margin of one ulp of its sides; the output is stdout;
+  margin of one ulp of its sides; and on a walk batch of engel, where the
+  upper-layer jets are live, ``carnot check chain``, ``carnot check lsi`` and
+  ``carnot check lsi --form L2`` of e^x + e^(-y/2), x = x_1_1, y = x_2_1;
+  the output is stdout;
 - three configs of sweeps at the edge of double range, run by ``cli.run``:
   on engel, a ``contractivity`` check at t = -300, where the dilation weight
   exp(300) ** 3 overflows, beside a ``time-space`` check, which fails the
@@ -94,6 +98,10 @@ RENDER_EXPRS = ("(+ x_1_1 x_1_2 2.0)", "(* 0.5 x_1_1 x_2_1)", "(- x_1_2)",
 # fields at the edge of double range for the entropy checks
 SCALED_COSH = "(* 1e-170 (+ (exp x_1_1) (exp (- x_1_1))))"
 TINY_EXP = "(* 1e-200 (exp x_1_1))"
+# a field of both layers, for the horizontal columns on an engel walk batch
+ENGEL_SUM = "(+ (exp x_1_1) (exp (* -0.5 x_2_1)))"
+ENGEL_ARGS = ["--algebra", "engel", "--field", ENGEL_SUM, "--n", "2000", "--steps", "16",
+              "--seed", "5"]
 # the edges of the verdict floor, each with its full argv
 FLOOR_COMMANDS = {
     "carnot check contractivity of 1e-9 exp(-x_1_1^2), n=4000": [
@@ -155,10 +163,13 @@ for job in json.load(sys.stdin):
         alg = algebra.builtin(job["jets"])
         pts = lsh.grid_points(alg, job["n"])
         for entry in lsh.builtin_lsh_library(alg):
-            grad_sq, lap = calculus.horizontal_sums(entry.field, alg, pts)
-            euler = calculus.euler_derivative_batch(entry.field, alg, pts)
-            text = json.dumps({"grad_sq": grad_sq.tolist(), "lap": lap.tolist(),
-                               "euler": euler.tolist()})
+            jets, n = calculus.horizontal_jets(entry.field, alg, pts), len(pts)
+            sums = {"grad_sq": calculus.frame_sum((j.d1 * j.d1 for j in jets), n),
+                    "lap": calculus.frame_sum((j.d2 for j in jets), n),
+                    "grad_log_sq": calculus.frame_sum(
+                        (r * r for r in (j.log().d1 for j in jets)), n),
+                    "euler": calculus.euler_derivative_batch(entry.field, alg, pts)}
+            text = json.dumps({k: v.tolist() for k, v in sums.items()})
             print(json.dumps({"entry": f"{job['entry']} @{entry.name}", "exit": 0,
                               "text": text}), flush=True)
         continue
@@ -240,6 +251,9 @@ def cli_commands(points: str) -> dict:
             "check", kind, *CLI_ARGS[:2], "--field", SCALED_COSH, *CLI_ARGS[4:]]
     commands[f"carnot check lsi --form L2 --field {TINY_EXP}"] = [
         "check", "lsi", "--form", "L2", *CLI_ARGS[:2], "--field", TINY_EXP, *CLI_ARGS[4:]]
+    for name, form in (("chain", []), ("lsi", []), ("lsi --form L2", ["--form", "L2"])):
+        commands[f"carnot check {name} --algebra engel --field {ENGEL_SUM}"] = [
+            "check", name.split()[0], *form, *ENGEL_ARGS]
     commands.update(FLOOR_COMMANDS)
     commands["carnot check lsh --points FILE"] = ["check", "lsh", "--points", points,
                                                   *CLI_ARGS]

@@ -10,6 +10,11 @@ left-invariant field of xi, the second jet component along it equals the
 iterated derivative, so the sub-Laplacian is a sum of second jets over an
 orthonormal first-layer frame.
 
+``frame_jets`` -> ``horizontal_jets`` -> ``frame_sum`` is the one route to a
+horizontal derivative: over f's jets along the frame, the sum of d1^2 is
+|grad f|^2 and the sum of d2 is Delta f, and the jets' ``log()`` give
+|grad log f|^2 and Delta log f the same way.
+
 Each node class is the one place that knows its operator: it carries its
 mini-language ``op`` and its ``args`` (the child fields, then the numbers,
 as in ``(pow base p)`` and ``(dilated inner t)``), and its
@@ -437,27 +442,6 @@ def frame_sum(terms, n: int) -> np.ndarray:
     for term in terms:
         acc += np.broadcast_to(np.asarray(term, dtype=float), (n,))
     return acc
-
-
-def horizontal_sums(f, algebra, coords, frame=None):
-    """(|grad f|^2, Delta f) = sum_i ((xi_i~ f)^2, xi_i~^2 f) over an orthonormal
-    V_1 frame; ``frame`` is ``frame_jets(algebra, coords)``, when the caller has it.
-    """
-    jets = horizontal_jets(f, algebra, coords, frame)
-    n = np.atleast_2d(coords).shape[0]
-    return frame_sum((j.d1 * j.d1 for j in jets), n), frame_sum((j.d2 for j in jets), n)
-
-
-def sub_gradient_sq_batch(f, algebra, coords, frame=None) -> np.ndarray:
-    """|grad f|^2 of ``horizontal_sums``, without Delta f."""
-    jets = horizontal_jets(f, algebra, coords, frame)
-    return frame_sum((j.d1 * j.d1 for j in jets), np.atleast_2d(coords).shape[0])
-
-
-def sub_laplacian_batch(f, algebra, coords, frame=None) -> np.ndarray:
-    """Delta f of ``horizontal_sums``, without |grad f|^2."""
-    jets = horizontal_jets(f, algebra, coords, frame)
-    return frame_sum((j.d2 for j in jets), np.atleast_2d(coords).shape[0])
 
 
 def euler_derivative_batch(f, algebra, coords) -> np.ndarray:

@@ -163,6 +163,30 @@ def _p_at_most_q(chk, config):
     return None
 
 
+def _c_beta_nonnegative(chk, config):
+    # the checked statements take constants c, beta >= 0; c = 0 is allowed
+    for key in ("c", "beta"):
+        if key in chk and float(chk[key]) < 0:
+            return f"{key!r} must be >= 0, got {chk[key]!r}"
+    return None
+
+
+def _lsi_rules(chk, config):
+    if chk.get("form", "L1") not in ("L1", "L2"):
+        return f"'form' must be 'L1' or 'L2', got {chk['form']!r}"
+    return _c_beta_nonnegative(chk, config)
+
+
+def _shc_rules(chk, config):
+    return _p_at_most_q(chk, config) or _c_beta_nonnegative(chk, config)
+
+
+def _alpha_sweep_rules(chk, config):
+    if float(chk["q"]) < 1:
+        return f"'q' must be >= 1, got {chk['q']!r}"
+    return _c_beta_nonnegative(chk, config) or _two_grid_points(chk, config)
+
+
 def _lsh_tol(chk, config):
     if float(chk.get("tol", 0.0)) < 0:
         return f"'tol' must be >= 0, got {chk['tol']!r}"
@@ -188,16 +212,18 @@ _CHECKS = {
     "lsi": _Kind(
         lambda a, cx: inequalities.check_lsi(
             a["f"], cx.batch, a["c"], a["beta"], form=a["form"]).as_dict(),
-        required=("c",), optional={"beta": 0.0, "form": "L1"}, types=_C_BETA),
+        required=("c",), optional={"beta": 0.0, "form": "L1"}, types=_C_BETA,
+        validate=_lsi_rules),
     "slsi": _Kind(
         lambda a, cx: inequalities.check_slsi(
             a["f"], cx.batch, a["c"], a["beta"], lsh_status=a["lsh_status"]).as_dict(),
-        required=("c",), optional={"beta": 0.0}, types=_C_BETA),
+        required=("c",), optional={"beta": 0.0}, types=_C_BETA,
+        validate=_c_beta_nonnegative),
     "shc": _Kind(
         _run_shc, required=("p", "q", "c"),
         optional={"t": "tJ", "beta": 0.0, "exploratory": False},
         types={**_C_BETA, "p": float, "q": float, "t": _tj_or_float, "exploratory": _boolean},
-        validate=_p_at_most_q),
+        validate=_shc_rules),
     "time-space": _Kind(
         lambda a, cx: inequalities.check_time_space(a["f"], cx.batch).as_dict()),
     "chain": _Kind(
@@ -209,7 +235,7 @@ _CHECKS = {
             lsh_status=a["lsh_status"]).as_dict(),
         required=("q", "c"), optional={"beta": 0.0, "grid": None},
         types={**_C_BETA, "q": float, "grid": _floats}, csv=True, positive=("c",),
-        validate=_two_grid_points),
+        validate=_alpha_sweep_rules),
     "contractivity": _Kind(
         lambda a, cx: inequalities.check_l1_contractivity(
             a["f"], cx.batch, ts=a["grid"], lsh_status=a["lsh_status"]).as_dict(),

@@ -40,14 +40,11 @@ import numpy as np
 from . import calculus
 from .algebra import StratifiedAlgebra
 from .calculus import (
-    Log,
     ScalarField,
     dilation_pullback,
     euler_derivative_batch,
     evaluate_batch,
     evaluate_pullbacks,
-    sub_gradient_sq_batch,
-    sub_laplacian_batch,
 )
 from .errors import CarnotError, ParameterError
 from .heat import HeatSampleBatch
@@ -120,22 +117,23 @@ def _columns(f, batch: HeatSampleBatch, ids, what=None) -> list:
     """The weighted per-sample columns w g of f for the functional ids of ``ids``,
     in order: g is f (l1), f log f (entropy), f |grad log f|^2 (dirichlet: it is
     |grad f|^2 / f at f's own scale), |grad f|^2 (grad_sq), Ef (euler), Delta f
-    (laplacian), f^2 (f2) or f^2 log f (f2log). f's values, one frame and Ef
-    are each formed at most once, and only if an id needs them, and each
-    horizontal sum only for its own id; ``what``, if given, is the requirement
-    f > 0, checked before any jet."""
+    (laplacian), f^2 (f2) or f^2 log f (f2log). f's values, f's horizontal jets
+    and Ef are each formed at most once, and only if an id needs them; each
+    horizontal column is a ``frame_sum`` over those jets (or their logs), and
+    ``what``, if given, is the requirement f > 0, checked before any jet."""
     alg, pts, w, need = batch.algebra, batch.samples, batch.weights, set(ids)
     if need & {"l1", "entropy", "dirichlet", "f2", "f2log"}:
         v = evaluate_batch(f, alg, pts) if what is None else _positive_values(f, batch, what)
     if need & {"dirichlet", "grad_sq", "laplacian"}:
-        frame = calculus.frame_jets(alg, pts)
+        jets = calculus.horizontal_jets(f, alg, pts)
     column = {
         "l1": lambda: w * v,
         "entropy": lambda: w * v * np.log(v),
-        "dirichlet": lambda: w * v * sub_gradient_sq_batch(Log(f), alg, pts, frame),
-        "grad_sq": lambda: w * sub_gradient_sq_batch(f, alg, pts, frame),
+        "dirichlet": lambda: w * v * calculus.frame_sum(
+            (r * r for r in (j.log().d1 for j in jets)), len(pts)),
+        "grad_sq": lambda: w * calculus.frame_sum((j.d1 * j.d1 for j in jets), len(pts)),
         "euler": lambda: w * euler_derivative_batch(f, alg, pts),
-        "laplacian": lambda: w * sub_laplacian_batch(f, alg, pts, frame),
+        "laplacian": lambda: w * calculus.frame_sum((j.d2 for j in jets), len(pts)),
         "f2": lambda: w * v * v,
         "f2log": lambda: w * v * v * np.log(v),
     }
@@ -335,7 +333,7 @@ def check_lsi_implies_slsi_chain(f: ScalarField, batch: HeatSampleBatch,
     """
     _require_layers(f, batch)
     notes = _warn_if_not_lsh(f, batch, lsh_status)
-    # one frame gives Delta f, for both checks, and |grad log f|^2
+    # one pass of f's jets gives Delta f, for both checks, and |grad log f|^2
     lap, dirichlet, ef = _columns(f, batch, ("laplacian", "dirichlet", "euler"),
                                   "chain check needs f > 0 on samples")
     ineq = _margin_report("chain-dirichlet-vs-laplacian", batch, (lap, dirichlet),
@@ -463,6 +461,8 @@ def sweep_alpha(f: ScalarField, batch: HeatSampleBatch, c: float, beta: float,
     _require_layers(f, batch)
     if q < 1:
         raise ParameterError(f"q must be >= 1, got {q}")
+    if beta < 0:
+        raise ParameterError("constants c, beta must be >= 0")
     notes = _warn_if_not_lsh(f, batch, lsh_status)
     t_j = janson_time(1.0, q, c)
     return _sweep(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from carnot import algebra, heat
+from carnot import algebra, calculus, heat
 
 
 @pytest.fixture(scope="session")
@@ -26,6 +26,17 @@ def h5():
 @pytest.fixture(scope="session")
 def engel():
     return algebra.builtin("engel")
+
+
+@pytest.fixture(scope="session")
+def horizontal():
+    """horizontal(f, alg, pts): (|grad f|^2, Delta f) at the points, the frame
+    sums of d1^2 and of d2 over one ``horizontal_jets`` pass of f."""
+    def sums(f, alg, pts):
+        jets, n = calculus.horizontal_jets(f, alg, pts), len(pts)
+        return (calculus.frame_sum((j.d1 * j.d1 for j in jets), n),
+                calculus.frame_sum((j.d2 for j in jets), n))
+    return sums
 
 
 @pytest.fixture(scope="session")

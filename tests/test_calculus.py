@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from carnot import algebra, calculus as calc, cli, group, lsh
+from carnot import algebra, calculus as calc, cli, group, heat, inequalities as ineq, lsh
 from carnot.errors import ConfigError, DomainError, ParameterError, StructureError
 
 
@@ -114,9 +114,11 @@ def _jet_routes(f, alg, pts, xi):
     def jet(j):
         return [b(j.val), b(j.d1), b(j.d2)]
 
+    jets = calc.horizontal_jets(f, alg, pts)
     return {
         "frame_jets": [[jet(j) for j in gamma] for gamma in calc.frame_jets(alg, pts)],
-        "horizontal_sums": [b(c) for c in calc.horizontal_sums(f, alg, pts)],
+        "frame_sum": [b(calc.frame_sum((j.d1 * j.d1 for j in jets), len(pts))),
+                      b(calc.frame_sum((j.d2 for j in jets), len(pts)))],
         "curve_jet right": jet(calc.curve_jet(f, alg, pts, xi, side="right")),
         "euler_derivative_batch": b(calc.euler_derivative_batch(f, alg, pts)),
         "partial_derivative_batch": [b(calc.partial_derivative_batch(f, alg, pts, i))
@@ -297,27 +299,31 @@ def test_shared_frame_jets_match_per_call_route(name):
     fields = [f, calc.Log(f), calc.compose_dilation(f, 1.5)]
     frame = calc.frame_jets(alg, pts)
     before = [[_bytes(jet) for jet in gamma] for gamma in frame]
+    batch = heat.HeatSampleBatch(alg, 1.0, len(pts), 2, 0, pts)  # unit weights
 
     basis = alg.orthonormal_v1_frame()
     for g in fields:
         # the per-call route: one curve_jet, hence one frame jet, per direction
-        per_call = []
+        per_call, log_per_call = [], []
         for i in range(alg.dim_v1):
             xi = np.zeros(alg.dim)
             xi[: alg.dim_v1] = basis[:, i]
             per_call.append(calc.curve_jet(g, alg, pts, xi))
+            log_per_call.append(calc.curve_jet(calc.Log(g), alg, pts, xi))
         shared = calc.horizontal_jets(g, alg, pts, frame)
         assert len(shared) == alg.dim_v1
         for a, b in zip(shared, per_call):
             assert _bytes(a) == _bytes(b)
-        grad_sq, lap = np.zeros(len(pts)), np.zeros(len(pts))
-        for jet in per_call:
+        grad_sq, lap, grad_log_sq = (np.zeros(len(pts)) for _ in range(3))
+        for jet, log_jet in zip(per_call, log_per_call):
             grad_sq += np.broadcast_to(np.asarray(jet.d1 * jet.d1, dtype=float), grad_sq.shape)
             lap += np.broadcast_to(np.asarray(jet.d2, dtype=float), lap.shape)
-        sums = calc.horizontal_sums(g, alg, pts, frame)
-        assert [a.tobytes() for a in sums] == [grad_sq.tobytes(), lap.tobytes()]
-        assert calc.sub_gradient_sq_batch(g, alg, pts).tobytes() == grad_sq.tobytes()
-        assert calc.sub_laplacian_batch(g, alg, pts).tobytes() == lap.tobytes()
+            grad_log_sq += np.broadcast_to(np.asarray(log_jet.d1 * log_jet.d1, dtype=float),
+                                           grad_log_sq.shape)
+        # every column of one horizontal_jets pass, the dirichlet one from its logs
+        cols = ineq._columns(g, batch, ("grad_sq", "laplacian", "dirichlet"), "g > 0")
+        want = (grad_sq, lap, calc.evaluate_batch(g, alg, pts) * grad_log_sq)
+        assert [c.tobytes() for c in cols] == [c.tobytes() for c in want]
         assert [_bytes(j) for j in calc.horizontal_jets(g, alg, pts)] == \
             [_bytes(j) for j in shared]
     # no field evaluation may write into the shared frame
@@ -327,19 +333,19 @@ def test_shared_frame_jets_match_per_call_route(name):
 # -- sub-Laplacian, sub-gradient, Euler field -------------------------------------
 
 
-def test_h3_closed_form_operators(h3):
+def test_h3_closed_form_operators(h3, horizontal):
     P = rand_points(h3, 1000, 12)
-    lap = calc.sub_laplacian_batch(calc.x(2, 1) ** 2, h3, P)
+    lap = horizontal(calc.x(2, 1) ** 2, h3, P)[1]
     assert np.max(np.abs(lap - (P[:, 0] ** 2 + P[:, 1] ** 2) / 2)) < 1e-12
-    gs = calc.sub_gradient_sq_batch(calc.x(2, 1), h3, P)
+    gs = horizontal(calc.x(2, 1), h3, P)[0]
     assert np.max(np.abs(gs - (P[:, 0] ** 2 + P[:, 1] ** 2) / 4)) < 1e-12
     f = calc.x(1, 1) * calc.x(1, 2) + calc.x(2, 1)
     ef = calc.euler_derivative_batch(f, h3, P)
     assert np.max(np.abs(ef - 2 * (P[:, 0] * P[:, 1] + P[:, 2]))) < 1e-12
-    assert np.max(np.abs(calc.sub_laplacian_batch(calc.x(1, 1) ** 2, h3, P) - 2.0)) < 1e-12
+    assert np.max(np.abs(horizontal(calc.x(1, 1) ** 2, h3, P)[1] - 2.0)) < 1e-12
 
 
-def test_low_powers_at_zero_have_finite_sub_laplacian(h3):
+def test_low_powers_at_zero_have_finite_sub_laplacian(h3, horizontal):
     # pow with p in {0, 1} must not form 0 * inf from a negative power of 0
     P = np.zeros((2, h3.dim))
     P[1, 0] = 1.5
@@ -347,14 +353,15 @@ def test_low_powers_at_zero_have_finite_sub_laplacian(h3):
         warnings.simplefilter("error")
         for p, lap, grad_sq in ((1, 0.0, 1.0), (0, 0.0, 0.0), (2, 2.0, 0.0)):
             f = calc.parse_field(f"(pow x_1_1 {p})")
-            assert calc.sub_laplacian_batch(f, h3, P).tolist() == [lap, lap], p
-            assert calc.sub_gradient_sq_batch(f, h3, P)[0] == grad_sq, p
+            sums = horizontal(f, h3, P)
+            assert sums[1].tolist() == [lap, lap], p
+            assert sums[0][0] == grad_sq, p
 
 
-def test_gradient_of_coordinate_and_constant(h3):
+def test_gradient_of_coordinate_and_constant(h3, horizontal):
     P = rand_points(h3, 100, 13)
-    assert np.allclose(calc.sub_gradient_sq_batch(calc.x(1, 1), h3, P), 1.0)
-    assert np.allclose(calc.sub_gradient_sq_batch(calc.Const(4.2), h3, P), 0.0)
+    assert np.allclose(horizontal(calc.x(1, 1), h3, P)[0], 1.0)
+    assert np.allclose(horizontal(calc.Const(4.2), h3, P)[0], 0.0)
     assert np.allclose(calc.euler_derivative_batch(calc.Const(4.2), h3, P), 0.0)
 
 
@@ -376,14 +383,14 @@ def test_euler_curve_vs_coordinate_formula(h3, engel):
         assert np.max(np.abs(curve - coord)) < 1e-12
 
 
-def test_delta_dilation_identity(h3):
+def test_delta_dilation_identity(h3, horizontal):
     # Delta[f o delta_lam](x) = lam^2 (Delta f)(delta_lam x)
     P = rand_points(h3, 200, 16)
     f = calc.Exp(calc.Sum(calc.x(1, 1), calc.Prod(calc.Const(0.2), calc.x(2, 1))))
     for lam in (0.5, 2.0):
         fd = calc.compose_dilation(f, lam)
-        lhs = calc.sub_laplacian_batch(fd, h3, P)
-        rhs = lam ** 2 * calc.sub_laplacian_batch(f, h3, group.dilate_batch(h3, lam, P))
+        lhs = horizontal(fd, h3, P)[1]
+        rhs = lam ** 2 * horizontal(f, h3, group.dilate_batch(h3, lam, P))[1]
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * np.max(np.abs(rhs) + 1)
 
 
@@ -400,17 +407,17 @@ def test_xi_f_dilation_identity(h3):
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
-def test_leibniz_rule_for_sub_laplacian(h3):
+def test_leibniz_rule_for_sub_laplacian(h3, horizontal):
     rng = np.random.default_rng(18)
     P = rand_points(h3, 100, 19)
     f = calc.Sum(calc.Pow(calc.x(1, 1), 2.0), calc.Prod(calc.x(1, 2), calc.x(2, 1)))
     g = calc.Sum(calc.Prod(calc.x(1, 1), calc.x(1, 2)), calc.Const(0.5))
     fg = calc.Prod(f, g)
-    lap_fg = calc.sub_laplacian_batch(fg, h3, P)
+    lap_fg = horizontal(fg, h3, P)[1]
     fv = calc.evaluate_batch(f, h3, P)
     gv = calc.evaluate_batch(g, h3, P)
-    lap_f = calc.sub_laplacian_batch(f, h3, P)
-    lap_g = calc.sub_laplacian_batch(g, h3, P)
+    lap_f = horizontal(f, h3, P)[1]
+    lap_g = horizontal(g, h3, P)[1]
     cross = np.zeros(len(P))
     for jf, jg in zip(calc.horizontal_jets(f, h3, P), calc.horizontal_jets(g, h3, P)):
         cross += np.asarray(jf.d1 * jg.d1, dtype=float)
@@ -469,16 +476,16 @@ def test_compose_dilation_needs_a_positive_factor(lam):
         calc.compose_dilation(calc.Exp(calc.x(1, 1)), lam)
 
 
-def test_evaluate_single_point(h3):
+def test_evaluate_single_point(h3, horizontal):
     pt = np.array([[1.0, 2.0, 3.0]])
     f = calc.x(1, 1) * calc.x(1, 2) + calc.x(2, 1)
     assert calc.evaluate_batch(f, h3, pt) == [5.0]
-    assert calc.sub_laplacian_batch(f, h3, pt) == [0.0]
+    assert horizontal(f, h3, pt)[1] == [0.0]
     assert np.isclose(calc.euler_derivative_batch(f, h3, pt), [2 * 5.0])
-    assert np.isclose(calc.sub_gradient_sq_batch(calc.x(2, 1), h3, pt), [(1 + 4) / 4])
+    assert np.isclose(horizontal(calc.x(2, 1), h3, pt)[0], [(1 + 4) / 4])
 
 
-def test_metric_enters_the_frame():
+def test_metric_enters_the_frame(horizontal):
     stretched = algebra.StratifiedAlgebra(
         (2, 1), [((1, 1), (1, 2), [((2, 1), 1.0)])],
         metric_v1=[[4.0, 0.0], [0.0, 1.0]],
@@ -487,7 +494,7 @@ def test_metric_enters_the_frame():
     assert np.allclose(frame.T @ stretched.metric_v1 @ frame, np.eye(2), atol=1e-12)
     P = np.zeros((1, 3))
     # Delta x1^2 = 2 <u1, e1>^2 = 2/4 with the stretched metric
-    lap = calc.sub_laplacian_batch(calc.x(1, 1) ** 2, stretched, P)
+    lap = horizontal(calc.x(1, 1) ** 2, stretched, P)[1]
     assert np.isclose(lap[0], 0.5)
 
 
@@ -585,13 +592,13 @@ def test_domain_errors_name_the_sample(r1):
 
 
 @pytest.mark.parametrize("expr, bad", [("(pow x_1_1 -1)", 0.0), ("(pow x_1_1 0.5)", -2.0)])
-def test_power_domain_is_one_rule_on_values_and_jets(r1, expr, bad):
+def test_power_domain_is_one_rule_on_values_and_jets(r1, horizontal, expr, bad):
     # v ** p needs v != 0 for negative integer p and v > 0 for fractional p;
     # plain values and jets break it with the same message
     f = calc.parse_field(expr)
     P = np.array([[1.0], [bad]])
     messages = []
-    for route in (calc.evaluate_batch, calc.sub_laplacian_batch):
+    for route in (calc.evaluate_batch, horizontal):
         with pytest.raises(DomainError, match="sample 1") as exc:
             route(f, r1, P)
         messages.append(str(exc.value))

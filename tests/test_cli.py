@@ -167,6 +167,31 @@ BAD_CONFIGS = {
     "one-point-grid": ({"checks": [{"check": "alpha-sweep", "field": "f", "q": 2, "c": 1.0,
                                     "grid": [0.3]}]},
                        ["checks[0]", "alpha-sweep", "'grid'", "at least two"]),
+    # rules on a check's values, enforced before sampling as well as by its runner
+    "negative-lsi-c": ({"checks": [{"check": "lsi", "field": "f", "c": -0.5}]},
+                       ["checks[0]", "lsi", "'c'", ">= 0", "-0.5"]),
+    "negative-lsi-beta": ({"checks": [{"check": "lsi", "field": "f", "c": 0.5, "beta": -1}]},
+                          ["checks[0]", "lsi", "'beta'", ">= 0", "-1"]),
+    "negative-slsi-c": ({"checks": [{"check": "slsi", "field": "f", "c": -1.0}]},
+                        ["checks[0]", "slsi", "'c'", ">= 0"]),
+    "negative-slsi-beta": ({"checks": [{"check": "slsi", "field": "f", "c": 0.5,
+                                        "beta": -0.1}]},
+                           ["checks[0]", "slsi", "'beta'", ">= 0", "-0.1"]),
+    "negative-shc-c": ({"checks": [{"check": "shc", "field": "f", "p": 1, "q": 2, "c": -0.5}]},
+                       ["checks[0]", "shc", "'c'", ">= 0"]),
+    "negative-shc-beta": ({"checks": [{"check": "shc", "field": "f", "p": 1, "q": 2,
+                                       "c": 0.5, "beta": -2}]},
+                          ["checks[0]", "shc", "'beta'", ">= 0"]),
+    "lsi-form-l3": ({"checks": [{"check": "lsi", "field": "f", "c": 0.5, "form": "L3"}]},
+                    ["checks[0]", "lsi", "'form'", "'L1' or 'L2'", "'L3'"]),
+    "int-lsi-form": ({"checks": [{"check": "lsi", "field": "f", "c": 0.5, "form": 5}]},
+                     ["checks[0]", "lsi", "'form'", "'L1' or 'L2'", "5"]),
+    "sweep-q-below-1": ({"checks": [{"check": "alpha-sweep", "field": "f", "q": 0.5,
+                                     "c": 1.0}]},
+                        ["checks[0]", "alpha-sweep", "'q'", ">= 1", "0.5"]),
+    "negative-sweep-beta": ({"checks": [{"check": "alpha-sweep", "field": "f", "q": 2,
+                                         "c": 1.0, "beta": -1}]},
+                            ["checks[0]", "alpha-sweep", "'beta'", ">= 0"]),
     # JSON type swaps: a boolean key is true or false, never numeric
     "string-exploratory": ({"exploratory": "false"},
                            ["config", "'exploratory'", "true or false", "'false'"]),
@@ -215,6 +240,23 @@ def test_one_point_grid_flag_exits_3_before_sampling(argv, monkeypatch, capsys):
     assert "'grid' needs at least two t values" in err
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["sweep", "alpha", "--beta", "-1"], "'beta'"),
+    (["sweep", "alpha", "--q", "0.5"], "'q'"),
+    (["check", "slsi", "--c", "-1"], "'c'"),
+], ids=["sweep-beta", "sweep-q", "slsi-c"])
+def test_negative_constant_flags_exit_3_before_sampling(argv, key, monkeypatch, capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(cli.heat, "sample", no_sampling)
+    rc = cli.main([*argv, "--algebra", "heisenberg(1)", "--field", "@expx1", "--n", "500"])
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert key in err
+
+
 def test_overflowing_param_literal_exits_3_before_sampling(tmp_path, monkeypatch, capsys):
     # json reads the literal 1e999 as inf; no manifest may be started
     path = tmp_path / "bad.json"
@@ -255,11 +297,14 @@ def test_unexpected_exception_exits_3_with_one_line(monkeypatch, capsys):
 def test_failed_sweep_check_writes_no_csv(tmp_path):
     config = small_time_space_config(
         fields={"f": {"library": "expx1"}},
-        checks=[{"check": "alpha-sweep", "field": "f", "q": 0.5, "c": 1.0}],
+        # r(t) = e^(t/c) overflows at t = 1000, after sampling
+        checks=[{"check": "alpha-sweep", "field": "f", "q": 2.0, "c": 1.0,
+                 "grid": [0.0, 1000.0]}],
         output={"dir": str(tmp_path)},
     )
     manifest = cli.run(config)
     assert manifest["reports"][0]["verdict"] == "error"
+    assert "t = 1000" in manifest["reports"][0]["error"]
     assert manifest["exit_code"] == 3
     assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 

@@ -200,7 +200,7 @@ def _heavy(*contribs):
     return any(heavy_tail_fraction(c) > HEAVY_TAIL_FRACTION for c in contribs)
 
 
-def _reports_reference(f, batch, c, beta):
+def _reports_reference(f, batch, c, beta, horizontal):
     """Every margin check's report, each from its own hand-written formula.
 
     LSI L1 and L2, sLSI, time-space, the chain, sHC, the alpha sweep and L1
@@ -209,7 +209,7 @@ def _reports_reference(f, batch, c, beta):
     w, s, alg = batch.weights, batch.s, batch.algebra
     mode, bp = ineq.lsi_mode(alg), ineq._batch_params(batch)
     v = calc.evaluate_batch(f, alg, batch.samples)
-    gsq = calc.sub_gradient_sq_batch(f, alg, batch.samples)
+    gsq, lap = horizontal(f, alg, batch.samples)
     ef = w * calc.euler_derivative_batch(f, alg, batch.samples)
     logv = np.log(v)
 
@@ -219,7 +219,7 @@ def _reports_reference(f, batch, c, beta):
             params={"c": c, "beta": beta, **form, **bp}, heavy_tail=heavy)
 
     # the Dirichlet integrand |grad f|^2 / f is f |grad log f|^2, at f's scale
-    glog = calc.horizontal_sums(calc.Log(f), alg, batch.samples)[0]
+    glog = horizontal(calc.Log(f), alg, batch.samples)[0]
     ent, dir_, wf = w * v * logv, w * v * glog, w * v
     m1, L, G = float(np.mean(wf)), float(np.mean(ent)), float(np.mean(dir_))
     l1 = report(
@@ -244,8 +244,8 @@ def _reports_reference(f, batch, c, beta):
             "time-space", E, (s / 2.0) * D, _se((ef - E) - (s / 2.0) * (lap - D)),
             two_sided=True, mode=mode, params=bp, heavy_tail=_heavy(ef, lap))
 
-    ts = time_space(w * calc.sub_laplacian_batch(f, alg, batch.samples))
-    cdir, clap = w * v * glog, w * calc.horizontal_sums(f, alg, batch.samples)[1]
+    ts = time_space(w * lap)
+    cdir, clap = w * v * glog, w * lap
     CG, CD = float(np.mean(cdir)), float(np.mean(clap))
     se1 = _se((clap - CD) - (cdir - CG))
     cineq = CheckReport.from_margin("chain-dirichlet-vs-laplacian", CG, CD, se1,
@@ -326,7 +326,7 @@ def _alpha_reference(f, batch, c, beta, q, ts):
 
 
 @pytest.mark.parametrize("case", ["heisenberg(1)", "euclidean(1)-tilted", "engel"])
-def test_entropy_checks_match_hand_written_formulas(case):
+def test_entropy_checks_match_hand_written_formulas(case, horizontal):
     # one influence-function core gives every margin check's report bit for bit
     alg = algebra.builtin(case.removesuffix("-tilted"))
     tilt = [1.5] if case.endswith("-tilted") else None
@@ -334,7 +334,7 @@ def test_entropy_checks_match_hand_written_formulas(case):
     f = calc.parse_field("(exp (+ (* 0.7 x_1_1) (* 0.2 x_1_2 x_1_2)))"
                          if alg.dim_v1 > 1 else "(exp (* 1.3 x_1_1))")
     for c, beta in [(0.7, 0.3), (0.5, 0.0)]:
-        want = _reports_reference(f, batch, c, beta)
+        want = _reports_reference(f, batch, c, beta, horizontal)
         t_shc = c * math.log(3.0 / 1.5) + 0.1
         got = (ineq.check_lsi(f, batch, c, beta, form="L1"),
                ineq.check_lsi(f, batch, c, beta, form="L2"),
@@ -520,19 +520,24 @@ def test_chain_check(h3_batch_s1, h3):
 
 
 def test_chain_builds_one_frame(h3_batch_s1, monkeypatch):
-    calls = []
-    original = calc.frame_jets
+    calls = {"frame_jets": [], "horizontal_jets": []}
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(name):
+        original = getattr(calc, name)
 
-    monkeypatch.setattr(calc, "frame_jets", counted)
-    rep = ineq.check_lsi_implies_slsi_chain(calc.Exp(calc.x(1, 1)), h3_batch_s1,
-                                            lsh_status="lsh")
-    # both sums, for the inequality and for the time-space part, on one frame
-    assert len(calls) == 1
-    alone = ineq.check_time_space(calc.Exp(calc.x(1, 1)), h3_batch_s1)
+        def call(first, *args, **kwargs):
+            calls[name].append(first)
+            return original(first, *args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(calc, name, counted(name))
+    f = calc.Exp(calc.x(1, 1))
+    rep = ineq.check_lsi_implies_slsi_chain(f, h3_batch_s1, lsh_status="lsh")
+    # Delta f, for the inequality and for the time-space part, and |grad log f|^2
+    # all come from one pass of f's jets on one frame
+    assert len(calls["frame_jets"]) == 1 and calls["horizontal_jets"] == [f]
+    alone = ineq.check_time_space(f, h3_batch_s1)
     assert rep.details["time_space"] == alone.as_dict()
 
 
@@ -693,6 +698,15 @@ def test_sweeps_need_two_grid_points(grid, h3_batch_s1):
         ineq.sweep_alpha(f, h3_batch_s1, 1.0, 0.0, math.e, ts=grid, lsh_status="lsh")
     with pytest.raises(ParameterError, match="at least two t values"):
         ineq.check_l1_contractivity(f, h3_batch_s1, ts=grid, lsh_status="lsh")
+
+
+def test_alpha_sweep_needs_nonnegative_beta(h3_batch_s1):
+    # like sLSI and sHC, the sweep's statement takes beta >= 0
+    f = calc.Exp(calc.x(1, 1))
+    with pytest.raises(ParameterError, match=r"^constants c, beta must be >= 0$"):
+        ineq.sweep_alpha(f, h3_batch_s1, 1.0, -1.0, math.e, lsh_status="lsh")
+    with pytest.raises(ParameterError, match=r"^constants c, beta must be >= 0$"):
+        ineq.check_slsi(f, h3_batch_s1, 1.0, -1.0, lsh_status="lsh")
 
 
 def test_sweep_peak_memory(h3, engel, traced_peak):

@@ -135,12 +135,12 @@ def test_dilation_scales_delta_log_exactly(h3):
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
-def test_lsh_functions_are_subharmonic(h3, h3_grid):
+def test_lsh_functions_are_subharmonic(h3, h3_grid, horizontal):
     # Delta f >= |grad f|^2 / f >= 0 for everything labeled lsh
     for entry in lsh.builtin_lsh_library(h3):
         if entry.status != "lsh":
             continue
-        lap = calc.sub_laplacian_batch(entry.field, h3, h3_grid)
+        lap = horizontal(entry.field, h3, h3_grid)[1]
         assert np.min(lap) > -1e-9, entry.name
 
 
@@ -191,13 +191,21 @@ def test_check_lsh_builds_one_frame_for_both_routes(h3, h3_grid, monkeypatch):
 # -- blocks of points ----------------------------------------------------------------
 
 
+def _delta_log(f, alg, pts):
+    """Delta log f at the points, from the jets of the field log f."""
+    return calc.frame_sum((j.d2 for j in calc.horizontal_jets(calc.Log(f), alg, pts)),
+                          len(pts))
+
+
 def _lsh_reference(f, alg, pts, tol=lsh.DEFAULT_TOL) -> lsh.LshVerdict:
     """check_lsh's report of a positive f from one pass over the whole grid,
     by the two routes written out: Delta log f from the jets of log f, the
     lemma (Delta f - |grad f|^2 / f) / f from the jets of f and its values."""
     vals = calc.evaluate_batch(f, alg, pts)
-    delta_log = calc.sub_laplacian_batch(calc.Log(f), alg, pts)
-    grad_sq, lap = calc.horizontal_sums(f, alg, pts)
+    delta_log = _delta_log(f, alg, pts)
+    jets = calc.horizontal_jets(f, alg, pts)
+    grad_sq = calc.frame_sum((j.d1 * j.d1 for j in jets), len(pts))
+    lap = calc.frame_sum((j.d2 for j in jets), len(pts))
     lemma = (lap - grad_sq / vals) / vals
     i = int(np.argmin(delta_log))
     v1, v2 = delta_log[i] < -tol, np.min(lemma) < -tol
@@ -215,7 +223,7 @@ def test_blocks_give_the_whole_grid_report(name):
     block = lsh._BLOCK_POINTS
     base = lsh.grid_points(alg, 5 * block // 2, 3.0, seed=8)
     for entry in lsh.builtin_lsh_library(alg):
-        delta_log = calc.sub_laplacian_batch(calc.Log(entry.field), alg, base)
+        delta_log = _delta_log(entry.field, alg, base)
         least = delta_log == delta_log.min()
         pts = base[np.argsort(least, kind="stable")]
         want = _lsh_reference(entry.field, alg, pts)
