@@ -175,6 +175,11 @@ class ScalarField:
     def __repr__(self):
         return to_expr(self)
 
+    @property
+    def layers(self) -> set:
+        """The layer j of every coordinate variable x_j_k in the tree."""
+        return {j for j, _ in _coordinates(self)}
+
 
 def _as_field(v) -> ScalarField:
     if isinstance(v, ScalarField):
@@ -553,11 +558,6 @@ def _coordinates(f: ScalarField) -> set:
     if isinstance(f, Var):
         return {(f.j, f.k)}
     return set().union(*(_coordinates(a) for a in f.args if isinstance(a, ScalarField)))
-
-
-def layers_read(f: ScalarField) -> set:
-    """The layer j of every coordinate variable x_j_k in f's tree."""
-    return {j for j, _ in _coordinates(f)}
 
 
 def to_expr(f: ScalarField) -> str:

@@ -87,9 +87,9 @@ class _Kind:
     report dict. It looks carnot functions up on their module at call time,
     so that tracing, which replaces module attributes, sees every call.
     ``positive`` numeric keys must be > 0 after conversion.
-    ``validate(check, config)`` returns an error message for a check that
-    its keys alone do not rule out. ``csv`` checks write their
-    ``t,value,stderr`` curve to the output directory.
+    ``validate(args, config)`` raises for converted keys that their types
+    allow and the check does not, by the check's own rule where it has one.
+    ``csv`` checks write their ``t,value,stderr`` curve to the output directory.
     """
 
     run: Callable
@@ -156,54 +156,14 @@ def _run_algebra_validate(a, cx):
             "verdict": VERDICT_HOLDS if rep.ok else VERDICT_VIOLATED}
 
 
-def _p_at_most_q(chk, config):
-    p, q = float(chk["p"]), float(chk["q"])
-    if not (0 < p <= q):
-        return f"need 0 < p <= q, got p={p}, q={q}"
-    return None
+def _lsh_tol(a, config):
+    if a["tol"] < 0:
+        raise ConfigError(f"'tol' must be >= 0, got {a['tol']!r}")
 
 
-def _c_beta_nonnegative(chk, config):
-    # the checked statements take constants c, beta >= 0; c = 0 is allowed
-    for key in ("c", "beta"):
-        if key in chk and float(chk[key]) < 0:
-            return f"{key!r} must be >= 0, got {chk[key]!r}"
-    return None
-
-
-def _lsi_rules(chk, config):
-    if chk.get("form", "L1") not in ("L1", "L2"):
-        return f"'form' must be 'L1' or 'L2', got {chk['form']!r}"
-    return _c_beta_nonnegative(chk, config)
-
-
-def _shc_rules(chk, config):
-    return _p_at_most_q(chk, config) or _c_beta_nonnegative(chk, config)
-
-
-def _alpha_sweep_rules(chk, config):
-    if float(chk["q"]) < 1:
-        return f"'q' must be >= 1, got {chk['q']!r}"
-    return _c_beta_nonnegative(chk, config) or _two_grid_points(chk, config)
-
-
-def _lsh_tol(chk, config):
-    if float(chk.get("tol", 0.0)) < 0:
-        return f"'tol' must be >= 0, got {chk['tol']!r}"
-    return None
-
-
-def _two_grid_points(chk, config):
-    # a sweep decides monotonicity from its steps, and one point has none
-    if "grid" in chk and len(_floats(chk["grid"])) < 2:
-        return f"'grid' needs at least two t values, got {chk['grid']!r}"
-    return None
-
-
-def _names_extra_batch(chk, config):
-    if chk["batch"] not in config["extra_batches"]:
-        return "needs 'batch' naming an extra batch"
-    return None
+def _names_extra_batch(a, config):
+    if a["batch"] not in config["extra_batches"]:
+        raise ConfigError("needs 'batch' naming an extra batch")
 
 
 _C_BETA = {"c": float, "beta": float}
@@ -213,17 +173,19 @@ _CHECKS = {
         lambda a, cx: inequalities.check_lsi(
             a["f"], cx.batch, a["c"], a["beta"], form=a["form"]).as_dict(),
         required=("c",), optional={"beta": 0.0, "form": "L1"}, types=_C_BETA,
-        validate=_lsi_rules),
+        validate=lambda a, _: inequalities.lsi_rules(a["c"], a["beta"], a["form"])),
     "slsi": _Kind(
         lambda a, cx: inequalities.check_slsi(
             a["f"], cx.batch, a["c"], a["beta"], lsh_status=a["lsh_status"]).as_dict(),
         required=("c",), optional={"beta": 0.0}, types=_C_BETA,
-        validate=_c_beta_nonnegative),
+        validate=lambda a, _: inequalities.lsi_rules(a["c"], a["beta"])),
     "shc": _Kind(
         _run_shc, required=("p", "q", "c"),
         optional={"t": "tJ", "beta": 0.0, "exploratory": False},
         types={**_C_BETA, "p": float, "q": float, "t": _tj_or_float, "exploratory": _boolean},
-        validate=_shc_rules),
+        validate=lambda a, _: inequalities.shc_rules(
+            a["p"], a["q"], None if a["t"] == "tJ" else a["t"], a["c"], a["beta"],
+            a["exploratory"])),
     "time-space": _Kind(
         lambda a, cx: inequalities.check_time_space(a["f"], cx.batch).as_dict()),
     "chain": _Kind(
@@ -234,13 +196,13 @@ _CHECKS = {
             a["f"], cx.batch, a["c"], a["beta"], a["q"], ts=a["grid"],
             lsh_status=a["lsh_status"]).as_dict(),
         required=("q", "c"), optional={"beta": 0.0, "grid": None},
-        types={**_C_BETA, "q": float, "grid": _floats}, csv=True, positive=("c",),
-        validate=_alpha_sweep_rules),
+        types={**_C_BETA, "q": float, "grid": _floats}, csv=True,
+        validate=lambda a, _: inequalities.sweep_rules(a["grid"], a["c"], a["beta"], a["q"])),
     "contractivity": _Kind(
         lambda a, cx: inequalities.check_l1_contractivity(
             a["f"], cx.batch, ts=a["grid"], lsh_status=a["lsh_status"]).as_dict(),
         optional={"grid": None}, types={"grid": _floats}, csv=True,
-        validate=_two_grid_points),
+        validate=lambda a, _: inequalities.sweep_rules(a["grid"])),
     "inverse-symmetry": _Kind(
         lambda a, cx: heat.empirical_check_inverse_symmetry(cx.batch).as_dict(),
         needs_field=False),
@@ -248,7 +210,8 @@ _CHECKS = {
         lambda a, cx: heat.empirical_check_scaling(
             cx.batch, a["lambda"], cx.extra[a["batch"]]).as_dict(),
         required=("lambda", "batch"), types={"lambda": float}, needs_field=False,
-        positive=("lambda",), validate=_names_extra_batch),
+        validate=lambda a, config: (heat.scaling_rules(a["lambda"]),
+                                    _names_extra_batch(a, config))),
     "tail": _Kind(_run_tail, needs_field=False),
     "algebra-validate": _Kind(_run_algebra_validate, needs_batch=False,
                               needs_field=False),
@@ -386,9 +349,11 @@ def validate_config(config: dict) -> dict:
             raise ConfigError(f"{where} needs a 'heat' section")
         if kind.needs_field and chk.get("field") not in out["fields"]:
             raise ConfigError(f"{where} needs 'field' naming a config field")
-        problem = kind.validate(chk, out) if kind.validate else None
-        if problem:
-            raise ConfigError(f"{where}: {problem}")
+        if kind.validate:
+            try:
+                kind.validate(_args(kind, chk), out)
+            except CarnotError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
         out["checks"].append(dict(chk))
     return out
 
@@ -410,10 +375,15 @@ def _config_hash(config: dict) -> str:
 # -- runner ----------------------------------------------------------------------
 
 
+def _args(kind: _Kind, chk: dict) -> dict:
+    """A check's keys as its rules and runner read them: converted, defaults filled in."""
+    return {**kind.optional,
+            **{k: kind.types[k](v) if k in kind.types else v for k, v in chk.items()}}
+
+
 def _run_one_check(chk, cx: _Context, force_exploratory):
     kind = _CHECKS[chk["check"]]
-    args = {**kind.optional,
-            **{k: kind.types[k](v) if k in kind.types else v for k, v in chk.items()}}
+    args = _args(kind, chk)
     if kind.needs_field:
         args["f"], args["lsh_status"] = cx.fields[chk["field"]]
     # an overflow or NaN that decides a check raises a ParameterError naming
@@ -451,7 +421,7 @@ def run(config: dict) -> dict:
         # one step, an exact first-layer batch (see heat), when every check on
         # the batch reads a field of the first layer alone; a heat check reads all
         exact = all(_CHECKS[c["check"]].needs_field
-                    and calculus.layers_read(fields[c["field"]][0]) <= {1} for c in on_batch)
+                    and fields[c["field"]][0].layers <= {1} for c in on_batch)
         t0 = time.perf_counter()
         batch = heat.sample(alg, hc["s"], hc["n"], 1 if exact else hc["steps"], hc["seed"],
                             tilt=hc.get("tilt"))
@@ -511,8 +481,7 @@ def run(config: dict) -> dict:
 
 def _batch_record(batch) -> dict:
     """What a batch of the run is: its kind, its steps and the normals drawn."""
-    return {"kind": "exact-first-layer" if batch.n_steps == 1 else "walk",
-            "steps": batch.n_steps, "normals": batch.normals}
+    return {"kind": batch.kind, "steps": batch.n_steps, "normals": batch.normals}
 
 
 def _json_text(obj) -> str:

@@ -95,10 +95,14 @@ class HeatSampleBatch:
         return self.tilt is not None
 
     @property
+    def kind(self) -> str:
+        """The batch's law: "exact-first-layer" for one step (upper layers NaN), else "walk"."""
+        return "exact-first-layer" if self.n_steps == 1 else "walk"
+
+    @property
     def layers(self) -> int:
-        """The layers the batch holds, 1 to this count: 1 for a one-step batch,
-        an exact first-layer batch whose upper layers are absent (NaN)."""
-        return 1 if self.n_steps == 1 else self.algebra.step
+        """The layers the batch holds, 1 to this count: 1 if exact first-layer, else all."""
+        return 1 if self.kind == "exact-first-layer" else self.algebra.step
 
     @property
     def normals(self) -> int:
@@ -422,11 +426,18 @@ def empirical_check_inverse_symmetry(batch: HeatSampleBatch) -> TwoSampleReport:
         params={"s": batch.s, "steps": batch.n_steps, "seed": batch.seed})
 
 
+def scaling_rules(lam: float) -> None:
+    """The scaling check's rule: the dilation factor lambda is > 0."""
+    if lam <= 0:
+        raise ParameterError(f"'lambda' must be > 0, got {lam!r}")
+
+
 def empirical_check_scaling(batch_s: HeatSampleBatch, lam: float,
                             batch_sp: HeatSampleBatch) -> TwoSampleReport:
     """delta_{1/lambda}(X_s) should match X_{s lambda^{-2}} in law."""
     _require_whole(batch_s, "scaling check")
     _require_whole(batch_sp, "scaling check")
+    scaling_rules(lam)
     if batch_s.algebra is not batch_sp.algebra:
         raise StructureError("scaling check needs batches over one algebra")
     target = batch_s.s / lam ** 2

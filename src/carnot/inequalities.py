@@ -10,7 +10,8 @@ and stderr; ``_margin_report`` adds heavy tail and mode.  One rule, ``_norms``,
 forms every L^r norm in logs against the batch's log weights.  One table,
 ``_columns``, writes every other weighted per-sample column of f.  Every
 check first refuses, by ``_require_layers``, a field that reads a layer the
-batch does not hold.
+batch does not hold, then its constants' rule (``lsi_rules``, ``shc_rules``
+or ``sweep_rules``), which the CLI applies too, before it samples.
 
 Checked statements, for user-supplied constants c, beta >= 0:
 
@@ -102,7 +103,7 @@ def _require_layers(f, batch: HeatSampleBatch) -> None:
     """Every public check's first step: f may read only the layers the batch
     holds (an exact first-layer batch holds layer 1 alone), found once from
     f's tree, before any sample is read."""
-    batch.require_layers(calculus.layers_read(f), "the field reads")
+    batch.require_layers(f.layers, "the field reads")
 
 
 def _positive_values(f, batch: HeatSampleBatch, what: str) -> np.ndarray:
@@ -266,6 +267,41 @@ def _warn_if_not_lsh(f, batch, lsh_status) -> list:
 # -- inequality checks -----------------------------------------------------------
 
 
+def lsi_rules(c: float, beta: float, form: str = "L1") -> None:
+    """The LSI's rules, which sLSI, sHC and alpha share: c, beta >= 0 and form L1 or L2."""
+    for key, value in (("c", c), ("beta", beta)):
+        if value < 0:
+            raise ParameterError(f"{key!r} must be >= 0, got {value!r}")
+    if form not in ("L1", "L2"):
+        raise ParameterError(f"'form' must be 'L1' or 'L2', got {form!r}")
+
+
+def shc_rules(p: float, q: float, t: float | None, c: float, beta: float,
+              exploratory: bool = False) -> float:
+    """The rules of the sHC check, which returns t_J(p, q): 0 < p <= q,
+    c, beta >= 0, and t >= t_J unless ``exploratory``; t None is t_J itself."""
+    if not (0 < p <= q):
+        raise ParameterError(f"need 0 < p <= q, got p={p}, q={q}")
+    lsi_rules(c, beta)
+    t_j = janson_time(p, q, c)
+    if t is not None and t < t_j - 1e-12 and not exploratory:
+        raise ParameterError(f"t={t} is below Janson's time t_J={t_j}; "
+                             "pass exploratory=True to probe")
+    return t_j
+
+
+def sweep_rules(ts, c: float = 1.0, beta: float = 0.0, q: float = 1.0) -> None:
+    """The sweeps' rules: a given grid ``ts`` has two or more t, whose steps decide
+    monotonicity; alpha's r(t) = e^{t/c} and M(t) need c > 0, q >= 1, beta >= 0."""
+    if c <= 0:
+        raise ParameterError(f"'c' must be > 0, got {c!r}")
+    if q < 1:
+        raise ParameterError(f"'q' must be >= 1, got {q!r}")
+    lsi_rules(c, beta)
+    if ts is not None and len(ts) < 2:
+        raise ParameterError(f"'grid' needs at least two t values, got {ts!r}")
+
+
 def _entropy_check(name, batch, cols, k, h, mass, beta, params, notes) -> CheckReport:
     """Ent <= k X + h (m log m + beta m), the entropy inequality behind LSI and sLSI.
 
@@ -285,14 +321,11 @@ def check_lsi(f: ScalarField, batch: HeatSampleBatch, c: float, beta: float,
               form: str = "L1") -> CheckReport:
     """Classical logarithmic Sobolev inequality in its L1 or L2 form."""
     _require_layers(f, batch)
-    if beta < 0 or c < 0:
-        raise ParameterError("constants c, beta must be >= 0")
+    lsi_rules(c, beta, form)
     if form == "L1":
         ids, k, h, mass = ("dirichlet", "l1", "entropy"), c * batch.s / 2.0, 1.0, "|f|_1"
-    elif form == "L2":
-        ids, k, h, mass = ("grad_sq", "f2", "f2log"), c * batch.s, 0.5, "|f|_2^2"
     else:
-        raise ParameterError(f"form must be 'L1' or 'L2', got {form!r}")
+        ids, k, h, mass = ("grad_sq", "f2", "f2log"), c * batch.s, 0.5, "|f|_2^2"
     cols = _columns(f, batch, ids, "LSI check needs f > 0 on samples")
     return _entropy_check(f"lsi-{form.lower()}", batch, cols, k, h, mass, beta,
                           {"c": c, "beta": beta, "form": form, **_batch_params(batch)}, [])
@@ -302,8 +335,7 @@ def check_slsi(f: ScalarField, batch: HeatSampleBatch, c: float, beta: float,
                lsh_status: str | None = None) -> CheckReport:
     """Strong LSI: entropy <= c int Ef + |f|_1 log |f|_1 + beta |f|_1."""
     _require_layers(f, batch)
-    if beta < 0 or c < 0:
-        raise ParameterError("constants c, beta must be >= 0")
+    lsi_rules(c, beta)
     notes = _warn_if_not_lsh(f, batch, lsh_status)
     cols = _columns(f, batch, ("euler", "l1", "entropy"), "sLSI check needs f > 0 on samples")
     return _entropy_check("slsi", batch, cols, c, 1.0, "|f|_1", beta,
@@ -355,15 +387,7 @@ def check_shc(f: ScalarField, batch: HeatSampleBatch, p: float, q: float,
     the one supplied batch.
     """
     _require_layers(f, batch)
-    if not (0 < p <= q):
-        raise ParameterError(f"need 0 < p <= q, got p={p}, q={q}")
-    if beta < 0 or c < 0:
-        raise ParameterError("constants c, beta must be >= 0")
-    t_j = janson_time(p, q, c)
-    if t < t_j - 1e-12 and not exploratory:
-        raise ParameterError(
-            f"t={t} is below Janson's time t_J={t_j}; pass exploratory=True to probe"
-        )
+    t_j = shc_rules(p, q, t, c, beta, exploratory)
     notes = _warn_if_not_lsh(f, batch, lsh_status)
     try:
         m_pq = defect_m(p, q, beta)
@@ -421,8 +445,6 @@ def _sweep(name, f, batch, ts, r_of, m_of, params, notes) -> SweepReport:
     The verdict is ``SweepReport.from_curve``'s.
     """
     ts = np.asarray(sorted(float(t) for t in ts))
-    if ts.size < 2:
-        raise ParameterError(f"{name} needs a grid of at least two t values, got {ts.size}")
     rows = max(1, _SWEEP_BLOCK_FLOATS // batch.n_samples)
     values, stderrs, diff_ses, last, lo = [], [], [], None, 0
     while lo < ts.size:
@@ -459,10 +481,7 @@ def sweep_alpha(f: ScalarField, batch: HeatSampleBatch, c: float, beta: float,
     and alpha(t_J) = M(1,q)^{-1} |e^{-t_J E} f|_q.
     """
     _require_layers(f, batch)
-    if q < 1:
-        raise ParameterError(f"q must be >= 1, got {q}")
-    if beta < 0:
-        raise ParameterError("constants c, beta must be >= 0")
+    sweep_rules(ts, c, beta, q)
     notes = _warn_if_not_lsh(f, batch, lsh_status)
     t_j = janson_time(1.0, q, c)
     return _sweep(
@@ -476,6 +495,7 @@ def check_l1_contractivity(f: ScalarField, batch: HeatSampleBatch, ts=None,
                            lsh_status: str | None = None) -> SweepReport:
     """|e^{-tE} f|_1 over a t grid; non-increasing for log-subharmonic f."""
     _require_layers(f, batch)
+    sweep_rules(ts)
     notes = _warn_if_not_lsh(f, batch, lsh_status)
     return _sweep(
         "l1-contractivity", f, batch, np.linspace(0.0, 1.0, 9) if ts is None else ts,

@@ -578,6 +578,7 @@ def test_every_operator_round_trips(expr):
     again = calc.parse_field(text)
     assert calc.to_expr(again) == text
     assert calc._coordinates(again) == calc._coordinates(f) == OPERATOR_EXPRS[expr]
+    assert f.layers == {j for j, _ in OPERATOR_EXPRS[expr]}
 
 
 def test_domain_errors_name_the_sample(r1):

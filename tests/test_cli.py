@@ -11,8 +11,8 @@ import warnings
 import numpy as np
 import pytest
 
-from carnot import algebra, calculus, cli, group, heat
-from carnot.errors import CarnotError, ConfigError
+from carnot import algebra, calculus, cli, group, heat, inequalities
+from carnot.errors import CarnotError, ConfigError, ParameterError
 
 
 def small_time_space_config(**overrides):
@@ -182,6 +182,11 @@ BAD_CONFIGS = {
     "negative-shc-beta": ({"checks": [{"check": "shc", "field": "f", "p": 1, "q": 2,
                                        "c": 0.5, "beta": -2}]},
                           ["checks[0]", "shc", "'beta'", ">= 0"]),
+    "shc-p-above-q": ({"checks": [{"check": "shc", "field": "f", "p": 4, "q": 1, "c": 0.5}]},
+                      ["checks[0]", "shc", "0 < p <= q", "p=4.0"]),
+    "shc-below-janson-time": ({"checks": [{"check": "shc", "field": "f", "p": 1, "q": 4,
+                                           "c": 0.5, "t": 0.1}]},
+                              ["checks[0]", "shc", "Janson", "t_J"]),
     "lsi-form-l3": ({"checks": [{"check": "lsi", "field": "f", "c": 0.5, "form": "L3"}]},
                     ["checks[0]", "lsi", "'form'", "'L1' or 'L2'", "'L3'"]),
     "int-lsi-form": ({"checks": [{"check": "lsi", "field": "f", "c": 0.5, "form": 5}]},
@@ -223,6 +228,67 @@ def test_bad_check_keys_exit_3_before_sampling(case, tmp_path, monkeypatch, caps
     assert "Traceback" not in err
     for word in words:
         assert word in err
+
+
+# each rule case of BAD_CONFIGS as a direct call of its check, (f, batch) -> call
+DIRECT_CALLS = {
+    "negative-lsi-c": lambda f, b: inequalities.check_lsi(f, b, -0.5, 0.0),
+    "negative-lsi-beta": lambda f, b: inequalities.check_lsi(f, b, 0.5, -1.0),
+    "negative-slsi-c": lambda f, b: inequalities.check_slsi(f, b, -1.0, 0.0),
+    "negative-slsi-beta": lambda f, b: inequalities.check_slsi(f, b, 0.5, -0.1),
+    "negative-shc-c": lambda f, b: inequalities.check_shc(f, b, 1.0, 2.0, 1.0, -0.5, 0.0),
+    "negative-shc-beta": lambda f, b: inequalities.check_shc(f, b, 1.0, 2.0, 1.0, 0.5, -2.0),
+    "lsi-form-l3": lambda f, b: inequalities.check_lsi(f, b, 0.5, 0.0, form="L3"),
+    "int-lsi-form": lambda f, b: inequalities.check_lsi(f, b, 0.5, 0.0, form=5),
+    "shc-p-above-q": lambda f, b: inequalities.check_shc(f, b, 4.0, 1.0, 1.0, 0.5, 0.0),
+    "sweep-q-below-1": lambda f, b: inequalities.sweep_alpha(f, b, 1.0, 0.0, 0.5),
+    "negative-sweep-beta": lambda f, b: inequalities.sweep_alpha(f, b, 1.0, -1.0, 2.0),
+    "zero-sweep-c": lambda f, b: inequalities.sweep_alpha(f, b, 0.0, 0.0, 2.0),
+    "empty-grid": lambda f, b: inequalities.check_l1_contractivity(f, b, ts=[]),
+    "one-point-grid": lambda f, b: inequalities.sweep_alpha(f, b, 1.0, 0.0, 2.0, ts=[0.3]),
+    "shc-below-janson-time": lambda f, b: inequalities.check_shc(f, b, 1.0, 4.0, 0.1, 0.5, 0.0),
+    "zero-lambda": lambda f, b: heat.empirical_check_scaling(b, 0.0, b),
+    "negative-lambda": lambda f, b: heat.empirical_check_scaling(b, -2.0, b),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIRECT_CALLS))
+def test_the_cli_applies_each_checks_own_rule(case, tmp_path, monkeypatch, capsys):
+    # one home per rule: the CLI's error line, after its "checks[0] (kind): "
+    # prefix, is the text the check itself raises on the same constants
+    overrides, _ = BAD_CONFIGS[case]
+    config = small_time_space_config(**overrides)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    f = calculus.parse_field(config["fields"]["f"]["expr"])
+    batch = heat.sample(algebra.builtin("heisenberg(1)"), 1.0, 100, 8, seed=1)
+    with pytest.raises(ParameterError) as direct:
+        DIRECT_CALLS[case](f, batch)
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(cli.heat, "sample", no_sampling)
+    assert cli.main(["run", str(path)]) == 3
+    prefix = f"error: checks[0] ({config['checks'][0]['check']}): "
+    assert capsys.readouterr().err == prefix + str(direct.value) + "\n"
+
+
+def test_shc_below_janson_time_runs_when_exploratory(tmp_path, capsys):
+    # the config that BAD_CONFIGS refuses below t_J, marked exploratory
+    overrides, _ = BAD_CONFIGS["shc-below-janson-time"]
+    config = small_time_space_config(**copy.deepcopy(overrides))
+    config["checks"][0]["exploratory"] = True
+    config["heat"]["n"] = 2000
+    cli.validate_config(config)
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # x^2 is not log-subharmonic
+        rc = cli.main(["run", str(path)])
+    (rep,) = json.loads(capsys.readouterr().out)["reports"]
+    assert rc != 3 and rep["verdict"] != cli.VERDICT_ERROR
+    assert rep["params"]["t"] == 0.1 and rep["params"]["exploratory"] is True
 
 
 @pytest.mark.parametrize("argv", [["check", "contractivity"], ["sweep", "alpha"]],
@@ -407,7 +473,8 @@ def test_main_batch_is_exact_when_its_checks_read_only_the_first_layer(case):
     assert {r["params"]["steps"] for r in manifest["reports"] if "params" in r} <= {steps}
     assert manifest["exit_code"] == 0
     want = heat.sample(algebra.builtin("heisenberg(1)"), 1.0, 600, steps, 5)
-    assert drawn_batch(manifest).samples.tobytes() == want.samples.tobytes()
+    batch = drawn_batch(manifest)
+    assert batch.samples.tobytes() == want.samples.tobytes() and batch.kind == kind
 
 
 def test_extra_batches_walk_and_the_batch_block_is_telemetry():

@@ -360,6 +360,16 @@ def test_scaling_time_mismatch_rejected(h3):
         heat.empirical_check_scaling(b4, 2.0, b2)
 
 
+@pytest.mark.parametrize("lam", [0.0, -2.0])
+def test_scaling_needs_a_positive_lambda(h3, lam):
+    # the second batch is at s / lambda^2, so the time rule passes at -2, and
+    # the rule names lambda itself, not the dilation factor 1/lambda
+    b4 = heat.sample(h3, 4.0, 100, 8, seed=35)
+    b1 = heat.sample(h3, 1.0, 100, 8, seed=36)
+    with pytest.raises(ParameterError, match=rf"^'lambda' must be > 0, got {lam}$"):
+        heat.empirical_check_scaling(b4, lam, b1)
+
+
 def test_r1_gaussian_scaling_variance(r1):
     # delta_{1/lam} scales the R^1 variance s/2 -> s/(2 lam^2)
     b = heat.sample(r1, 2.0, 50_000, 8, seed=37)

@@ -703,9 +703,9 @@ def test_sweeps_need_two_grid_points(grid, h3_batch_s1):
 def test_alpha_sweep_needs_nonnegative_beta(h3_batch_s1):
     # like sLSI and sHC, the sweep's statement takes beta >= 0
     f = calc.Exp(calc.x(1, 1))
-    with pytest.raises(ParameterError, match=r"^constants c, beta must be >= 0$"):
+    with pytest.raises(ParameterError, match=r"^'beta' must be >= 0, got -1.0$"):
         ineq.sweep_alpha(f, h3_batch_s1, 1.0, -1.0, math.e, lsh_status="lsh")
-    with pytest.raises(ParameterError, match=r"^constants c, beta must be >= 0$"):
+    with pytest.raises(ParameterError, match=r"^'beta' must be >= 0, got -1.0$"):
         ineq.check_slsi(f, h3_batch_s1, 1.0, -1.0, lsh_status="lsh")
 
 
