@@ -37,7 +37,10 @@ The entries are:
   margin of one ulp of its sides; and on a walk batch of engel, where the
   upper-layer jets are live, ``carnot check chain``, ``carnot check lsi`` and
   ``carnot check lsi --form L2`` of e^x + e^(-y/2), x = x_1_1, y = x_2_1;
-  the output is stdout;
+  ``carnot check time-space`` of exp(x_2_1 / 2) on heisenberg(2), an
+  exact-h-type batch, and of x_1_1 + x_2_1 + 8 on H3 x R, a JSON algebra
+  that ``algebra.classify_h_type`` accepts but whose batches walk, written
+  once into the temporary directory; the output is stdout;
 - three configs of sweeps at the edge of double range, run by ``cli.run``:
   on engel, a ``contractivity`` check at t = -300, where the dilation weight
   exp(300) ** 3 overflows, beside a ``time-space`` check, which fails the
@@ -102,6 +105,10 @@ TINY_EXP = "(* 1e-200 (exp x_1_1))"
 ENGEL_SUM = "(+ (exp x_1_1) (exp (* -0.5 x_2_1)))"
 ENGEL_ARGS = ["--algebra", "engel", "--field", ENGEL_SUM, "--n", "2000", "--steps", "16",
               "--seed", "5"]
+# a field of the centre on heisenberg(2), whose batch is exact-h-type, and
+# H3 x R, whose J_z is a partial isometry with a kernel: its batches walk
+CENTRE_ARGS = ["--field", "(exp (* 0.5 x_2_1))", "--n", "4000", "--steps", "16", "--seed", "3"]
+H3_X_R = {"layer_dims": [3, 1], "brackets": [[[1, 1], [1, 2], [[2, 1], 1.0]]]}
 # the edges of the verdict floor, each with its full argv
 FLOOR_COMMANDS = {
     "carnot check contractivity of 1e-9 exp(-x_1_1^2), n=4000": [
@@ -237,7 +244,7 @@ def run_jobs() -> list:
     return jobs
 
 
-def cli_commands(points: str) -> dict:
+def cli_commands(points: str, h3xr: str) -> dict:
     commands = {f"carnot check {kind}": ["check", kind, *CLI_ARGS] for kind in CHECK_KINDS}
     commands["carnot check lsi --form L2"] = ["check", "lsi", "--form", "L2", *CLI_ARGS]
     commands["carnot sweep alpha"] = ["sweep", "alpha", *CLI_ARGS]
@@ -255,6 +262,11 @@ def cli_commands(points: str) -> dict:
         commands[f"carnot check {name} --algebra engel --field {ENGEL_SUM}"] = [
             "check", name.split()[0], *form, *ENGEL_ARGS]
     commands.update(FLOOR_COMMANDS)
+    commands["carnot check time-space --algebra heisenberg(2) --field (exp (* 0.5 x_2_1))"] = [
+        "check", "time-space", "--algebra", "heisenberg(2)", *CENTRE_ARGS]
+    commands["carnot check time-space --algebra H3xR.json --field (+ x_1_1 x_2_1 8)"] = [
+        "check", "time-space", "--algebra", h3xr, "--field", "(+ x_1_1 x_2_1 8)",
+        *CENTRE_ARGS[2:]]
     commands["carnot check lsh --points FILE"] = ["check", "lsh", "--points", points,
                                                   *CLI_ARGS]
     return commands
@@ -271,9 +283,9 @@ def write_points(checkout: str, path: str) -> None:
                    env=env, check=True)
 
 
-def outputs(checkout: str, points: str) -> dict:
+def outputs(checkout: str, points: str, h3xr: str) -> dict:
     """entry -> (exit code, output text) for one checkout; ``points`` is the
-    CSV of the lsh points-file entry."""
+    CSV of the lsh points-file entry and ``h3xr`` the H3 x R algebra file."""
     src, env = _env(checkout)
     proc = subprocess.run([sys.executable, "-c", RUNNER, src], env=env, text=True,
                           input=json.dumps(run_jobs()), capture_output=True)
@@ -283,7 +295,7 @@ def outputs(checkout: str, points: str) -> dict:
     for line in proc.stdout.splitlines():
         rec = json.loads(line)
         out[rec["entry"]] = rec["exit"], rec["text"]
-    for entry, argv in cli_commands(points).items():
+    for entry, argv in cli_commands(points, h3xr).items():
         proc = subprocess.run([sys.executable, "-m", "carnot", *argv], env=env,
                               text=True, capture_output=True)
         out[entry] = proc.returncode, proc.stdout
@@ -338,9 +350,11 @@ def main(argv=None) -> int:
     if len(checkouts) > 2:
         ap.error("give at most two checkouts")
     with tempfile.TemporaryDirectory() as tmp:
-        points = os.path.join(tmp, "points.csv")
+        points, h3xr = os.path.join(tmp, "points.csv"), os.path.join(tmp, "H3xR.json")
         write_points(checkouts[0], points)
-        results = [outputs(c, points) for c in checkouts]
+        with open(h3xr, "w") as fh:
+            json.dump(H3_X_R, fh)
+        results = [outputs(c, points, h3xr) for c in checkouts]
     if len(results) == 1:
         for entry, (code, text) in results[0].items():
             print(f"{code}  {hashlib.sha256(text.encode()).hexdigest()}  {entry}")

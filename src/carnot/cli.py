@@ -7,9 +7,9 @@ A run executes the checks of a JSON experiment config in declaration order
 and emits a manifest embedding the fully resolved config, a config hash,
 and one report per check (every estimate carries its standard error).
 Re-running the same config and seed reproduces the manifest bit for bit,
-modulo the separate "timings" and "batches" blocks; the CARNOT_THREADS
-environment variable only changes how checks are scheduled, never their
-values.
+modulo the separate "timings", "batches" and "environment" blocks; the
+CARNOT_THREADS environment variable only changes how checks are scheduled,
+never their values.
 
 Exit codes: 0 all checks hold, 1 any violated, 2 any inconclusive,
 3 structural/config error, a command-line usage error included.
@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 import threading
 import time
@@ -417,23 +418,25 @@ def run(config: dict) -> dict:
     batch = None
     hc = config["heat"]
     on_batch = [c for c in config["checks"] if _CHECKS[c["check"]].needs_batch]
+    every_layer = range(1, alg.step + 1)
     if hc is not None and on_batch:
-        # one step, an exact first-layer batch (see heat), when every check on
-        # the batch reads a field of the first layer alone; a heat check reads all
-        exact = all(_CHECKS[c["check"]].needs_field
-                    and fields[c["field"]][0].layers <= {1} for c in on_batch)
+        # the layers the checks read: a field's own, every layer for a heat check
+        layers = set().union(*(fields[c["field"]][0].layers if _CHECKS[c["check"]].needs_field
+                               else every_layer for c in on_batch))
         t0 = time.perf_counter()
-        batch = heat.sample(alg, hc["s"], hc["n"], 1 if exact else hc["steps"], hc["seed"],
-                            tilt=hc.get("tilt"))
+        batch = heat.sample(alg, hc["s"], hc["n"], hc["steps"], hc["seed"], tilt=hc.get("tilt"),
+                            layers=layers)
         timings["sampling"] = time.perf_counter() - t0
-        batches["heat"] = _batch_record(batch)
+        batches["heat"] = batch.summary
     extra = {}
     for name in dict.fromkeys(c["batch"] for c in config["checks"] if "batch" in c):
         bc = config["extra_batches"][name]
         t0 = time.perf_counter()
-        extra[name] = heat.sample(alg, bc["s"], bc["n"], bc["steps"], bc["seed"])
+        # an extra batch serves the scaling check, which reads every layer
+        extra[name] = heat.sample(alg, bc["s"], bc["n"], bc["steps"], bc["seed"],
+                                  layers=every_layer)
         timings[f"sampling.{name}"] = time.perf_counter() - t0
-        batches[f"extra_batches.{name}"] = _batch_record(extra[name])
+        batches[f"extra_batches.{name}"] = extra[name].summary
 
     cx = _Context(alg, fields, batch, extra, hc["seed"] if hc else 0, points)
     tasks = list(enumerate(config["checks"]))
@@ -474,14 +477,17 @@ def run(config: dict) -> dict:
         "exit_code": _EXIT_CODES[worst_verdict(verdicts)],
         "timings": timings,
         "batches": batches,
+        "environment": {**_ENVIRONMENT, "carnot_threads": n_workers},
     }
     _write_outputs(manifest, config)
     return manifest
 
 
-def _batch_record(batch) -> dict:
-    """What a batch of the run is: its kind, its steps and the normals drawn."""
-    return {"kind": batch.kind, "steps": batch.n_steps, "normals": batch.normals}
+# what made a run, built once per process: numpy may change its Poisson and
+# Gamma streams between releases (NEP 19), so a manifest names its numpy
+_ENVIRONMENT = {"python": platform.python_version(), "numpy": np.__version__,
+                "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
+                "cpu_count": os.cpu_count()}
 
 
 def _json_text(obj) -> str:
@@ -490,7 +496,7 @@ def _json_text(obj) -> str:
 
 
 # the manifest's telemetry: how the run went, not what it found
-_TELEMETRY = ("timings", "batches")
+_TELEMETRY = ("timings", "batches", "environment")
 
 
 def manifest_canonical_bytes(manifest: dict) -> bytes:
@@ -803,17 +809,8 @@ def _cmd_preset(args) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "algebra":
-            return _cmd_algebra(args)
-        if args.command == "sample":
-            return _cmd_sample(args)
-        if args.command in ("check", "sweep"):
-            return _cmd_check(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "preset":
-            return _cmd_preset(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return {"algebra": _cmd_algebra, "sample": _cmd_sample, "check": _cmd_check,
+                "sweep": _cmd_check, "run": _cmd_run, "preset": _cmd_preset}[args.command](args)
     except (CarnotError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL

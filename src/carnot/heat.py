@@ -1,4 +1,5 @@
-"""Hypoelliptic heat kernel sampling via horizontal random walks.
+"""Hypoelliptic heat kernel sampling: horizontal random walks, and exact draws
+where the law is known.
 
 Convention: the semigroup is e^{s Delta/4}, so over a step of length h the
 horizontal Gaussian increment has variance h/2 per orthonormal first-layer
@@ -17,6 +18,11 @@ reads an upper layer refuses it, and so does every heat check
 (HeatSampleBatch.require_layers).
 On euclidean(n) the first layer is every layer, so a one-step batch there
 is the whole law.
+
+On an H-type algebra an exact-h-type batch draws the whole law: given the
+first layer, Levy's area formula (Gaveau, Acta Math. 1977) makes the centre a
+Gaussian scale mixture whose variance is a Gamma-Poisson series (Pitman & Yor,
+Canad. J. Math. 2003).  batch_kind chooses each batch's kind.
 
 Reproducibility: block b of _BLOCK_PATHS paths draws its normals from its
 own SFC64 stream keyed by (seed, b), step by step: all the block's paths'
@@ -51,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import StratifiedAlgebra
+from .algebra import PARTIAL_ISOMETRY_TOL, StratifiedAlgebra, j_matrix
 from .errors import ParameterError, StructureError, is_integer
 from .group import dilate_batch, homogeneous_norm_batch, multiply_jets
 from .reports import TailReport, TwoSampleReport
@@ -62,6 +68,8 @@ _CHUNK_BUDGET = 2 ** 18
 _BLOCK_PATHS = 256
 # steps per tile: the walk takes a chunk's increments one tile at a time
 _TILE_STEPS = 16
+# Gamma-Poisson modes an exact-h-type batch draws; the rest enter by their mean
+_H_TYPE_MODES = 8
 # pooled points per row block of the energy test's distance matrix
 _DIST_ROWS = 64
 # the energy test's permutations, and the points it keeps of each sample
@@ -83,6 +91,11 @@ class HeatSampleBatch:
     samples: np.ndarray           # (n_samples, dim)
     tilt: np.ndarray | None = None
     log_weights: np.ndarray | None = None
+    kind: str = "walk"            # batch_kind's choice
+
+    def __post_init__(self):
+        if self.kind == "exact-first-layer":  # its upper layers are absent
+            self.samples[:, self.algebra.dim_v1:] = np.nan
 
     @property
     def weights(self) -> np.ndarray:
@@ -95,20 +108,19 @@ class HeatSampleBatch:
         return self.tilt is not None
 
     @property
-    def kind(self) -> str:
-        """The batch's law: "exact-first-layer" for one step (upper layers NaN), else "walk"."""
-        return "exact-first-layer" if self.n_steps == 1 else "walk"
-
-    @property
     def layers(self) -> int:
         """The layers the batch holds, 1 to this count: 1 if exact first-layer, else all."""
         return 1 if self.kind == "exact-first-layer" else self.algebra.step
 
     @property
-    def normals(self) -> int:
-        """The normals ``sample`` draws for the batch: every block draws its full width."""
-        blocks = -(-self.n_samples // _BLOCK_PATHS)
-        return blocks * _BLOCK_PATHS * self.n_steps * self.algebra.dim_v1
+    def summary(self) -> dict:
+        """Its kind, steps and variates drawn, by law: every block draws its full width."""
+        paths = -(-self.n_samples // _BLOCK_PATHS) * _BLOCK_PATHS
+        if self.kind != "exact-h-type":
+            return {"kind": self.kind, "steps": self.n_steps,
+                    "normals": paths * self.n_steps * self.algebra.dim_v1}
+        return {"kind": self.kind, "steps": self.n_steps, "normals": paths * self.algebra.dim,
+                "poissons": paths * _H_TYPE_MODES, "gammas": paths * _H_TYPE_MODES}
 
     def require_layers(self, layers, what: str):
         """Each of ``layers`` must be one the batch holds; ``what`` is who reads
@@ -129,8 +141,8 @@ class HeatSampleBatch:
 
     def __repr__(self):
         return (
-            f"<HeatSampleBatch s={self.s} n={self.n_samples} steps={self.n_steps} "
-            f"seed={self.seed} tilted={self.is_tilted}>"
+            f"<HeatSampleBatch {self.kind} s={self.s} n={self.n_samples} "
+            f"steps={self.n_steps} seed={self.seed} tilted={self.is_tilted}>"
         )
 
 
@@ -211,11 +223,14 @@ def _increments(algebra: StratifiedAlgebra, s: float, n_samples: int,
 
     for b0 in range(0, n_blocks, width):
         b1 = min(b0 + width, n_blocks)
-        # first use of np.random, never at import; seed < 2^32 keys SeedSequence([seed, b])
-        streams = [np.random.Generator(np.random.SFC64(np.random.SeedSequence(
-            np.array([seed % 2 ** 32, b, seed >> 32], dtype=np.uint32))))
-            for b in range(b0, b1)]
+        streams = [_block_stream(seed, b) for b in range(b0, b1)]
         yield b0 * _BLOCK_PATHS, min(b1 * _BLOCK_PATHS, n_samples), tiles(streams)
+
+
+def _block_stream(seed: int, b: int) -> np.random.Generator:
+    # first use of np.random, never at import; seed < 2^32 keys SeedSequence([seed, b])
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+        np.array([seed % 2 ** 32, b, seed >> 32], dtype=np.uint32))))
 
 
 def _walk(algebra: StratifiedAlgebra, X, tile: np.ndarray) -> list:
@@ -268,22 +283,68 @@ def _endpoints(algebra: StratifiedAlgebra, s: float, n_samples: int, steps_list,
         for k in steps_list:
             for c, x in enumerate(X[k]):
                 out[k][lo:hi, c] = x.reshape(-1)[:hi - lo]
-    if 1 in out:  # an exact first-layer batch: its upper layers are absent
-        out[1][:, algebra.dim_v1:] = np.nan
     return out
 
 
-def sample(algebra: StratifiedAlgebra, s: float, n_samples: int,
-           n_steps: int = 512, seed: int = 0, tilt=None) -> HeatSampleBatch:
-    """Draw n_samples from rho_s dm with a n_steps-step horizontal walk."""
+def batch_kind(algebra: StratifiedAlgebra, n_steps: int, layers=None) -> str:
+    """The law of a batch whose readers read ``layers``, the first that applies of
+    "exact-first-layer" (one step, or no read above the first layer),
+    "exact-h-type" (Levy's law holds: step 2, the identity V_1 metric and, on
+    the V_2 basis, J_a^T J_b + J_b^T J_a = 2 delta_ab I, by polarisation
+    |J_u x| = |u||x|) and "walk", n_steps steps, always when ``layers`` is None."""
+    if n_steps == 1 or (layers is not None and max(layers, default=1) == 1):
+        return "exact-first-layer"
+    eye = np.eye(algebra.dim_v1)
+    if layers is None or algebra.step != 2 or not np.array_equal(algebra.metric_v1, eye):
+        return "walk"
+    J = [j_matrix(algebra, e) for e in np.eye(algebra.layer_dims[1])]
+    levy = all(np.abs(Ja.T @ Jb + Jb.T @ Ja - 2.0 * (a == b) * eye).max() < PARTIAL_ISOMETRY_TOL
+               for a, Ja in enumerate(J) for b, Jb in enumerate(J))
+    return "exact-h-type" if levy else "walk"
+
+
+def _h_type_endpoints(algebra: StratifiedAlgebra, s: float, n_samples: int, seed: int,
+                      shift=None) -> np.ndarray:
+    """Endpoints (n_samples, dim) of an exact-h-type batch.  With T = s/2, block
+    b draws from its stream, in order: the first layer x as a one-step walk does
+    (plus ``shift``: a Brownian bridge's law has no drift), (_H_TYPE_MODES, paths)
+    Poisson counts N_k of mean |x|^2/T, Gamma variates G_k of shape d1/2 + N_k
+    and the centre's normals Z; the centre is sqrt(V) Z, V = sum_k 2 b_k^2 G_k
+    with b_k = T/(2 k pi)."""
+    d1, m, T = algebra.dim_v1, algebra.layer_dims[1], s / 2.0
+    scale = 2.0 * (T / (2.0 * math.pi * np.arange(1, _H_TYPE_MODES + 1)[:, None])) ** 2
+    tail = 2.0 * (T / (2.0 * math.pi)) ** 2 * (  # the modes past the last, by their mean
+        math.pi ** 2 / 6.0 - sum(k ** -2.0 for k in range(1, _H_TYPE_MODES + 1)))
+    out = np.empty((n_samples, algebra.dim))
+    for b in range(-(-n_samples // _BLOCK_PATHS)):
+        rng, lo = _block_stream(seed, b), b * _BLOCK_PATHS
+        x = rng.standard_normal((d1, _BLOCK_PATHS)) * math.sqrt(T)
+        if shift is not None:
+            x += shift[:, None]
+        r = (x * x).sum(axis=0) / T
+        gammas = rng.standard_gamma(d1 / 2.0 + rng.poisson(r, (_H_TYPE_MODES, _BLOCK_PATHS)))
+        v = (scale * gammas).sum(axis=0) + tail * (d1 / 2.0 + r)
+        z = rng.standard_normal((m, _BLOCK_PATHS)) * np.sqrt(v)
+        out[lo:lo + _BLOCK_PATHS] = np.vstack([x, z]).T[:n_samples - lo]
+    return out
+
+
+def sample(algebra: StratifiedAlgebra, s: float, n_samples: int, n_steps: int = 512,
+           seed: int = 0, tilt=None, layers=None) -> HeatSampleBatch:
+    """Draw n_samples from rho_s dm, a batch of the kind batch_kind chooses for
+    readers of ``layers``: without them a n_steps-step walk.  An exact batch
+    takes one step."""
     _validate_params(s, n_samples, n_steps, seed)
     d1 = algebra.dim_v1
     if tilt is not None:
         tilt = np.asarray(tilt, dtype=float)
         if tilt.shape != (d1,):
             raise ParameterError(f"tilt must have shape ({d1},), got {tilt.shape}")
+    kind = batch_kind(algebra, n_steps, layers)
+    n_steps = n_steps if kind == "walk" else 1
     shift = None if tilt is None else tilt * (s / n_steps / 2.0)
-    out = _endpoints(algebra, s, n_samples, [n_steps], seed, shift)[n_steps]
+    out = (_h_type_endpoints(algebra, s, n_samples, seed, shift) if kind == "exact-h-type"
+           else _endpoints(algebra, s, n_samples, [n_steps], seed, shift)[n_steps])
 
     log_w = None if tilt is None else -(out[:, :d1] @ tilt) + s * float(tilt @ tilt) / 4.0
     if log_w is not None and np.exp(log_w.max()) == 0.0:
@@ -291,7 +352,7 @@ def sample(algebra: StratifiedAlgebra, s: float, n_samples: int,
                              f"the largest log weight is {log_w.max():.6g}")
     return HeatSampleBatch(
         algebra=algebra, s=float(s), n_samples=n_samples, n_steps=n_steps,
-        seed=int(seed), samples=out, tilt=tilt, log_weights=log_w,
+        seed=int(seed), samples=out, tilt=tilt, log_weights=log_w, kind=kind,
     )
 
 
@@ -313,7 +374,8 @@ def coupled_refinement(algebra: StratifiedAlgebra, s: float, n_samples: int,
             raise ParameterError(f"{k} does not divide finest step count {finest}")
     return {
         k: HeatSampleBatch(algebra=algebra, s=float(s), n_samples=n_samples,
-                           n_steps=k, seed=int(seed), samples=X)
+                           n_steps=k, seed=int(seed), samples=X,
+                           kind=batch_kind(algebra, k))
         for k, X in _endpoints(algebra, s, n_samples, steps_list, seed).items()
     }
 

@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -27,10 +28,15 @@ def small_time_space_config(**overrides):
 
 
 def drawn_batch(manifest):
-    """The main batch of a run, drawn again at the steps its manifest records."""
-    hc = manifest["config"]["heat"]
-    return heat.sample(algebra.resolve(manifest["config"]["algebra"]), hc["s"], hc["n"],
-                       manifest["batches"]["heat"]["steps"], hc["seed"], tilt=hc.get("tilt"))
+    """The main batch of a run, drawn again for readers of the layers its
+    manifest's kind holds: the first alone, or all."""
+    hc, kind = manifest["config"]["heat"], manifest["batches"]["heat"]["kind"]
+    alg = algebra.resolve(manifest["config"]["algebra"])
+    layers = {1} if kind == "exact-first-layer" else range(1, alg.step + 1)
+    batch = heat.sample(alg, hc["s"], hc["n"], hc["steps"], hc["seed"], tilt=hc.get("tilt"),
+                        layers=layers)
+    assert batch.kind == kind
+    return batch
 
 
 # -- config validation -------------------------------------------------------------
@@ -441,18 +447,35 @@ def test_runs_leave_the_per_algebra_caches_flat():
 
 # the main batch's kind by what its checks read: (fields, checks, kind)
 BATCH_KINDS = {
-    "first-layer fields": ({"f": {"expr": "(pow x_1_1 2)"}, "g": {"library": "expx1"}},
+    "first-layer fields": ("heisenberg(1)",
+                           {"f": {"expr": "(pow x_1_1 2)"}, "g": {"library": "expx1"}},
                            [{"check": "time-space", "field": "f"},
                             {"check": "slsi", "field": "g", "c": 1.0},
                             {"check": "lsh", "field": "g", "grid_n": 50}],
                            "exact-first-layer"),
-    "a field reads layer 2": ({"f": {"expr": "(pow x_1_1 2)"},
-                               "g": {"expr": "(+ x_1_1 x_2_1 8)"}},
+    "a field reads layer 2": ("heisenberg(1)", {"f": {"expr": "(pow x_1_1 2)"},
+                                                "g": {"expr": "(+ x_1_1 x_2_1 8)"}},
                               [{"check": "time-space", "field": "f"},
-                               {"check": "time-space", "field": "g"}], "walk"),
-    "a heat check": ({"f": {"expr": "(pow x_1_1 2)"}},
+                               {"check": "time-space", "field": "g"}], "exact-h-type"),
+    "a heat check": ("heisenberg(1)", {"f": {"expr": "(pow x_1_1 2)"}},
                      [{"check": "time-space", "field": "f"},
-                      {"check": "inverse-symmetry"}], "walk"),
+                      {"check": "inverse-symmetry"}], "exact-h-type"),
+    "a field reads layer 2 on engel": ("engel", {"f": {"expr": "(pow x_1_1 2)"},
+                                                 "g": {"expr": "(+ x_1_1 x_2_1 8)"}},
+                                       [{"check": "time-space", "field": "f"},
+                                        {"check": "time-space", "field": "g"}], "walk"),
+    "a heat check on engel": ("engel", {"f": {"expr": "(pow x_1_1 2)"}},
+                              [{"check": "time-space", "field": "f"},
+                               {"check": "inverse-symmetry"}], "walk"),
+}
+# what a batch of 600 paths draws, by kind: three whole blocks of 256, each
+# of 2 first-layer normals per step; exact-h-type draws the 1 centre normal
+# and the Gamma-Poisson modes too
+BATCH_DRAWS = {
+    "exact-first-layer": {"steps": 1, "normals": 768 * 2},
+    "exact-h-type": {"steps": 1, "normals": 768 * 3, "poissons": 768 * heat._H_TYPE_MODES,
+                     "gammas": 768 * heat._H_TYPE_MODES},
+    "walk": {"steps": 8, "normals": 768 * 2 * 8},
 }
 
 
@@ -460,38 +483,65 @@ BATCH_KINDS = {
 def test_main_batch_is_exact_when_its_checks_read_only_the_first_layer(case):
     # the kind is chosen from the config alone: no key names it, so the
     # config and its hash are those of the walk
-    fields, checks, kind = BATCH_KINDS[case]
-    config = small_time_space_config(fields=fields, checks=checks,
+    name, fields, checks, kind = BATCH_KINDS[case]
+    config = small_time_space_config(algebra=name, fields=fields, checks=checks,
                                      heat={"s": 1.0, "n": 600, "steps": 8, "seed": 5})
     manifest = cli.run(copy.deepcopy(config))
-    steps = 1 if kind == "exact-first-layer" else 8
-    # 600 paths draw three whole blocks of 256, each of 2 normals per step
-    assert manifest["batches"] == {"heat": {"kind": kind, "steps": steps,
-                                            "normals": 768 * 2 * steps}}
+    draws = BATCH_DRAWS[kind]
+    assert manifest["batches"] == {"heat": {"kind": kind, **draws}}
     assert manifest["config"]["heat"]["steps"] == 8
     assert manifest["config_hash"] == cli._config_hash(cli.validate_config(config))
-    assert {r["params"]["steps"] for r in manifest["reports"] if "params" in r} <= {steps}
+    assert {r["params"]["steps"] for r in manifest["reports"] if "params" in r} <= {draws["steps"]}
     assert manifest["exit_code"] == 0
-    want = heat.sample(algebra.builtin("heisenberg(1)"), 1.0, 600, steps, 5)
+    # the same kind drawn directly: a walk by its steps alone, an exact kind
+    # for readers of the layers it holds
+    layers = {"exact-first-layer": {1}, "exact-h-type": {1, 2}, "walk": None}[kind]
+    want = heat.sample(algebra.builtin(name), 1.0, 600, 8, 5, layers=layers)
     batch = drawn_batch(manifest)
     assert batch.samples.tobytes() == want.samples.tobytes() and batch.kind == kind
 
 
-def test_extra_batches_walk_and_the_batch_block_is_telemetry():
-    # an extra batch serves only scaling, which reads every layer; the
-    # batches block, like timings, is out of the canonical bytes
-    config = small_time_space_config(
-        heat={"s": 1.0, "n": 300, "steps": 8, "seed": 5},
+def extra_batch_run(name):
+    """A run whose one check, scaling, reads an extra batch; both batches read every layer."""
+    return cli.run(small_time_space_config(
+        algebra=name, heat={"s": 1.0, "n": 300, "steps": 8, "seed": 5},
         extra_batches={"b": {"s": 0.25, "n": 200, "steps": 4, "seed": 1}},
-        checks=[{"check": "scaling", "lambda": 2.0, "batch": "b"}])
-    manifest = cli.run(config)
+        checks=[{"check": "scaling", "lambda": 2.0, "batch": "b"}]))
+
+
+def test_extra_batches_walk_and_the_batch_block_is_telemetry():
+    # an extra batch serves only scaling, which reads every layer, so on
+    # heisenberg(1) both batches are exact; the batches block, like timings
+    # and environment, is out of the canonical bytes
+    manifest = extra_batch_run("heisenberg(1)")
+    modes = heat._H_TYPE_MODES
     assert manifest["batches"] == {
+        "heat": {"kind": "exact-h-type", "steps": 1, "normals": 512 * 3,
+                 "poissons": 512 * modes, "gammas": 512 * modes},
+        "extra_batches.b": {"kind": "exact-h-type", "steps": 1, "normals": 256 * 3,
+                            "poissons": 256 * modes, "gammas": 256 * modes}}
+    canonical = cli.manifest_canonical_bytes(manifest)
+    for block in ("batches", "timings", "environment"):
+        assert block not in json.loads(canonical)
+    assert canonical == cli.manifest_canonical_bytes(
+        {k: v for k, v in manifest.items() if k not in ("batches", "environment")})
+
+
+def test_extra_batches_walk_on_engel():
+    # Levy's law is not engel's: both batches walk their configured steps
+    assert extra_batch_run("engel")["batches"] == {
         "heat": {"kind": "walk", "steps": 8, "normals": 512 * 2 * 8},
         "extra_batches.b": {"kind": "walk", "steps": 4, "normals": 256 * 2 * 4}}
-    canonical = cli.manifest_canonical_bytes(manifest)
-    assert "batches" not in json.loads(canonical) and "timings" not in json.loads(canonical)
-    assert canonical == cli.manifest_canonical_bytes(
-        {k: v for k, v in manifest.items() if k != "batches"})
+
+
+def test_environment_block_names_the_software_and_threads(monkeypatch):
+    # the software is read once per process, the threads per run
+    monkeypatch.setenv("CARNOT_THREADS", "2")
+    env = cli.run(small_time_space_config(heat={"s": 1.0, "n": 300, "steps": 8, "seed": 5}))[
+        "environment"]
+    assert env == {"python": platform.python_version(), "numpy": np.__version__,
+                   "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
+                   "cpu_count": os.cpu_count(), "carnot_threads": 2}
 
 
 def test_one_step_field_of_an_upper_layer_exits_3_naming_the_layer(capsys):

@@ -259,7 +259,7 @@ def test_prefix_property_of_exact_batches(engel):
     small = heat.sample(engel, 1.0, 100, 1, seed=8)
     large = heat.sample(engel, 1.0, 600, 1, seed=8)
     assert small.samples.tobytes() == large.samples[:100].tobytes()
-    assert small.normals == 256 * 2 and large.normals == 768 * 2
+    assert small.summary["normals"] == 256 * 2 and large.summary["normals"] == 768 * 2
 
 
 def test_exact_batches_refuse_upper_layer_reads(h3, r1, tmp_path):
@@ -278,6 +278,179 @@ def test_exact_batches_refuse_upper_layer_reads(h3, r1, tmp_path):
     # on a step-1 algebra the first layer is every layer
     heat.sample(r1, 1.0, 10, 1, seed=2).save_csv(str(path))
     assert heat.load_csv(str(path), r1).shape == (10, 1)
+
+
+# -- the exact H-type kind -------------------------------------------------------
+
+# H3 x R: J_z is a partial isometry with a kernel, so classify_h_type accepts
+# it, yet Levy's law with d1 = 3 is not its heat kernel's
+H3_X_R = {"layer_dims": [3, 1], "brackets": [[[1, 1], [1, 2], [[2, 1], 1.0]]]}
+SCALED_H3 = {"layer_dims": [2, 1], "brackets": [[[1, 1], [1, 2], [[2, 1], 2.0]]]}
+# the scaled algebra under a V_1 metric that makes its J_z an isometry in the
+# metric's orthonormal frame; the walk draws in the adapted coordinates, where
+# the area is doubled, so Levy's law is not its batches'
+STRETCHED_H3 = {**SCALED_H3, "metric_v1": [[4.0, 0.0], [0.0, 1.0]]}
+# L_a e_p = sign e_q for left multiplication by i, j, k on H = R^4: (q, sign) by p
+QUATERNION_UNITS = [[(1, 1), (0, -1), (3, 1), (2, -1)],
+                    [(2, 1), (3, -1), (0, -1), (1, 1)],
+                    [(3, 1), (2, 1), (1, -1), (0, -1)]]
+# right multiplication by i: an isometry like L_i, but it commutes with L_i
+RIGHT_I = [(1, 1), (0, -1), (3, -1), (2, 1)]
+
+
+def _clifford(units, name="quaternionic"):
+    """V_1 = H and a centre of one direction per unit L_a, with
+    <xi_{2,a}, [e_p, e_q]> = <L_a e_p, e_q>; for QUATERNION_UNITS this is the
+    quaternionic H-type algebra."""
+    L = np.zeros((len(units), 4, 4))
+    for a, images in enumerate(units):
+        for p, (q, sign) in enumerate(images):
+            L[a, q, p] = sign
+    brackets = [[[1, p + 1], [1, q + 1], *[[[2, a + 1], L[a, q, p]] for a in range(len(units))]]
+                for p in range(4) for q in range(p + 1, 4)]
+    return algebra.from_dict({"layer_dims": [4, len(units)], "brackets": brackets}, name=name)
+
+
+def _quaternionic():
+    return _clifford(QUATERNION_UNITS)
+
+
+def test_batch_kind_selects_levys_law_only_where_it_holds(engel):
+    h3xr, scaled = algebra.from_dict(H3_X_R), algebra.from_dict(SCALED_H3)
+    verdict = algebra.classify_h_type(h3xr)
+    assert verdict.is_h_type and verdict.max_residual == 0.0
+    assert not algebra.classify_h_type(scaled).is_h_type
+    stretched = algebra.from_dict(STRETCHED_H3)
+    assert algebra.classify_h_type(stretched).is_h_type
+    # each of L_i and R_i is an isometry, but they commute, not anticommute
+    commuting = _clifford([QUATERNION_UNITS[0], RIGHT_I], name="commuting")
+    assert algebra.validate(commuting).ok
+    for alg in (h3xr, scaled, stretched, commuting, engel):
+        assert heat.batch_kind(alg, 64, range(1, alg.step + 1)) == "walk", alg
+    for alg in (algebra.builtin("heisenberg(1)"), algebra.builtin("heisenberg(2)"),
+                _quaternionic()):
+        assert heat.batch_kind(alg, 64, {1, 2}) == "exact-h-type", alg
+        # one step, or no read above the first layer, is exact-first-layer, and
+        # a walk asked for by its steps alone walks
+        assert heat.batch_kind(alg, 1, {1, 2}) == "exact-first-layer"
+        for layers in (set(), {1}):
+            assert heat.batch_kind(alg, 64, layers) == "exact-first-layer"
+        assert heat.batch_kind(alg, 64) == "walk"
+
+
+def _h_type(alg, s, n, seed, tilt=None):
+    return heat.sample(alg, s, n, 64, seed=seed, tilt=tilt, layers={1, 2})
+
+
+def _z_of(values, want):
+    return float((values.mean() - want) / (values.std(ddof=1) / math.sqrt(values.size)))
+
+
+@pytest.mark.parametrize("name", ["heisenberg(1)", "heisenberg(2)", "quaternionic"])
+def test_h_type_batch_matches_levys_oracles(name):
+    # each centre coordinate is a sum of d1/2 Levy areas: Var z = n s^2/16,
+    # E z^4 = n s^4/128 + 3 n^2 s^4/256, E cos(lam z) = sech^n(lam s/4) and
+    # E e^(lam z) = sec^n(lam s/4), with n = d1/2
+    alg = _quaternionic() if name == "quaternionic" else algebra.builtin(name)
+    s, n = 1.3, alg.dim_v1 // 2
+    batch = _h_type(alg, s, 200_000, seed=61)
+    assert batch.kind == "exact-h-type" and batch.layers == 2 and batch.n_steps == 1
+    u = s / 4
+    for z in batch.samples[:, alg.dim_v1:].T:
+        zs = {"z^2": _z_of(z ** 2, n * s ** 2 / 16),
+              "z^4": _z_of(z ** 4, n * s ** 4 / 128 + 3 * n ** 2 * s ** 4 / 256),
+              "cos 2z": _z_of(np.cos(2 * z), math.cosh(2 * u) ** -n),
+              "cos 5z": _z_of(np.cos(5 * z), math.cosh(5 * u) ** -n),
+              "e^z": _z_of(np.exp(z), math.cos(u) ** -n),
+              "e^-2z": _z_of(np.exp(-2 * z), math.cos(2 * u) ** -n)}
+        assert all(abs(v) < 4 for v in zs.values()), zs
+
+
+def test_h_type_centre_given_the_first_layer(h3):
+    # E[z^2 |x|^2] = 10 T^3/12 with T = s/2: the conditional variance of z is
+    # (T^2/12)(1 + |x|^2/T), which the omitted modes' mean keeps at any truncation
+    s = 1.3
+    batch, T = _h_type(h3, s, 200_000, seed=67), s / 2
+    x, z = batch.samples[:, :2], batch.samples[:, 2]
+    z_score = _z_of(z ** 2 * (x * x).sum(axis=1), 10 * T ** 3 / 12)
+    assert abs(z_score) < 4, z_score
+
+
+def test_h_type_truncation_is_pinned(h3, monkeypatch):
+    # one mode with the rest's mean biases E cos(12 z) at s = 1 by -0.0065, about
+    # -7 stderr at this n; at the shipped modes the bias is below 1e-4 stderr
+    n, want = 600_000, 1 / math.cosh(3.0)
+    shipped = _z_of(np.cos(12 * _h_type(h3, 1.0, n, seed=71).samples[:, 2]), want)
+    monkeypatch.setattr(carnot.heat, "_H_TYPE_MODES", 1)
+    one = _z_of(np.cos(12 * _h_type(h3, 1.0, n, seed=71).samples[:, 2]), want)
+    assert abs(shipped) < 4 and one < -4, (shipped, one)
+
+
+def _reference_h_type(alg, s, n, seed, tilt=None):
+    """Path by path from each block's draws: 256 first-layer normals per
+    coordinate as a one-step walk draws them, then (modes, 256) Poisson counts
+    of mean |x|^2/T, their Gamma variates and the centre's normals, from the
+    stream of _reference_increments; the centre is sqrt(V) Z."""
+    d1, m, T, modes = alg.dim_v1, alg.layer_dims[1], s / 2, heat._H_TYPE_MODES
+    scale = [2.0 * (T / (2.0 * math.pi * k)) * (T / (2.0 * math.pi * k))
+             for k in range(1, modes + 1)]
+    tail = 2.0 * (T / (2.0 * math.pi)) ** 2 * (math.pi ** 2 / 6.0
+                                               - sum(k ** -2.0 for k in range(1, modes + 1)))
+    rows = []
+    for b in range(-(-n // 256)):
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+            np.array([seed % 2 ** 32, b, seed >> 32], dtype=np.uint32))))
+        x = rng.standard_normal((d1, 256)) * math.sqrt(T)
+        if tilt is not None:
+            x += np.asarray(tilt)[:, None] * T
+        r = sum(x[i] * x[i] for i in range(d1)) / T
+        gammas = rng.standard_gamma(d1 / 2.0 + rng.poisson(r, (modes, 256)))
+        Z = rng.standard_normal((m, 256))
+        for j in range(256):
+            v = sum(scale[k] * gammas[k, j] for k in range(modes)) + tail * (d1 / 2.0 + r[j])
+            rows.append([*x[:, j], *(Z[:, j] * math.sqrt(v))])
+    return np.array(rows[:n])
+
+
+@pytest.mark.parametrize("case", ["heisenberg(1)", "heisenberg(2)", "heisenberg(1)-tilted"])
+def test_h_type_bytes_match_per_block_reference(case, monkeypatch):
+    # 600 paths span three blocks, the last one partial; the chunk budget,
+    # which sizes a walk's chunks, moves no bit
+    alg, tilt = algebra.builtin(case.removesuffix("-tilted")), ORACLE_CASES[case].get("tilt")
+    want = _reference_h_type(alg, 0.9, 600, 17, tilt)
+    assert _h_type(alg, 0.9, 600, seed=17, tilt=tilt).samples.tobytes() == want.tobytes()
+    monkeypatch.setattr(carnot.heat, "_CHUNK_BUDGET", 1)
+    assert _h_type(alg, 0.9, 600, seed=17, tilt=tilt).samples.tobytes() == want.tobytes()
+
+
+def test_h_type_first_layer_and_prefix(h3):
+    # the first layer is the exact-first-layer batch's at the seed, and a
+    # batch's first n paths are those of any larger one
+    tilt = [0.5, -1.0]
+    large = _h_type(h3, 1.0, 600, seed=8, tilt=tilt)
+    exact = heat.sample(h3, 1.0, 600, 1, seed=8, tilt=tilt)
+    assert large.samples[:, :2].tobytes() == exact.samples[:, :2].tobytes()
+    assert large.log_weights.tobytes() == exact.log_weights.tobytes()
+    for n in (100, 300):
+        small = _h_type(h3, 1.0, n, seed=8, tilt=tilt)
+        assert small.samples.tobytes() == large.samples[:n].tobytes()
+        assert small.summary == {"kind": "exact-h-type", "steps": 1,
+                                 "normals": 256 * 3 * -(-n // 256),
+                                 "poissons": 256 * heat._H_TYPE_MODES * -(-n // 256),
+                                 "gammas": 256 * heat._H_TYPE_MODES * -(-n // 256)}
+
+
+def test_tilted_h_type_batch_keeps_the_sech_law(h3):
+    # a tilt shifts x alone: the bridge's law, so z given x, has no drift, and
+    # the weighted mean of cos(lam z) is sech(lam s/4)
+    s, tilt = 1.3, [0.8, -1.2]
+    batch = _h_type(h3, s, 200_000, seed=73, tilt=tilt)
+    x, z, w = batch.samples[:, :2], batch.samples[:, 2], batch.weights
+    se = math.sqrt(s / 2 / x.shape[0])
+    assert np.all(np.abs(x.mean(axis=0) - np.asarray(tilt) * s / 2) < 4 * se)
+    for lam in (2.0, 5.0):
+        z_score = _z_of(w * np.cos(lam * z), 1 / math.cosh(lam * s / 4))
+        assert abs(z_score) < 4, (lam, z_score)
 
 
 @pytest.mark.parametrize("n_samples, n_steps", [(2.5, 8), (10, 8.9), ("10", 8), (10, True)])
