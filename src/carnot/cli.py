@@ -483,8 +483,9 @@ def run(config: dict) -> dict:
     return manifest
 
 
-# what made a run, built once per process: numpy may change its Poisson and
-# Gamma streams between releases (NEP 19), so a manifest names its numpy
+# what made a run, built once per process: every batch draws normals alone,
+# but numpy may change its normal streams between releases too (NEP 19), so a
+# manifest names its numpy
 _ENVIRONMENT = {"python": platform.python_version(), "numpy": np.__version__,
                 "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
                 "cpu_count": os.cpu_count()}

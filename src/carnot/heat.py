@@ -22,7 +22,9 @@ is the whole law.
 On an H-type algebra an exact-h-type batch draws the whole law: given the
 first layer, Levy's area formula (Gaveau, Acta Math. 1977) makes the centre a
 Gaussian scale mixture whose variance is a Gamma-Poisson series (Pitman & Yor,
-Canad. J. Math. 2003).  batch_kind chooses each batch's kind.
+Canad. J. Math. 2003).  Each mode of the series is a noncentral chi^2, the
+squared norm of shifted normals, so that batch too draws normals alone.
+batch_kind chooses each batch's kind.
 
 Reproducibility: block b of _BLOCK_PATHS paths draws its normals from its
 own SFC64 stream keyed by (seed, b), step by step: all the block's paths'
@@ -68,7 +70,8 @@ _CHUNK_BUDGET = 2 ** 18
 _BLOCK_PATHS = 256
 # steps per tile: the walk takes a chunk's increments one tile at a time
 _TILE_STEPS = 16
-# Gamma-Poisson modes an exact-h-type batch draws; the rest enter by their mean
+# Gamma-Poisson modes an exact-h-type batch draws, d1 normals each; the rest
+# enter by their mean
 _H_TYPE_MODES = 8
 # pooled points per row block of the energy test's distance matrix
 _DIST_ROWS = 64
@@ -114,13 +117,12 @@ class HeatSampleBatch:
 
     @property
     def summary(self) -> dict:
-        """Its kind, steps and variates drawn, by law: every block draws its full width."""
+        """Its kind, steps and normals drawn, by law: every block draws its full width."""
         paths = -(-self.n_samples // _BLOCK_PATHS) * _BLOCK_PATHS
-        if self.kind != "exact-h-type":
-            return {"kind": self.kind, "steps": self.n_steps,
-                    "normals": paths * self.n_steps * self.algebra.dim_v1}
-        return {"kind": self.kind, "steps": self.n_steps, "normals": paths * self.algebra.dim,
-                "poissons": paths * _H_TYPE_MODES, "gammas": paths * _H_TYPE_MODES}
+        d1, m = self.algebra.dim_v1, self.algebra.dim - self.algebra.dim_v1
+        h_type = self.kind == "exact-h-type"
+        per_path = d1 * (_H_TYPE_MODES + 1) + m if h_type else self.n_steps * d1
+        return {"kind": self.kind, "steps": self.n_steps, "normals": paths * per_path}
 
     def require_layers(self, layers, what: str):
         """Each of ``layers`` must be one the batch holds; ``what`` is who reads
@@ -167,7 +169,10 @@ def _seed_ok(seed) -> bool:
     return is_integer(seed) and 0 <= seed < 2 ** 64
 
 
-def _validate_params(s, n_samples, n_steps, seed):
+def _validate_params(algebra, s, n_samples, n_steps, seed):
+    if not np.array_equal(algebra.metric_v1, np.eye(algebra.dim_v1)):
+        raise ParameterError(f"heat sampling draws in the V_1 basis, so metric_v1 must be the "
+                             f"identity, got {algebra.metric_v1.tolist()}")
     if not _seed_ok(seed):
         raise ParameterError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     if not (s > 0):
@@ -307,12 +312,13 @@ def _h_type_endpoints(algebra: StratifiedAlgebra, s: float, n_samples: int, seed
                       shift=None) -> np.ndarray:
     """Endpoints (n_samples, dim) of an exact-h-type batch.  With T = s/2, block
     b draws from its stream, in order: the first layer x as a one-step walk does
-    (plus ``shift``: a Brownian bridge's law has no drift), (_H_TYPE_MODES, paths)
-    Poisson counts N_k of mean |x|^2/T, Gamma variates G_k of shape d1/2 + N_k
-    and the centre's normals Z; the centre is sqrt(V) Z, V = sum_k 2 b_k^2 G_k
-    with b_k = T/(2 k pi)."""
+    (plus ``shift``: a Brownian bridge's law has no drift), (_H_TYPE_MODES, d1,
+    paths) normals Y and the centre's normals Z; the centre is sqrt(V) Z, V =
+    sum_k b_k^2 |Y_k + sqrt(2/T) x|^2 with b_k = T/(2 k pi).  Each |Y_k + ...|^2
+    is a noncentral chi^2 of d1 degrees and noncentrality 2|x|^2/T: the law of
+    2 Gamma(d1/2 + Poisson(|x|^2/T)), the Gamma-Poisson series' mode k."""
     d1, m, T = algebra.dim_v1, algebra.layer_dims[1], s / 2.0
-    scale = 2.0 * (T / (2.0 * math.pi * np.arange(1, _H_TYPE_MODES + 1)[:, None])) ** 2
+    scale = (T / (2.0 * math.pi * np.arange(1, _H_TYPE_MODES + 1)[:, None])) ** 2
     tail = 2.0 * (T / (2.0 * math.pi)) ** 2 * (  # the modes past the last, by their mean
         math.pi ** 2 / 6.0 - sum(k ** -2.0 for k in range(1, _H_TYPE_MODES + 1)))
     out = np.empty((n_samples, algebra.dim))
@@ -321,9 +327,8 @@ def _h_type_endpoints(algebra: StratifiedAlgebra, s: float, n_samples: int, seed
         x = rng.standard_normal((d1, _BLOCK_PATHS)) * math.sqrt(T)
         if shift is not None:
             x += shift[:, None]
-        r = (x * x).sum(axis=0) / T
-        gammas = rng.standard_gamma(d1 / 2.0 + rng.poisson(r, (_H_TYPE_MODES, _BLOCK_PATHS)))
-        v = (scale * gammas).sum(axis=0) + tail * (d1 / 2.0 + r)
+        y = rng.standard_normal((_H_TYPE_MODES, d1, _BLOCK_PATHS)) + math.sqrt(2.0 / T) * x
+        v = (scale * (y * y).sum(axis=1)).sum(axis=0) + tail * (d1 / 2.0 + (x * x).sum(axis=0) / T)
         z = rng.standard_normal((m, _BLOCK_PATHS)) * np.sqrt(v)
         out[lo:lo + _BLOCK_PATHS] = np.vstack([x, z]).T[:n_samples - lo]
     return out
@@ -334,7 +339,7 @@ def sample(algebra: StratifiedAlgebra, s: float, n_samples: int, n_steps: int = 
     """Draw n_samples from rho_s dm, a batch of the kind batch_kind chooses for
     readers of ``layers``: without them a n_steps-step walk.  An exact batch
     takes one step."""
-    _validate_params(s, n_samples, n_steps, seed)
+    _validate_params(algebra, s, n_samples, n_steps, seed)
     d1 = algebra.dim_v1
     if tilt is not None:
         tilt = np.asarray(tilt, dtype=float)
@@ -366,7 +371,7 @@ def coupled_refinement(algebra: StratifiedAlgebra, s: float, n_samples: int,
     refinement trends are not drowned in independent sampling noise.
     """
     for k in steps_list:
-        _validate_params(s, n_samples, k, seed)
+        _validate_params(algebra, s, n_samples, k, seed)
     steps_list = sorted(set(int(k) for k in steps_list))
     finest = steps_list[-1]
     for k in steps_list:

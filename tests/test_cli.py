@@ -470,11 +470,10 @@ BATCH_KINDS = {
 }
 # what a batch of 600 paths draws, by kind: three whole blocks of 256, each
 # of 2 first-layer normals per step; exact-h-type draws the 1 centre normal
-# and the Gamma-Poisson modes too
+# and 2 normals per Gamma-Poisson mode too
 BATCH_DRAWS = {
     "exact-first-layer": {"steps": 1, "normals": 768 * 2},
-    "exact-h-type": {"steps": 1, "normals": 768 * 3, "poissons": 768 * heat._H_TYPE_MODES,
-                     "gammas": 768 * heat._H_TYPE_MODES},
+    "exact-h-type": {"steps": 1, "normals": 768 * (2 * (heat._H_TYPE_MODES + 1) + 1)},
     "walk": {"steps": 8, "normals": 768 * 2 * 8},
 }
 
@@ -514,12 +513,10 @@ def test_extra_batches_walk_and_the_batch_block_is_telemetry():
     # heisenberg(1) both batches are exact; the batches block, like timings
     # and environment, is out of the canonical bytes
     manifest = extra_batch_run("heisenberg(1)")
-    modes = heat._H_TYPE_MODES
+    per_path = 2 * (heat._H_TYPE_MODES + 1) + 1
     assert manifest["batches"] == {
-        "heat": {"kind": "exact-h-type", "steps": 1, "normals": 512 * 3,
-                 "poissons": 512 * modes, "gammas": 512 * modes},
-        "extra_batches.b": {"kind": "exact-h-type", "steps": 1, "normals": 256 * 3,
-                            "poissons": 256 * modes, "gammas": 256 * modes}}
+        "heat": {"kind": "exact-h-type", "steps": 1, "normals": 512 * per_path},
+        "extra_batches.b": {"kind": "exact-h-type", "steps": 1, "normals": 256 * per_path}}
     canonical = cli.manifest_canonical_bytes(manifest)
     for block in ("batches", "timings", "environment"):
         assert block not in json.loads(canonical)
@@ -571,6 +568,25 @@ def test_one_step_sample_of_a_step_2_group_writes_no_rows(tmp_path, capsys):
     assert not path.exists()
     assert cli.main([*argv, "--algebra", "euclidean(2)"]) == 0
     assert open(path).readline().strip() == "x_1_1,x_1_2"
+
+
+def test_a_non_identity_metric_exits_3_before_sampling(tmp_path, capsys):
+    # the walk draws in the V_1 basis, the fields' frame is the metric's: on
+    # such an algebra time-space read violated (z = -74) on an identity that holds
+    spec = tmp_path / "stretched.json"
+    spec.write_text(json.dumps({"layer_dims": [2, 1], "brackets": [[[1, 1], [1, 2], [[2, 1], 1.0]]],
+                                "metric_v1": [[4, 0], [0, 1]]}))
+    out_csv = tmp_path / "batch.csv"
+    for argv in (["check", "time-space", "--algebra", str(spec), "--field", "(pow x_1_1 2)",
+                  "--n", "20000", "--steps", "8", "--seed", "1"],
+                 ["sample", "--algebra", str(spec), "--s", "1.0", "--n", "50", "--steps", "8",
+                  "--seed", "3", "--out", str(out_csv)]):
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("error: heat sampling draws in the V_1 basis, so metric_v1 must be")
+        assert "[[4.0, 0.0], [0.0, 1.0]]" in err
+    assert not out_csv.exists()
 
 
 def test_timings_cover_extra_batches():

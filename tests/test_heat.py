@@ -338,6 +338,18 @@ def test_batch_kind_selects_levys_law_only_where_it_holds(engel):
         assert heat.batch_kind(alg, 64) == "walk"
 
 
+def test_sampling_refuses_a_non_identity_metric():
+    # every kind draws in the V_1 basis, which is orthonormal only under the
+    # identity metric: a walk of STRETCHED_H3 would have the wrong law
+    stretched = algebra.from_dict(STRETCHED_H3)
+    for layers in (None, {1}, {1, 2}):
+        with pytest.raises(ParameterError, match=r"metric_v1 must be the identity, got "
+                                                 r"\[\[4\.0, 0\.0\], \[0\.0, 1\.0\]\]"):
+            heat.sample(stretched, 1.0, 10, 8, seed=0, layers=layers)
+    with pytest.raises(ParameterError, match="metric_v1 must be the identity"):
+        heat.coupled_refinement(stretched, 1.0, 10, [4, 8], seed=0)
+
+
 def _h_type(alg, s, n, seed, tilt=None):
     return heat.sample(alg, s, n, 64, seed=seed, tilt=tilt, layers={1, 2})
 
@@ -376,6 +388,22 @@ def test_h_type_centre_given_the_first_layer(h3):
     assert abs(z_score) < 4, z_score
 
 
+@pytest.mark.parametrize("name", ["heisenberg(1)", "heisenberg(2)"])
+def test_h_type_conditional_variance_of_the_scale(name):
+    # E[z^4 | x] = 3 E[V^2 | x] = 3((d1/2 + r)^2 T^4/144 + 2(d1 + 4r) sum_k b_k^4)
+    # with r = |x|^2/T ~ chi^2_d1: the square of V's mean, and the variance of
+    # the drawn modes' noncentral chi^2 (the later modes enter by their mean)
+    alg, s = algebra.builtin(name), 1.3
+    d, T = alg.dim_v1, s / 2
+    batch = _h_type(alg, s, 200_000, seed=79)
+    x, z = batch.samples[:, :d], batch.samples[:, d]
+    b4 = sum((T / (2 * math.pi * k)) ** 4 for k in range(1, heat._H_TYPE_MODES + 1))
+    r1, r2, r3 = d, d * (d + 2), d * (d + 2) * (d + 4)  # E r, E r^2, E r^3
+    want = 3 * T * ((r3 + d * r2 + d * d / 4 * r1) * T ** 4 / 144 + 2 * (d * r1 + 4 * r2) * b4)
+    z_score = _z_of(z ** 4 * (x * x).sum(axis=1), want)
+    assert abs(z_score) < 4, z_score
+
+
 def test_h_type_truncation_is_pinned(h3, monkeypatch):
     # one mode with the rest's mean biases E cos(12 z) at s = 1 by -0.0065, about
     # -7 stderr at this n; at the shipped modes the bias is below 1e-4 stderr
@@ -388,14 +416,15 @@ def test_h_type_truncation_is_pinned(h3, monkeypatch):
 
 def _reference_h_type(alg, s, n, seed, tilt=None):
     """Path by path from each block's draws: 256 first-layer normals per
-    coordinate as a one-step walk draws them, then (modes, 256) Poisson counts
-    of mean |x|^2/T, their Gamma variates and the centre's normals, from the
-    stream of _reference_increments; the centre is sqrt(V) Z."""
+    coordinate as a one-step walk draws them, then (modes, d1, 256) normals Y
+    and the centre's normals, from the stream of _reference_increments; the
+    centre is sqrt(V) Z, V = sum_k b_k^2 |Y_k + sqrt(2/T) x|^2 plus the later
+    modes' mean."""
     d1, m, T, modes = alg.dim_v1, alg.layer_dims[1], s / 2, heat._H_TYPE_MODES
-    scale = [2.0 * (T / (2.0 * math.pi * k)) * (T / (2.0 * math.pi * k))
-             for k in range(1, modes + 1)]
+    scale = [(T / (2.0 * math.pi * k)) * (T / (2.0 * math.pi * k)) for k in range(1, modes + 1)]
     tail = 2.0 * (T / (2.0 * math.pi)) ** 2 * (math.pi ** 2 / 6.0
                                                - sum(k ** -2.0 for k in range(1, modes + 1)))
+    mu = math.sqrt(2.0 / T)
     rows = []
     for b in range(-(-n // 256)):
         rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(
@@ -403,11 +432,12 @@ def _reference_h_type(alg, s, n, seed, tilt=None):
         x = rng.standard_normal((d1, 256)) * math.sqrt(T)
         if tilt is not None:
             x += np.asarray(tilt)[:, None] * T
-        r = sum(x[i] * x[i] for i in range(d1)) / T
-        gammas = rng.standard_gamma(d1 / 2.0 + rng.poisson(r, (modes, 256)))
+        Y = rng.standard_normal((modes, d1, 256))
         Z = rng.standard_normal((m, 256))
         for j in range(256):
-            v = sum(scale[k] * gammas[k, j] for k in range(modes)) + tail * (d1 / 2.0 + r[j])
+            r = sum(x[i, j] * x[i, j] for i in range(d1)) / T
+            v = sum(scale[k] * sum((Y[k, i, j] + mu * x[i, j]) ** 2 for i in range(d1))
+                    for k in range(modes)) + tail * (d1 / 2.0 + r)
             rows.append([*x[:, j], *(Z[:, j] * math.sqrt(v))])
     return np.array(rows[:n])
 
@@ -434,10 +464,10 @@ def test_h_type_first_layer_and_prefix(h3):
     for n in (100, 300):
         small = _h_type(h3, 1.0, n, seed=8, tilt=tilt)
         assert small.samples.tobytes() == large.samples[:n].tobytes()
+        # per path d1 first-layer normals, d1 for each mode and one for the centre
         assert small.summary == {"kind": "exact-h-type", "steps": 1,
-                                 "normals": 256 * 3 * -(-n // 256),
-                                 "poissons": 256 * heat._H_TYPE_MODES * -(-n // 256),
-                                 "gammas": 256 * heat._H_TYPE_MODES * -(-n // 256)}
+                                 "normals": 256 * (2 * (heat._H_TYPE_MODES + 1) + 1)
+                                 * -(-n // 256)}
 
 
 def test_tilted_h_type_batch_keeps_the_sech_law(h3):
