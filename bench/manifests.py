@@ -41,16 +41,18 @@ The entries are:
   exact-h-type batch, and of x_1_1 + x_2_1 + 8 on H3 x R, a JSON algebra
   that ``algebra.classify_h_type`` accepts but whose batches walk, written
   once into the temporary directory; the output is stdout;
-- three configs of sweeps at the edge of double range, run by ``cli.run``:
-  on engel, a ``contractivity`` check at t = -300, where the dilation weight
-  exp(300) ** 3 overflows, beside a ``time-space`` check, which fails the
-  sweep alone; a ``contractivity`` check of (pow x_1_1 2) on a 33-point grid
+- four configs run by ``cli.run``, three of them of sweeps at the edge of
+  double range: on engel, a ``contractivity`` check at t = -300, where the
+  dilation weight exp(300) ** 3 overflows, beside a ``time-space`` check,
+  which fails the sweep alone; a ``contractivity`` check of (pow x_1_1 2) on a 33-point grid
   whose 21st t, 368, makes e^(-tE) f underflow to 0 on some samples, so the
   sweep fails there, in the third of several blocks; and an ``alpha-sweep``
   of 1e-200 exp(x_1_1), whose powers underflow to 0 on every sample from an
-  interior t of a 33-point grid while its norms do not, so it reports values.
-  The output is ``manifest_canonical_bytes``, or the type and text of the
-  exception that ended the run (with exit code 3);
+  interior t of a 33-point grid while its norms do not, so it reports values;
+  and an engel config whose 100 000-path, 256-step main batch is valid and
+  whose extra batch has ``"steps": 0``, which must end the run before either
+  batch is drawn. The output is ``manifest_canonical_bytes``, or the type and
+  text of the exception that ended the run (with exit code 3);
 - a config run by ``cli.run`` at ``CARNOT_THREADS=2`` of an ``lsh`` check
   of each field of the builtin LSH library on heisenberg(2), all on one
   80 000-point grid, which ``lsh.check_lsh`` takes in 2.4 blocks of points;
@@ -122,7 +124,7 @@ FLOOR_COMMANDS = {
 }
 GRID_33 = ",".join(repr(i / 32) for i in range(33))
 POINTS_SAMPLE = {"s": 1.0, "n_samples": 500, "n_steps": 16, "seed": 3}
-EDGE_SWEEP_CONFIGS = {
+EDGE_CONFIGS = {
     "config engel time-space + contractivity grid [-300, 0]": {
         "algebra": "engel", "fields": {"f": {"library": "expx1"}},
         "heat": {"s": 1.0, "n": 200, "steps": 8, "seed": 1},
@@ -138,6 +140,12 @@ EDGE_SWEEP_CONFIGS = {
         "heat": {"s": 1.0, "n": 4000, "steps": 8, "seed": 1},
         "checks": [{"check": "alpha-sweep", "field": "f", "q": 2.0, "c": 1.0,
                     "grid": [i / 32 for i in range(33)]}]},
+    "config engel main batch n=100000 steps=256, extra batch steps=0": {
+        "algebra": "engel", "fields": {"f": {"library": "expx1"}},
+        "heat": {"s": 1.0, "n": 100_000, "steps": 256, "seed": 1},
+        "extra_batches": {"quarter": {"s": 0.25, "n": 1000, "steps": 0, "seed": 2}},
+        "checks": [{"check": "time-space", "field": "f"},
+                   {"check": "scaling", "lambda": 2.0, "batch": "quarter"}]},
 }
 
 # every field of the builtin LSH library on heisenberg(2)
@@ -239,7 +247,7 @@ def run_jobs() -> list:
     jobs.append({"entry": "calculus.to_expr of the library and the operator forms",
                  "render": SAMPLE_ALGEBRAS, "exprs": RENDER_EXPRS})
     jobs += [{"entry": entry, "config": config, "threads": "1"}
-             for entry, config in EDGE_SWEEP_CONFIGS.items()]
+             for entry, config in EDGE_CONFIGS.items()]
     jobs.append({"entry": LSH_BLOCKS_ENTRY, "config": LSH_BLOCKS_CONFIG, "threads": "2"})
     return jobs
 

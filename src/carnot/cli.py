@@ -34,7 +34,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import __version__, algebra as algebra_mod, calculus, heat, inequalities, lsh
-from .errors import CarnotError, ConfigError, is_integer
+from .errors import CarnotError, ConfigError
 from .reports import (MODE_EXPLORATORY, VERDICT_ERROR, VERDICT_HOLDS, VERDICT_INCONCLUSIVE,
                       VERDICT_VIOLATED, worst_verdict)
 
@@ -87,9 +87,9 @@ class _Kind:
     check runs, never written into the config. ``run(args, ctx)`` builds the
     report dict. It looks carnot functions up on their module at call time,
     so that tracing, which replaces module attributes, sees every call.
-    ``positive`` numeric keys must be > 0 after conversion.
     ``validate(args, config)`` raises for converted keys that their types
-    allow and the check does not, by the check's own rule where it has one.
+    allow and the check does not, by the check's own rule where it has one;
+    an integer key (lsh's ``grid_n``) has no type, and its rule is the check's.
     ``csv`` checks write their ``t,value,stderr`` curve to the output directory.
     """
 
@@ -100,7 +100,6 @@ class _Kind:
     needs_batch: bool = True
     needs_field: bool = True
     csv: bool = False
-    positive: tuple = ()
     validate: Callable | None = None
 
 
@@ -108,13 +107,6 @@ def _floats(values) -> list:
     if isinstance(values, str):
         raise TypeError("a list of numbers, not a string")
     return [float(v) for v in values]
-
-
-def _integer(value) -> int:
-    """value as an int when the integer rule holds; a float, string or bool raises."""
-    if not is_integer(value):
-        raise TypeError("not an integer")
-    return int(value)
 
 
 def _boolean(value) -> bool:
@@ -155,11 +147,6 @@ def _run_algebra_validate(a, cx):
     rep = algebra_mod.validate(cx.alg)
     return {**rep.as_dict(), "name": "algebra-validate",
             "verdict": VERDICT_HOLDS if rep.ok else VERDICT_VIOLATED}
-
-
-def _lsh_tol(a, config):
-    if a["tol"] < 0:
-        raise ConfigError(f"'tol' must be >= 0, got {a['tol']!r}")
 
 
 def _names_extra_batch(a, config):
@@ -222,8 +209,8 @@ _CHECKS = {
         needs_batch=False, needs_field=False),
     "lsh": _Kind(
         _run_lsh, optional={"points": "grid", "grid_n": 1000, "radius": 3.0, "tol": 1e-9},
-        types={"grid_n": _integer, "radius": float, "tol": float}, needs_batch=False,
-        positive=("grid_n", "radius"), validate=_lsh_tol),
+        types={"radius": float, "tol": float}, needs_batch=False,
+        validate=lambda a, _: lsh.lsh_rules(a["grid_n"], a["tol"], a["radius"])),
 }
 
 
@@ -253,7 +240,7 @@ def _converted(conv, value, where: str, key: str):
     try:
         out = conv(value)
     except (TypeError, ValueError, OverflowError):
-        what = {_integer: "an integer", _boolean: "true or false"}.get(conv, "numeric")
+        what = "true or false" if conv is _boolean else "numeric"
         raise ConfigError(f"{where}: {key!r} must be {what}, got {value!r}") from None
     numbers = out if isinstance(out, list) else [out]
     if any(isinstance(v, float) and not math.isfinite(v) for v in numbers):
@@ -266,20 +253,23 @@ def _require_string(mapping: dict, key: str, where: str):
         raise ConfigError(f"{where}: {key!r} must be a string, got {mapping[key]!r}")
 
 
-def _batch_config(bc: dict, where: str) -> dict:
+def _by_rule(where: str, rule, *args):
+    """rule(*args), a carnot rule; the error it raises is the config error of ``where``."""
+    try:
+        rule(*args)
+    except CarnotError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _batch_config(bc: dict, where: str, keys: set) -> dict:
+    """A batch's keys: s converted to a float, then all four by heat's own rule."""
+    _reject_unknown(bc, keys, where)
     for key in ("s", "n", "seed"):
         if key not in bc:
             raise ConfigError(f"{where} needs {key!r}")
-    return {"s": _converted(float, bc["s"], where, "s"),
-            "n": _converted(_integer, bc["n"], where, "n"),
-            "steps": _converted(_integer, bc.get("steps", 512), where, "steps"),
-            "seed": _seed(bc["seed"], where)}
-
-
-def _seed(value, where: str) -> int:
-    if not heat._seed_ok(value):
-        raise ConfigError(f"{where}: 'seed' must be an integer in [0, 2^64), got {value!r}")
-    return int(value)
+    s, steps = _converted(float, bc["s"], where, "s"), bc.get("steps", 512)
+    _by_rule(where, heat.batch_rules, s, bc["n"], steps, bc["seed"])
+    return {"s": s, "n": int(bc["n"]), "steps": int(steps), "seed": int(bc["seed"])}
 
 
 def validate_config(config: dict) -> dict:
@@ -317,15 +307,12 @@ def validate_config(config: dict) -> dict:
             _converted(float, value, where, key)
         out["fields"][name] = dict(fd)
     if "heat" in config and config["heat"] is not None:
-        _reject_unknown(config["heat"], _HEAT_KEYS, "heat")
-        hc = _batch_config(config["heat"], "heat")
+        out["heat"] = hc = _batch_config(config["heat"], "heat", _HEAT_KEYS)
         if config["heat"].get("tilt") is not None:
             hc["tilt"] = _converted(_floats, config["heat"]["tilt"], "heat", "tilt")
-        out["heat"] = hc
     for name, bc in _object(config.get("extra_batches") or {}, "extra_batches").items():
-        where = f"extra_batches.{name}"
-        _reject_unknown(bc, _HEAT_KEYS - {"tilt"}, where)
-        out["extra_batches"][name] = _batch_config(bc, where)
+        out["extra_batches"][name] = _batch_config(bc, f"extra_batches.{name}",
+                                                   _HEAT_KEYS - {"tilt"})
 
     for i, chk in enumerate(config["checks"]):
         if "check" not in _object(chk, f"checks[{i}]"):
@@ -343,18 +330,13 @@ def validate_config(config: dict) -> dict:
                 raise ConfigError(f"{where} needs {key!r}")
         for key, conv in kind.types.items():
             if key in chk:
-                value = _converted(conv, chk[key], where, key)
-                if key in kind.positive and value <= 0:
-                    raise ConfigError(f"{where}: {key!r} must be > 0, got {chk[key]!r}")
+                _converted(conv, chk[key], where, key)
         if kind.needs_batch and out["heat"] is None:
             raise ConfigError(f"{where} needs a 'heat' section")
         if kind.needs_field and chk.get("field") not in out["fields"]:
             raise ConfigError(f"{where} needs 'field' naming a config field")
         if kind.validate:
-            try:
-                kind.validate(_args(kind, chk), out)
-            except CarnotError as exc:
-                raise ConfigError(f"{where}: {exc}") from None
+            _by_rule(where, kind.validate, _args(kind, chk), out)
         out["checks"].append(dict(chk))
     return out
 

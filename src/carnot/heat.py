@@ -165,23 +165,26 @@ def load_csv(path: str, algebra: StratifiedAlgebra) -> np.ndarray:
     return data
 
 
-def _seed_ok(seed) -> bool:
-    return is_integer(seed) and 0 <= seed < 2 ** 64
+def batch_rules(s: float, n: int, steps: int, seed) -> None:
+    """A batch's rules: s > 0, counts n and steps integers >= 1, a seed in [0, 2^64)."""
+    if not (s > 0):
+        raise ParameterError(f"'s' must be > 0, got {s!r}")
+    for name, value in (("n", n), ("steps", steps)):
+        if not is_integer(value):
+            raise ParameterError(f"{name!r} must be an integer, got {value!r}")
+        if value < 1:
+            raise ParameterError(f"{name!r} must be >= 1, got {value!r}")
+    if not (is_integer(seed) and 0 <= seed < 2 ** 64):
+        raise ParameterError(f"'seed' must be an integer in [0, 2^64), got {seed!r}")
 
 
-def _validate_params(algebra, s, n_samples, n_steps, seed):
+def _sampling_rules(algebra: StratifiedAlgebra, s, n_samples, steps_list, seed):
+    """batch_rules at each step count, and the identity metric every kind draws in."""
     if not np.array_equal(algebra.metric_v1, np.eye(algebra.dim_v1)):
         raise ParameterError(f"heat sampling draws in the V_1 basis, so metric_v1 must be the "
                              f"identity, got {algebra.metric_v1.tolist()}")
-    if not _seed_ok(seed):
-        raise ParameterError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    if not (s > 0):
-        raise ParameterError(f"time s must be > 0, got {s}")
-    for name, value in (("n_steps", n_steps), ("n_samples", n_samples)):
-        if not is_integer(value):
-            raise ParameterError(f"{name} must be an integer, got {value!r}")
-        if value < 1:
-            raise ParameterError(f"{name} must be >= 1, got {value}")
+    for k in steps_list:
+        batch_rules(s, n_samples, k, seed)
 
 
 def _tile_steps(steps_list) -> int:
@@ -294,14 +297,14 @@ def _endpoints(algebra: StratifiedAlgebra, s: float, n_samples: int, steps_list,
 def batch_kind(algebra: StratifiedAlgebra, n_steps: int, layers=None) -> str:
     """The law of a batch whose readers read ``layers``, the first that applies of
     "exact-first-layer" (one step, or no read above the first layer),
-    "exact-h-type" (Levy's law holds: step 2, the identity V_1 metric and, on
-    the V_2 basis, J_a^T J_b + J_b^T J_a = 2 delta_ab I, by polarisation
-    |J_u x| = |u||x|) and "walk", n_steps steps, always when ``layers`` is None."""
+    "exact-h-type" (Levy's law holds: step 2 and, on the V_2 basis,
+    J_a^T J_b + J_b^T J_a = 2 delta_ab I, by polarisation |J_u x| = |u||x|) and
+    "walk", n_steps steps, always when ``layers`` is None."""
     if n_steps == 1 or (layers is not None and max(layers, default=1) == 1):
         return "exact-first-layer"
-    eye = np.eye(algebra.dim_v1)
-    if layers is None or algebra.step != 2 or not np.array_equal(algebra.metric_v1, eye):
+    if layers is None or algebra.step != 2:
         return "walk"
+    eye = np.eye(algebra.dim_v1)
     J = [j_matrix(algebra, e) for e in np.eye(algebra.layer_dims[1])]
     levy = all(np.abs(Ja.T @ Jb + Jb.T @ Ja - 2.0 * (a == b) * eye).max() < PARTIAL_ISOMETRY_TOL
                for a, Ja in enumerate(J) for b, Jb in enumerate(J))
@@ -339,7 +342,7 @@ def sample(algebra: StratifiedAlgebra, s: float, n_samples: int, n_steps: int = 
     """Draw n_samples from rho_s dm, a batch of the kind batch_kind chooses for
     readers of ``layers``: without them a n_steps-step walk.  An exact batch
     takes one step."""
-    _validate_params(algebra, s, n_samples, n_steps, seed)
+    _sampling_rules(algebra, s, n_samples, [n_steps], seed)
     d1 = algebra.dim_v1
     if tilt is not None:
         tilt = np.asarray(tilt, dtype=float)
@@ -370,8 +373,7 @@ def coupled_refinement(algebra: StratifiedAlgebra, s: float, n_samples: int,
     exactly while coupling the discretization errors across resolutions, so
     refinement trends are not drowned in independent sampling noise.
     """
-    for k in steps_list:
-        _validate_params(algebra, s, n_samples, k, seed)
+    _sampling_rules(algebra, s, n_samples, steps_list, seed)
     steps_list = sorted(set(int(k) for k in steps_list))
     finest = steps_list[-1]
     for k in steps_list:

@@ -38,7 +38,7 @@ from .calculus import (
     frame_sum,
     horizontal_jets,
 )
-from .errors import DomainError, ParameterError, StructureError
+from .errors import DomainError, ParameterError, StructureError, is_integer
 from .reports import Report
 
 LSH_CONSISTENT = "LSH-consistent"
@@ -68,6 +68,19 @@ class LshVerdict(Report):
         return self.verdict == LSH_CONSISTENT
 
 
+def lsh_rules(n: int, tol: float = DEFAULT_TOL, radius: float = 3.0) -> None:
+    """The lsh check's rules: n >= 1 points (a grid's integer 'grid_n'),
+    'radius' > 0 and 'tol' >= 0."""
+    if not is_integer(n):
+        raise ParameterError(f"'grid_n' must be an integer, got {n!r}")
+    if n < 1:
+        raise ParameterError(f"the lsh check needs at least one point ('grid_n'), got {n!r}")
+    if not radius > 0:
+        raise ParameterError(f"'radius' must be > 0, got {radius!r}")
+    if not tol >= 0:
+        raise ParameterError(f"'tol' must be >= 0, got {tol!r}")
+
+
 def check_lsh(f: ScalarField, points, tol: float = DEFAULT_TOL, *,
               algebra: StratifiedAlgebra, frame=None) -> LshVerdict:
     """Evaluate Delta log f over the points, an (n, dim) array of ``algebra``;
@@ -88,6 +101,7 @@ def check_lsh(f: ScalarField, points, tol: float = DEFAULT_TOL, *,
         raise StructureError(
             f"points must be (n, {algebra.dim}) for this algebra, got {pts.shape}")
     n = pts.shape[0]
+    lsh_rules(n, tol)
     vals = np.empty(n)
 
     def values(lo, hi):
@@ -164,6 +178,7 @@ def grid_points(algebra: StratifiedAlgebra, n: int = 1000, radius: float = 3.0,
     In the max-form quasi-norm the ball is the anisotropic coordinate box
     |x_{j,k}| <= radius^j, so uniform box sampling is exact.
     """
+    lsh_rules(n, radius=radius)
     rng = np.random.Generator(np.random.Philox(key=[seed, 1]))
     u = rng.uniform(-1.0, 1.0, size=(n, algebra.dim))
     scale = np.power(float(radius), algebra.layer_of.astype(float))

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from carnot import algebra, calculus, cli, group, heat, inequalities
+from carnot import algebra, calculus, cli, group, heat, inequalities, lsh
 from carnot.errors import CarnotError, ConfigError, ParameterError
 
 
@@ -155,10 +155,11 @@ BAD_CONFIGS = {
                          "checks": [{"check": "scaling", "lambda": -2.0, "batch": "b"}]},
                         ["checks[0]", "scaling", "'lambda'", "> 0"]),
     "zero-grid-n": ({"checks": [{"check": "lsh", "field": "f", "grid_n": 0}]},
-                    ["checks[0]", "lsh", "'grid_n'", "> 0"]),
+                    ["checks[0] (lsh): the lsh check needs at least one point ('grid_n'), "
+                     "got 0"]),
     "negative-radius": ({"checks": [{"check": "time-space", "field": "f"},
                                     {"check": "lsh", "field": "f", "radius": -1}]},
-                        ["checks[1]", "lsh", "'radius'", "> 0"]),
+                        ["checks[1] (lsh): 'radius' must be > 0, got -1.0"]),
     "zero-sweep-c": ({"checks": [{"check": "alpha-sweep", "field": "f", "q": 2, "c": 0}]},
                      ["checks[0]", "alpha-sweep", "'c'", "> 0"]),
     "lsh-points-file": ({"checks": [{"check": "lsh", "field": "f", "points": "no-such.csv"}]},
@@ -167,7 +168,16 @@ BAD_CONFIGS = {
                     ["checks[0]", "'points' must be a string"]),
     "negative-lsh-tol": ({"checks": [{"check": "time-space", "field": "f"},
                                      {"check": "lsh", "field": "f", "tol": -5}]},
-                         ["checks[1]", "lsh", "'tol'", ">= 0"]),
+                         ["checks[1] (lsh): 'tol' must be >= 0, got -5.0"]),
+    # a batch's rules, heat's own, enforced before the main batch is drawn
+    "zero-heat-s": ({"heat": {"s": 0, "n": 100, "seed": 1}}, ["heat: 's' must be > 0, got 0.0"]),
+    "zero-heat-n": ({"heat": {"s": 1.0, "n": 0, "seed": 1}}, ["heat: 'n' must be >= 1, got 0"]),
+    "negative-extra-s": ({"extra_batches": {"b": {"s": -1, "n": 100, "seed": 1}},
+                          "checks": [{"check": "scaling", "lambda": 2.0, "batch": "b"}]},
+                         ["extra_batches.b: 's' must be > 0, got -1.0"]),
+    "zero-extra-steps": ({"extra_batches": {"b": {"s": 0.25, "n": 100, "steps": 0, "seed": 1}},
+                          "checks": [{"check": "scaling", "lambda": 2.0, "batch": "b"}]},
+                         ["extra_batches.b: 'steps' must be >= 1, got 0"]),
     "empty-grid": ({"checks": [{"check": "contractivity", "field": "f", "grid": []}]},
                    ["checks[0]", "contractivity", "'grid'", "at least two"]),
     "one-point-grid": ({"checks": [{"check": "alpha-sweep", "field": "f", "q": 2, "c": 1.0,
@@ -236,7 +246,8 @@ def test_bad_check_keys_exit_3_before_sampling(case, tmp_path, monkeypatch, caps
         assert word in err
 
 
-# each rule case of BAD_CONFIGS as a direct call of its check, (f, batch) -> call
+# each rule case of BAD_CONFIGS as a direct call of its check, sampler or
+# grid, (f, batch) -> call
 DIRECT_CALLS = {
     "negative-lsi-c": lambda f, b: inequalities.check_lsi(f, b, -0.5, 0.0),
     "negative-lsi-beta": lambda f, b: inequalities.check_lsi(f, b, 0.5, -1.0),
@@ -255,13 +266,26 @@ DIRECT_CALLS = {
     "shc-below-janson-time": lambda f, b: inequalities.check_shc(f, b, 1.0, 4.0, 0.1, 0.5, 0.0),
     "zero-lambda": lambda f, b: heat.empirical_check_scaling(b, 0.0, b),
     "negative-lambda": lambda f, b: heat.empirical_check_scaling(b, -2.0, b),
+    "zero-grid-n": lambda f, b: lsh.grid_points(b.algebra, 0),
+    "fractional-grid-n": lambda f, b: lsh.grid_points(b.algebra, 100.7),
+    "negative-radius": lambda f, b: lsh.grid_points(b.algebra, 1000, -1.0),
+    "negative-lsh-tol": lambda f, b: lsh.check_lsh(f, b.samples, -5.0, algebra=b.algebra),
+    "zero-heat-s": lambda f, b: heat.sample(b.algebra, 0.0, 100, 512, seed=1),
+    "zero-heat-n": lambda f, b: heat.sample(b.algebra, 1.0, 0, 512, seed=1),
+    "negative-extra-s": lambda f, b: heat.sample(b.algebra, -1.0, 100, 512, seed=1),
+    "zero-extra-steps": lambda f, b: heat.sample(b.algebra, 0.25, 100, 0, seed=1),
 }
+# the CLI's error-line prefix of each case whose rule is not that of checks[0]
+PREFIXES = {"negative-radius": "checks[1] (lsh)", "negative-lsh-tol": "checks[1] (lsh)",
+            "zero-heat-s": "heat", "zero-heat-n": "heat",
+            "negative-extra-s": "extra_batches.b", "zero-extra-steps": "extra_batches.b"}
 
 
 @pytest.mark.parametrize("case", sorted(DIRECT_CALLS))
 def test_the_cli_applies_each_checks_own_rule(case, tmp_path, monkeypatch, capsys):
-    # one home per rule: the CLI's error line, after its "checks[0] (kind): "
-    # prefix, is the text the check itself raises on the same constants
+    # one home per rule: the CLI's error line, after its prefix ("checks[i]
+    # (kind): ", "heat: " or "extra_batches.<name>: "), is the text the check,
+    # the sampler or the grid itself raises on the same values
     overrides, _ = BAD_CONFIGS[case]
     config = small_time_space_config(**overrides)
     path = tmp_path / "bad.json"
@@ -276,8 +300,8 @@ def test_the_cli_applies_each_checks_own_rule(case, tmp_path, monkeypatch, capsy
 
     monkeypatch.setattr(cli.heat, "sample", no_sampling)
     assert cli.main(["run", str(path)]) == 3
-    prefix = f"error: checks[0] ({config['checks'][0]['check']}): "
-    assert capsys.readouterr().err == prefix + str(direct.value) + "\n"
+    where = PREFIXES.get(case, f"checks[0] ({config['checks'][0]['check']})")
+    assert capsys.readouterr().err == f"error: {where}: {direct.value}\n"
 
 
 def test_shc_below_janson_time_runs_when_exploratory(tmp_path, capsys):

@@ -153,6 +153,27 @@ def test_grid_points_inside_quasi_ball(h3):
     assert np.array_equal(pts, again)
 
 
+@pytest.mark.parametrize("call, text", [
+    (lambda h3: lsh.check_lsh(calc.Exp(calc.x(1, 1)), np.zeros((0, 3)), algebra=h3),
+     "the lsh check needs at least one point ('grid_n'), got 0"),
+    (lambda h3: lsh.check_lsh(calc.Exp(calc.x(1, 1)), np.zeros((2, 3)), -1e-9, algebra=h3),
+     "'tol' must be >= 0, got -1e-09"),
+    (lambda h3: lsh.grid_points(h3, 0), "the lsh check needs at least one point ('grid_n'), "
+                                        "got 0"),
+    (lambda h3: lsh.grid_points(h3, -5), "the lsh check needs at least one point ('grid_n'), "
+                                         "got -5"),
+    (lambda h3: lsh.grid_points(h3, 2.5), "'grid_n' must be an integer, got 2.5"),
+    (lambda h3: lsh.grid_points(h3, 5, radius=0.0), "'radius' must be > 0, got 0.0"),
+    (lambda h3: lsh.grid_points(h3, 5, radius=-1.0), "'radius' must be > 0, got -1.0"),
+], ids=["no-points", "negative-tol", "zero-n", "negative-n", "fractional-n", "zero-radius",
+        "negative-radius"])
+def test_the_lsh_rule_refuses_an_empty_grid_a_radius_and_a_tolerance(h3, call, text):
+    # zero points, not argmin's bare ValueError; a radius of -1 would mirror the grid
+    with pytest.raises(ParameterError) as exc:
+        call(h3)
+    assert str(exc.value) == text
+
+
 def test_check_lsh_takes_an_n_by_dim_array(h3, engel):
     pts = [[0.1, 0.2, 0.3], [-1.0, 0.5, 0.0]]
     v = lsh.check_lsh(calc.Exp(calc.x(1, 1)), pts, algebra=h3)
