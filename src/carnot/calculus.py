@@ -11,9 +11,9 @@ iterated derivative, so the sub-Laplacian is a sum of second jets over an
 orthonormal first-layer frame.
 
 ``frame_jets`` -> ``horizontal_jets`` -> ``frame_sum`` is the one route to a
-horizontal derivative: over f's jets along the frame, the sum of d1^2 is
-|grad f|^2 and the sum of d2 is Delta f, and the jets' ``log()`` give
-|grad log f|^2 and Delta log f the same way.
+horizontal derivative: over f's jets along a frame through f's top layer,
+the sum of d1^2 is |grad f|^2, the sum of d2 is Delta f, and the jets'
+``log_derivatives`` give |grad log f|^2 and Delta log f the same way.
 
 Each node class is the one place that knows its operator: it carries its
 mini-language ``op`` and its ``args`` (the child fields, then the numbers,
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import StratifiedAlgebra
-from .errors import ConfigError, DomainError, ParameterError
+from .errors import ConfigError, DomainError, ParameterError, StructureError
 from .group import _minus, _plus, _times, _zero, multiply_jets
 
 
@@ -96,10 +96,8 @@ class Jet2:
                     _times(e, _plus(self.d2, _times(self.d1, self.d1))))
 
     def log(self):
-        _require_positive(self.val, "log")
-        r = 0.0 if _zero(self.d1) else self.d1 / self.val
-        d2 = 0.0 if _zero(self.d2) else self.d2 / self.val
-        return Jet2(np.log(self.val), r, _minus(d2, _times(r, r)))
+        d1, d2 = next(log_derivatives([self]))  # checks the value before its log
+        return Jet2(np.log(self.val), d1, d2)
 
     def pow(self, p: float):
         v, d1, d2 = self.val, self.d1, self.d2
@@ -376,14 +374,14 @@ def _ensure_jet(out) -> Jet2:
     return out if isinstance(out, Jet2) else Jet2(out, 0.0, 0.0)
 
 
-def _point_columns(coords) -> np.ndarray:
-    """One contiguous copy of the points' columns, a row per coordinate.
+def _point_columns(coords, dim: int | None = None) -> np.ndarray:
+    """One contiguous copy of the points' first dim columns (all by default), a row each.
 
     A curve's value that passes through x + 0 unchanged is that row, not a
     strided view of the caller's array (which later ops read up to 2x
     slower) or the array itself.
     """
-    return np.array(np.atleast_2d(np.asarray(coords, dtype=float)).T, order="C")
+    return np.array(np.atleast_2d(np.asarray(coords, dtype=float))[:, :dim].T, order="C")
 
 
 def _curve(algebra, columns, xi, side: str = "left"):
@@ -404,17 +402,18 @@ def curve_jet(f, algebra, coords, xi, side: str = "left") -> Jet2:
     return _ensure_jet(f._eval(algebra, _curve(algebra, _point_columns(coords), xi, side)))
 
 
-def frame_jets(algebra, coords):
-    """Coordinate jets of t -> x exp(t xi_i), one list per orthonormal V_1 vector.
+def frame_jets(algebra, coords, layers):
+    """Coordinate jets of t -> x exp(t xi_i), one list per orthonormal V_1
+    vector, for the coordinates through the top layer of ``layers``.
 
-    They depend on the algebra and the points only, not on a field, so one
-    frame serves every field evaluated on the same points. Every direction
-    shares one copy of the points' coordinates (each curve's value), and
+    They depend on the algebra and the points only, so one frame serves
+    every field on the same points that reads no higher layer. Every
+    direction shares one copy of those columns (each curve's value), and
     field evaluation never writes into them.
     """
-    upper = algebra.dim - algebra.dim_v1
-    columns = _point_columns(coords)
-    return [_curve(algebra, columns, np.pad(xi, (0, upper)))
+    dim = algebra.layer_slice(min(max(layers, default=1), algebra.step)).stop
+    columns = _point_columns(coords, dim)
+    return [_curve(algebra, columns, np.pad(xi, (0, dim - algebra.dim_v1)))
             for xi in algebra.orthonormal_v1_frame().T]
 
 
@@ -433,29 +432,40 @@ def frame_rows(frame, lo: int, hi: int):
 def horizontal_jets(f, algebra, coords, frame=None):
     """Jets of f along each vector of the orthonormal V_1 frame (vectorized).
 
-    ``frame`` is ``frame_jets(algebra, coords)``, when the caller has it.
-    """
+    ``frame`` is ``frame_jets`` of the points through f's top layer or above,
+    when the caller has it."""
     if frame is None:
-        frame = frame_jets(algebra, coords)
+        frame = frame_jets(algebra, coords, f.layers)
+    elif algebra.layer_of[len(frame[0]) - 1] < max(f.layers, default=1):
+        raise StructureError(f"{to_expr(f)} reads past the frame's {len(frame[0])} coordinates")
     return [_ensure_jet(f._eval(algebra, gamma)) for gamma in frame]
+
+
+def log_derivatives(jets):
+    """(d1, d2) of log f along each of f's jets, whose one shared value is checked once."""
+    _require_positive(jets[0].val, "log")
+    for j in jets:
+        r = 0.0 if _zero(j.d1) else j.d1 / j.val
+        d2 = 0.0 if _zero(j.d2) else j.d2 / j.val
+        yield r, _minus(d2, _times(r, r))
 
 
 def frame_sum(terms, n: int) -> np.ndarray:
     """The sum of one term per frame vector, each a float or an (n,) array,
-    added in frame order to zeros."""
+    added in frame order to zeros; a known-zero term changes no bit and is skipped."""
     acc = np.zeros(n)
-    for term in terms:
+    for term in (t for t in terms if not _zero(t)):
         acc += np.broadcast_to(np.asarray(term, dtype=float), (n,))
     return acc
 
 
 def euler_derivative_batch(f, algebra, coords) -> np.ndarray:
-    """Ef along r -> delta_{e^r} x: coordinate jets (x, j x, j^2 x)."""
+    """Ef along r -> delta_{e^r} x: jets (x, j x, j^2 x) of the coordinates f reads."""
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    jets = [
-        Jet2(coords[:, i], float(j) * coords[:, i], float(j) ** 2 * coords[:, i])
-        for i, j in enumerate(algebra.layer_of)
-    ]
+    jets = [0.0] * algebra.dim
+    for i in {algebra.flat_index(jk) for jk in _coordinates(f)}:
+        j = float(algebra.layer_of[i])
+        jets[i] = Jet2(coords[:, i], j * coords[:, i], j ** 2 * coords[:, i])
     return _column(_ensure_jet(f._eval(algebra, jets)).d1, coords.shape[0])
 
 

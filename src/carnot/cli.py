@@ -60,11 +60,12 @@ class _Context:
     extra: dict
     seed: int  # the config's heat seed, or 0; seeds the lsh grids
     points: dict  # file -> its points, for every lsh check that names one
+    lsh_layers: set  # the layers that the fields of the lsh checks read
     lsh_grids: dict = dataclass_field(default_factory=dict)
     lock: threading.Lock = dataclass_field(default_factory=threading.Lock)
 
     def lsh_grid(self, n: int, radius: float):
-        """The run's lsh grid of n points and its frame jets, (points, frame).
+        """The run's lsh grid of n points and its frame through ``lsh_layers``.
 
         Built on first use and then shared by every lsh check of the run
         with the same (n, radius), from any worker thread.
@@ -72,7 +73,8 @@ class _Context:
         with self.lock:
             if (n, radius) not in self.lsh_grids:
                 pts = lsh.grid_points(self.alg, n, radius, seed=self.seed)
-                self.lsh_grids[n, radius] = pts, calculus.frame_jets(self.alg, pts)
+                frame = calculus.frame_jets(self.alg, pts, self.lsh_layers)
+                self.lsh_grids[n, radius] = pts, frame
             return self.lsh_grids[n, radius]
 
 
@@ -389,16 +391,18 @@ def run(config: dict) -> dict:
         raise ConfigError(f"CARNOT_THREADS must be an integer, got {threads!r}") from None
     t_start = time.perf_counter()
     alg = algebra_mod.resolve(config["algebra"])
+    hc = config["heat"]
+    if hc is not None and hc.get("tilt") is not None:
+        _by_rule("heat", heat.tilt_rules, hc["tilt"], alg.dim_v1)
     fields = {
         name: _resolve_field(alg, spec) for name, spec in config["fields"].items()
     }
+    lsh_checks = [c for c in config["checks"] if c["check"] == "lsh"]
     # lsh points files are read before any sampling, so a bad one ends the run
-    paths = dict.fromkeys(c.get("points", "grid") for c in config["checks"]
-                          if c["check"] == "lsh")
+    paths = dict.fromkeys(c.get("points", "grid") for c in lsh_checks)
     points = {path: heat.load_csv(path, alg) for path in paths if path != "grid"}
     timings, batches = {}, {}
     batch = None
-    hc = config["heat"]
     on_batch = [c for c in config["checks"] if _CHECKS[c["check"]].needs_batch]
     every_layer = range(1, alg.step + 1)
     if hc is not None and on_batch:
@@ -420,7 +424,8 @@ def run(config: dict) -> dict:
         timings[f"sampling.{name}"] = time.perf_counter() - t0
         batches[f"extra_batches.{name}"] = extra[name].summary
 
-    cx = _Context(alg, fields, batch, extra, hc["seed"] if hc else 0, points)
+    lsh_layers = set().union(*(fields[c["field"]][0].layers for c in lsh_checks))
+    cx = _Context(alg, fields, batch, extra, hc["seed"] if hc else 0, points, lsh_layers)
     tasks = list(enumerate(config["checks"]))
 
     def job(item):

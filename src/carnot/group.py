@@ -123,16 +123,16 @@ def _times(a, b):
     return a * b
 
 
-def _bracket_jets(algebra, u, v):
-    """[u, v] for coordinate vectors whose entries support +, - and * (jets).
+def _bracket_jets(sparse, u, v, dim: int):
+    """[u, v] in the first dim coordinates, for vectors of +, - and * (jets).
 
     Structurally zero entries (0.0; nested words only populate higher
     layers) are skipped, and an output entry nothing contributes to is 0.0.
     A structure constant of 1.0 or -1.0 adds or subtracts the product, with
     the bits of multiplying by it.
     """
-    out = [0.0] * algebra.dim
-    for a, b, g, c in algebra.sparse:
+    out = [0.0] * dim
+    for a, b, g, c in sparse:
         ua, vb = u[a], v[b]
         if type(ua) is float and ua == 0.0 or type(vb) is float and vb == 0.0:
             continue
@@ -146,7 +146,8 @@ def _bracket_jets(algebra, u, v):
 
 
 def multiply_jets(algebra: StratifiedAlgebra, xs, ys):
-    """Group product of two coordinate vectors given as length-dim sequences.
+    """Group product of two vectors, each given as its first k <= dim coordinates: the
+    product's first k, bit for bit, since a product's layers 1..L read only the factors' 1..L.
 
     Entries are anything with +, - and *: jets, to push curves t -> x(t)y(t)
     through the group law with exact derivatives, or (n,) arrays, one per
@@ -154,21 +155,16 @@ def multiply_jets(algebra: StratifiedAlgebra, xs, ys):
     for a structurally zero coordinate (the upper layers of a walk step); it
     is skipped, and an output entry is 0.0 only when nothing contributes to it.
     """
-    out = [_plus(xs[i], ys[i]) for i in range(algebra.dim)]
-    letters = (xs, ys)
-    prefix_cache: dict[tuple, list] = {}
-    for coeff, word in _dynkin_terms(algebra.step):
-        prefix = word[:2]
-        if prefix not in prefix_cache:
-            prefix_cache[prefix] = _bracket_jets(
-                algebra, letters[word[0]], letters[word[1]]
-            )
-        for pos in range(2, len(word)):
-            prefix = word[: pos + 1]
-            if prefix not in prefix_cache:
-                prefix_cache[prefix] = _bracket_jets(
-                    algebra, prefix_cache[word[:pos]], letters[word[pos]]
-                )
+    dim = len(xs)
+    sparse = [t for t in algebra.sparse if t[2] < dim]
+    out = [_plus(xs[i], ys[i]) for i in range(dim)]
+    # each left-normed prefix of a word is [its own prefix, its last letter]
+    prefix_cache: dict[tuple, list] = {(0,): xs, (1,): ys}
+    for coeff, word in _dynkin_terms(int(algebra.layer_of[dim - 1])):
+        for pos in range(2, len(word) + 1):
+            if word[:pos] not in prefix_cache:
+                prefix_cache[word[:pos]] = _bracket_jets(
+                    sparse, prefix_cache[word[:pos - 1]], prefix_cache[word[pos - 1:pos]], dim)
         for i, term in enumerate(prefix_cache[word]):
             if not (type(term) is float and term == 0.0):
                 out[i] = _plus(out[i], term * coeff)

@@ -166,9 +166,9 @@ def load_csv(path: str, algebra: StratifiedAlgebra) -> np.ndarray:
 
 
 def batch_rules(s: float, n: int, steps: int, seed) -> None:
-    """A batch's rules: s > 0, counts n and steps integers >= 1, a seed in [0, 2^64)."""
-    if not (s > 0):
-        raise ParameterError(f"'s' must be > 0, got {s!r}")
+    """A batch's rules: finite s > 0, counts n and steps integers >= 1, a seed in [0, 2^64)."""
+    if not 0 < s < math.inf:
+        raise ParameterError(f"'s' must be {'finite' if s > 0 else '> 0'}, got {s!r}")
     for name, value in (("n", n), ("steps", steps)):
         if not is_integer(value):
             raise ParameterError(f"{name!r} must be an integer, got {value!r}")
@@ -176,6 +176,15 @@ def batch_rules(s: float, n: int, steps: int, seed) -> None:
             raise ParameterError(f"{name!r} must be >= 1, got {value!r}")
     if not (is_integer(seed) and 0 <= seed < 2 ** 64):
         raise ParameterError(f"'seed' must be an integer in [0, 2^64), got {seed!r}")
+
+
+def tilt_rules(tilt, d1: int) -> None:
+    """A tilt's rules: shape (d1,), one entry per first-layer coordinate, all finite."""
+    tilt = np.asarray(tilt, dtype=float)
+    if tilt.shape != (d1,):
+        raise ParameterError(f"tilt must have shape ({d1},), got {tilt.shape}")
+    if not np.isfinite(tilt).all():
+        raise ParameterError(f"tilt entries must be finite, got {tilt.tolist()}")
 
 
 def _sampling_rules(algebra: StratifiedAlgebra, s, n_samples, steps_list, seed):
@@ -346,8 +355,7 @@ def sample(algebra: StratifiedAlgebra, s: float, n_samples: int, n_steps: int = 
     d1 = algebra.dim_v1
     if tilt is not None:
         tilt = np.asarray(tilt, dtype=float)
-        if tilt.shape != (d1,):
-            raise ParameterError(f"tilt must have shape ({d1},), got {tilt.shape}")
+        tilt_rules(tilt, d1)
     kind = batch_kind(algebra, n_steps, layers)
     n_steps = n_steps if kind == "walk" else 1
     shift = None if tilt is None else tilt * (s / n_steps / 2.0)

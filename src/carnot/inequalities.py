@@ -120,7 +120,7 @@ def _columns(f, batch: HeatSampleBatch, ids, what=None) -> list:
     |grad f|^2 / f at f's own scale), |grad f|^2 (grad_sq), Ef (euler), Delta f
     (laplacian), f^2 (f2) or f^2 log f (f2log). f's values, f's horizontal jets
     and Ef are each formed at most once, and only if an id needs them; each
-    horizontal column is a ``frame_sum`` over those jets (or their logs), and
+    horizontal column is a ``frame_sum`` over those jets (or log's derivatives), and
     ``what``, if given, is the requirement f > 0, checked before any jet."""
     alg, pts, w, need = batch.algebra, batch.samples, batch.weights, set(ids)
     if need & {"l1", "entropy", "dirichlet", "f2", "f2log"}:
@@ -131,7 +131,7 @@ def _columns(f, batch: HeatSampleBatch, ids, what=None) -> list:
         "l1": lambda: w * v,
         "entropy": lambda: w * v * np.log(v),
         "dirichlet": lambda: w * v * calculus.frame_sum(
-            (r * r for r in (j.log().d1 for j in jets)), len(pts)),
+            (r * r for r, _ in calculus.log_derivatives(jets)), len(pts)),
         "grad_sq": lambda: w * calculus.frame_sum((j.d1 * j.d1 for j in jets), len(pts)),
         "euler": lambda: w * euler_derivative_batch(f, alg, pts),
         "laplacian": lambda: w * calculus.frame_sum((j.d2 for j in jets), len(pts)),

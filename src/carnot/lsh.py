@@ -33,10 +33,10 @@ from .calculus import (
     Var,
     compose_dilation,
     evaluate_batch,
-    frame_jets,
     frame_rows,
     frame_sum,
     horizontal_jets,
+    log_derivatives,
 )
 from .errors import DomainError, ParameterError, StructureError, is_integer
 from .reports import Report
@@ -70,13 +70,14 @@ class LshVerdict(Report):
 
 def lsh_rules(n: int, tol: float = DEFAULT_TOL, radius: float = 3.0) -> None:
     """The lsh check's rules: n >= 1 points (a grid's integer 'grid_n'),
-    'radius' > 0 and 'tol' >= 0."""
+    a finite 'radius' > 0 and 'tol' >= 0."""
     if not is_integer(n):
         raise ParameterError(f"'grid_n' must be an integer, got {n!r}")
     if n < 1:
         raise ParameterError(f"the lsh check needs at least one point ('grid_n'), got {n!r}")
-    if not radius > 0:
-        raise ParameterError(f"'radius' must be > 0, got {radius!r}")
+    if not 0 < radius < np.inf:
+        raise ParameterError(
+            f"'radius' must be {'finite' if radius > 0 else '> 0'}, got {radius!r}")
     if not tol >= 0:
         raise ParameterError(f"'tol' must be >= 0, got {tol!r}")
 
@@ -87,14 +88,15 @@ def check_lsh(f: ScalarField, points, tol: float = DEFAULT_TOL, *,
     cross-check the ratio form.
 
     f is evaluated once per frame vector as a jet; Delta log f comes from
-    the log of those jets (the chain rule), and (Delta f - |grad f|^2/f) / f
-    from the sums of the same jets and f's values. ``frame`` is
-    ``frame_jets`` of the points, when the caller has it, and is read one
-    block of points at a time; otherwise each block builds its own, once
-    for both routes. A negative value of f (or -0.0) gives the domain-error
-    verdict; a value that is +0.0 with none such is an underflow or a zero
-    of f and raises ParameterError, not a violation. ``worst_point`` is the
-    first point of the minimum of Delta log f.
+    log's derivatives along those jets (the chain rule), and (Delta f -
+    |grad f|^2/f) / f from the sums of the same jets and f's values.
+    ``frame`` is ``frame_jets`` of the points through f's top layer or above,
+    when the caller has it, and is read one block of points at a time;
+    otherwise each block builds its own, once for both routes. A negative
+    value of f (or -0.0) gives the domain-error verdict; a value that is
+    +0.0 with none such is an underflow or a zero of f and raises
+    ParameterError, not a violation. ``worst_point`` is the first point of
+    the minimum of Delta log f.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != algebra.dim:
@@ -127,10 +129,9 @@ def check_lsh(f: ScalarField, points, tol: float = DEFAULT_TOL, *,
     def minima(lo, hi):
         """(index, Delta log f) of the block's first minimum, and its least
         lemma margin."""
-        gammas = (frame_jets(algebra, pts[lo:hi]) if frame is None
-                  else frame_rows(frame, lo, hi))
-        jets = horizontal_jets(f, algebra, pts[lo:hi], gammas)
-        delta_log = frame_sum((j.log().d2 for j in jets), hi - lo)
+        jets = horizontal_jets(f, algebra, pts[lo:hi],
+                               None if frame is None else frame_rows(frame, lo, hi))
+        delta_log = frame_sum((d2 for _, d2 in log_derivatives(jets)), hi - lo)
         grad_sq = frame_sum((j.d1 * j.d1 for j in jets), hi - lo)
         lap = frame_sum((j.d2 for j in jets), hi - lo)
         v = vals[lo:hi]

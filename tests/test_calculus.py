@@ -116,7 +116,7 @@ def _jet_routes(f, alg, pts, xi):
 
     jets = calc.horizontal_jets(f, alg, pts)
     return {
-        "frame_jets": [[jet(j) for j in gamma] for gamma in calc.frame_jets(alg, pts)],
+        "frame_jets": [[jet(j) for j in gamma] for gamma in calc.frame_jets(alg, pts, [alg.step])],
         "frame_sum": [b(calc.frame_sum((j.d1 * j.d1 for j in jets), len(pts))),
                       b(calc.frame_sum((j.d2 for j in jets), len(pts)))],
         "curve_jet right": jet(calc.curve_jet(f, alg, pts, xi, side="right")),
@@ -189,8 +189,50 @@ def test_frame_jets_peak_memory(engel, traced_peak):
     # one copy of the points' columns: forming every term peaked at 26.0 MiB
     # on this grid, a copy per direction at 12.2 MiB, one copy at 9.2 MiB
     pts = lsh.grid_points(engel, 100_000, 3.0, seed=0)
-    peak = traced_peak(lambda: calc.frame_jets(engel, pts))
+    peak = traced_peak(lambda: calc.frame_jets(engel, pts, [engel.step]))
     assert peak < 10.5 * 2 ** 20, peak
+
+
+def test_a_first_layer_frame_peak_memory(engel, traced_peak):
+    # a frame through layer 1 copies and multiplies the two first-layer
+    # columns alone: 1.5 MiB on this grid, where the frame of every layer
+    # peaks at 9.2 MiB
+    pts = lsh.grid_points(engel, 100_000, 3.0, seed=0)
+    peak = traced_peak(lambda: calc.frame_jets(engel, pts, {1}))
+    assert peak < 2 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("name", ["heisenberg(1)", "heisenberg(2)", "engel"])
+def test_a_frame_through_the_fields_top_layer_gives_the_full_frames_jets(name):
+    # each library field and expression field reads a prefix of a frame: the
+    # jets of f on a frame through its own top layer are the bits of those on
+    # the frame of every layer
+    alg = algebra.builtin(name)
+    pts = rand_points(alg, 300, seed=22, scale=1.5)
+    full = calc.frame_jets(alg, pts, [alg.step])
+    fields = [e.field for e in lsh.builtin_lsh_library(alg)] + _expr_fields(alg)
+    fields.append(calc.parse_field("(exp (+ x_1_1 (* 0.3 x_2_1)))"))
+    for f in fields:
+        own = calc.frame_jets(alg, pts, f.layers)
+        assert len(own[0]) == alg.layer_slice(max(f.layers, default=1)).stop
+        assert [_bytes(j) for j in calc.horizontal_jets(f, alg, pts, own)] == \
+            [_bytes(j) for j in calc.horizontal_jets(f, alg, pts, full)], calc.to_expr(f)
+
+
+def test_a_field_that_reads_above_its_frame_is_refused(h3, engel):
+    # a frame through layer 1 has no x_2_1 to read: the read is refused by
+    # name, never taken as 0.0 or as another coordinate
+    f = calc.parse_field("(exp (+ x_1_1 x_2_1))")
+    for alg in (h3, engel):
+        pts = rand_points(alg, 50, seed=23)
+        frame = calc.frame_jets(alg, pts, {1})
+        with pytest.raises(StructureError, match=r"^\(exp \(\+ x_1_1 x_2_1\)\) reads past "
+                                                 r"the frame's 2 coordinates$"):
+            calc.horizontal_jets(f, alg, pts, frame)
+        with pytest.raises(StructureError, match="past the frame's 2 coordinates"):
+            lsh.check_lsh(f, pts, algebra=alg, frame=frame)
+        assert lsh.check_lsh(f, pts, algebra=alg, frame=calc.frame_jets(alg, pts, {2})) \
+            .as_dict() == lsh.check_lsh(f, pts, algebra=alg).as_dict()
 
 
 @pytest.mark.parametrize("name", ["heisenberg(1)", "engel"])
@@ -199,12 +241,12 @@ def test_frame_rows_are_the_frame_of_those_points(name):
     # points alone; every direction's value is the same copy of the points
     alg = algebra.builtin(name)
     pts = rand_points(alg, 300, seed=42)
-    frame = calc.frame_jets(alg, pts)
+    frame = calc.frame_jets(alg, pts, [alg.step])
     assert all(np.shares_memory(gamma[i].val, frame[0][i].val)
                for gamma in frame for i in range(alg.dim))
     for lo, hi in ((0, 300), (0, 128), (128, 256), (256, 300)):
         rows = calc.frame_rows(frame, lo, hi)
-        alone = calc.frame_jets(alg, pts[lo:hi])
+        alone = calc.frame_jets(alg, pts[lo:hi], [alg.step])
         assert [[_bytes(j) for j in gamma] for gamma in rows] == \
             [[_bytes(j) for j in gamma] for gamma in alone], (lo, hi)
         assert all(np.shares_memory(j.val, whole.val) for j, whole in zip(rows[0], frame[0]))
@@ -297,7 +339,7 @@ def test_shared_frame_jets_match_per_call_route(name):
                  calc.Pow(calc.x(alg.step, 1), 2.0),
                  calc.Pow(calc.x(1, 1) * calc.x(1, 2), 2.0), calc.Const(2.0))
     fields = [f, calc.Log(f), calc.compose_dilation(f, 1.5)]
-    frame = calc.frame_jets(alg, pts)
+    frame = calc.frame_jets(alg, pts, f.layers)
     before = [[_bytes(jet) for jet in gamma] for gamma in frame]
     batch = heat.HeatSampleBatch(alg, 1.0, len(pts), 2, 0, pts)  # unit weights
 
@@ -381,6 +423,27 @@ def test_euler_curve_vs_coordinate_formula(h3, engel):
         curve = calc.euler_derivative_batch(f, alg, P)
         coord = calc.euler_derivative_coordinate_formula(f, alg, P)
         assert np.max(np.abs(curve - coord)) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["heisenberg(1)", "heisenberg(2)", "engel"])
+def test_euler_jets_only_for_the_coordinates_f_reads(name):
+    # jets (x, j x, j^2 x) of the coordinates f reads alone give the bits of
+    # jets of every coordinate; an unread coordinate is never touched, so
+    # the NaN upper layers of an exact first-layer batch cannot reach Ef
+    alg = algebra.builtin(name)
+    pts = rand_points(alg, 200, seed=24)
+    unread = pts.copy()
+    unread[:, alg.dim_v1:] = np.nan
+    fields = [e.field for e in lsh.builtin_lsh_library(alg)] + _expr_fields(alg)
+    fields.append(calc.parse_field("(exp (+ x_1_1 (* 0.3 x_2_1)))"))
+    for f in fields:
+        every = [calc.Jet2(pts[:, i], float(j) * pts[:, i], float(j) ** 2 * pts[:, i])
+                 for i, j in enumerate(alg.layer_of)]
+        want = np.broadcast_to(calc._ensure_jet(f._eval(alg, every)).d1, (len(pts),))
+        got = calc.euler_derivative_batch(f, alg, pts)
+        assert got.tobytes() == np.asarray(want, dtype=float).tobytes(), calc.to_expr(f)
+        if f.layers <= {1}:
+            assert calc.euler_derivative_batch(f, alg, unread).tobytes() == got.tobytes()
 
 
 def test_delta_dilation_identity(h3, horizontal):

@@ -178,6 +178,8 @@ BAD_CONFIGS = {
     "zero-extra-steps": ({"extra_batches": {"b": {"s": 0.25, "n": 100, "steps": 0, "seed": 1}},
                           "checks": [{"check": "scaling", "lambda": 2.0, "batch": "b"}]},
                          ["extra_batches.b: 'steps' must be >= 1, got 0"]),
+    "short-tilt": ({"heat": {"s": 1.0, "n": 100, "seed": 1, "tilt": [1.0]}},
+                   ["heat: tilt must have shape (2,), got (1,)"]),
     "empty-grid": ({"checks": [{"check": "contractivity", "field": "f", "grid": []}]},
                    ["checks[0]", "contractivity", "'grid'", "at least two"]),
     "one-point-grid": ({"checks": [{"check": "alpha-sweep", "field": "f", "q": 2, "c": 1.0,
@@ -274,10 +276,11 @@ DIRECT_CALLS = {
     "zero-heat-n": lambda f, b: heat.sample(b.algebra, 1.0, 0, 512, seed=1),
     "negative-extra-s": lambda f, b: heat.sample(b.algebra, -1.0, 100, 512, seed=1),
     "zero-extra-steps": lambda f, b: heat.sample(b.algebra, 0.25, 100, 0, seed=1),
+    "short-tilt": lambda f, b: heat.sample(b.algebra, 1.0, 100, 512, seed=1, tilt=[1.0]),
 }
 # the CLI's error-line prefix of each case whose rule is not that of checks[0]
 PREFIXES = {"negative-radius": "checks[1] (lsh)", "negative-lsh-tol": "checks[1] (lsh)",
-            "zero-heat-s": "heat", "zero-heat-n": "heat",
+            "zero-heat-s": "heat", "zero-heat-n": "heat", "short-tilt": "heat",
             "negative-extra-s": "extra_batches.b", "zero-extra-steps": "extra_batches.b"}
 
 
@@ -734,7 +737,7 @@ def test_run_builds_each_lsh_grid_and_frame_once(monkeypatch):
         original = getattr(module, name)
 
         def counted(*args, **kwargs):
-            calls[name].append(1)  # one atomic append per call, from any thread
+            calls[name].append(args)  # one atomic append per call, from any thread
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
@@ -761,6 +764,34 @@ def test_run_builds_each_lsh_grid_and_frame_once(monkeypatch):
     # two frames of dim_v1 = 2 directions each, and no other group product
     assert {name: len(c) for name, c in calls.items()} == \
         {"grid_points": 2, "frame_jets": 2, "multiply_jets": 4}
+    # every field reads layer 1 alone, so each frame stops there: a product
+    # of the two first-layer coordinates
+    assert [max(layers) for _, _, layers in calls["frame_jets"]] == [1, 1]
+    assert [(len(xs), len(ys)) for _, xs, ys in calls["multiply_jets"]] == [(2, 2)] * 4
+
+
+def test_run_builds_its_lsh_frame_through_the_top_layer_its_checks_read(monkeypatch):
+    # one frame through layer 2 serves a field of layer 1 and one of layer 2,
+    # each with the report of a run that builds its frame for that field alone
+    frames = []
+    frame_jets = cli.calculus.frame_jets
+
+    def counted(alg, pts, layers):
+        frames.append(max(layers))
+        return frame_jets(alg, pts, layers)
+
+    monkeypatch.setattr(cli.calculus, "frame_jets", counted)
+    checks = [{"check": "lsh", "field": "expx1", "grid_n": 3000},
+              {"check": "lsh", "field": "upper", "grid_n": 3000}]
+    config = lsh_grid_config(checks)
+    config["fields"]["upper"] = {"expr": "(exp (+ x_1_2 (* 0.5 x_2_1)))"}
+    shared = cli.run(config)["reports"]
+    assert frames == [2]
+    for chk, rep, top in zip(checks, shared, (1, 2)):
+        frames.clear()
+        alone = cli.run({**config, "checks": [chk]})["reports"][0]
+        assert frames == [top]
+        assert json.dumps(rep, sort_keys=True) == json.dumps(alone, sort_keys=True)
 
 
 def test_run_writes_manifest_and_csv(tmp_path):

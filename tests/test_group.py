@@ -149,6 +149,31 @@ def test_multiply_jets_accepts_zero_entries(engel):
     assert zeros == [0.0] * dim and all(type(z) is float for z in zeros)
 
 
+@pytest.mark.parametrize("name", ["euclidean(1)", "euclidean(3)", "heisenberg(1)",
+                                  "heisenberg(2)", "engel"])
+def test_a_prefix_product_is_the_full_products_prefix(name):
+    # layers 1..L of a product depend only on the factors' layers 1..L: the
+    # product of the first k coordinates, k at a layer boundary, has the bits
+    # of the full product's first k, for dense factors and for a walk step
+    # whose upper layers are structural zeros
+    alg = algebra.builtin(name)
+    rng = np.random.default_rng(21)
+    X, Y = rng.standard_normal((2, 40, alg.dim)) * 2
+    step = [*Y.T[:alg.dim_v1], *[0.0] * (alg.dim - alg.dim_v1)]
+
+    def bits(coords):
+        return [np.asarray(c, dtype=float).tobytes() for c in coords]
+
+    for xs, ys in ((list(X.T), list(Y.T)), (list(X.T), step), (step, list(X.T))):
+        full = group.multiply_jets(alg, xs, ys)
+        for top in range(1, alg.step + 1):
+            k = alg.layer_slice(top).stop
+            prefix = group.multiply_jets(alg, xs[:k], ys[:k])
+            assert len(prefix) == k
+            assert bits(prefix) == bits(full[:k]), (name, top)
+            assert [type(c) for c in prefix] == [type(c) for c in full[:k]]
+
+
 def test_structural_zero_coordinate_times_inf_is_zero(h3):
     # x_1_1 is inf on row 0; y's 0.0 coordinate x_1_2 forms no bracket term
     # with it, so x_2_1 of the product stays finite, where a dense zero

@@ -522,6 +522,33 @@ def test_parameter_validation(r1):
         heat.sample(r1, 1.0, 10, 4, seed=0, tilt=np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("s, text", [(math.inf, "'s' must be finite, got inf"),
+                                     (math.nan, "'s' must be > 0, got nan")],
+                         ids=["inf", "nan"])
+def test_a_non_finite_s_is_refused_on_a_direct_call(h3, s, text):
+    # s = inf drew NaN samples; the config refuses both before the rule runs
+    with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
+        heat.batch_rules(s, 10, 4, 0)
+    with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
+        heat.sample(h3, s, 10, 4, seed=0)
+    with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
+        heat.coupled_refinement(h3, s, 10, [4], seed=0)
+
+
+@pytest.mark.parametrize("tilt, text", [
+    ([math.nan, 0.0], "tilt entries must be finite, got [nan, 0.0]"),
+    ([1.0, -math.inf], "tilt entries must be finite, got [1.0, -inf]"),
+    ([1.0], "tilt must have shape (2,), got (1,)"),
+    ([[1.0, 2.0]], "tilt must have shape (2,), got (1, 2)")],
+    ids=["nan", "inf", "short", "2d"])
+def test_the_tilt_rule(h3, tilt, text):
+    # a NaN entry gave all-NaN log weights with no error
+    with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
+        heat.tilt_rules(tilt, h3.dim_v1)
+    with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
+        heat.sample(h3, 1.0, 10, 4, seed=0, tilt=tilt)
+
+
 def test_a_tilt_whose_weights_all_underflow_is_an_error(r1):
     # x ~ N(30, 1/2) under tilt 60, so every weight exp(-60 x + 900) is about
     # e^-900, 0.0 as a double; at tilt 45 they are about e^-506, and the batch stands

@@ -165,10 +165,13 @@ def test_grid_points_inside_quasi_ball(h3):
     (lambda h3: lsh.grid_points(h3, 2.5), "'grid_n' must be an integer, got 2.5"),
     (lambda h3: lsh.grid_points(h3, 5, radius=0.0), "'radius' must be > 0, got 0.0"),
     (lambda h3: lsh.grid_points(h3, 5, radius=-1.0), "'radius' must be > 0, got -1.0"),
+    (lambda h3: lsh.grid_points(h3, 5, radius=float("inf")), "'radius' must be finite, got inf"),
+    (lambda h3: lsh.grid_points(h3, 5, radius=float("nan")), "'radius' must be > 0, got nan"),
 ], ids=["no-points", "negative-tol", "zero-n", "negative-n", "fractional-n", "zero-radius",
-        "negative-radius"])
+        "negative-radius", "inf-radius", "nan-radius"])
 def test_the_lsh_rule_refuses_an_empty_grid_a_radius_and_a_tolerance(h3, call, text):
-    # zero points, not argmin's bare ValueError; a radius of -1 would mirror the grid
+    # zero points, not argmin's bare ValueError; a radius of -1 would mirror
+    # the grid, and one of inf gave +-inf points
     with pytest.raises(ParameterError) as exc:
         call(h3)
     assert str(exc.value) == text
@@ -187,21 +190,22 @@ def test_check_lsh_builds_one_frame_for_both_routes(h3, h3_grid, monkeypatch):
     builds, products = [], []
     frame_jets, multiply_jets = calc.frame_jets, calc.multiply_jets
 
-    def counting_frame_jets(*args):
-        builds.append(1)
-        return frame_jets(*args)
+    def counting_frame_jets(alg, pts, layers):
+        builds.append(max(layers))
+        return frame_jets(alg, pts, layers)
 
     def counting_multiply_jets(*args):
         products.append(1)
         return multiply_jets(*args)
 
-    monkeypatch.setattr(lsh, "frame_jets", counting_frame_jets)
+    monkeypatch.setattr(calc, "frame_jets", counting_frame_jets)
     monkeypatch.setattr(calc, "multiply_jets", counting_multiply_jets)
     f = lib_by_name(h3)["coshx1"].field
     own = lsh.check_lsh(f, h3_grid, algebra=h3)
-    assert (len(builds), len(products)) == (1, h3.dim_v1)
+    # one frame, through the one layer that f reads
+    assert (builds, len(products)) == ([1], h3.dim_v1)
 
-    frame = calc.frame_jets(h3, h3_grid)
+    frame = calc.frame_jets(h3, h3_grid, [h3.step])
     builds.clear()
     products.clear()
     given = lsh.check_lsh(f, h3_grid, algebra=h3, frame=frame)
@@ -253,7 +257,7 @@ def test_blocks_give_the_whole_grid_report(name):
         assert np.array_equal(want.worst_point, pts[worst]), entry.name
         own = lsh.check_lsh(entry.field, pts, algebra=alg)
         given = lsh.check_lsh(entry.field, pts, algebra=alg,
-                              frame=calc.frame_jets(alg, pts))
+                              frame=calc.frame_jets(alg, pts, entry.field.layers))
         assert json.dumps(own.as_dict()) == json.dumps(want.as_dict()), entry.name
         assert json.dumps(given.as_dict()) == json.dumps(want.as_dict()), entry.name
 
@@ -274,7 +278,7 @@ def test_overflow_in_a_later_block_names_the_grid_index(engel):
                            match=r"^log of non-finite value \(overflow\) at sample 35000$"):
             lsh.check_lsh(f, pts, algebra=engel)
         with pytest.raises(ParameterError, match=r"at sample 35000$"):
-            lsh.check_lsh(f, pts, algebra=engel, frame=calc.frame_jets(engel, pts))
+            lsh.check_lsh(f, pts, algebra=engel, frame=calc.frame_jets(engel, pts, f.layers))
 
 
 def test_domain_errors_in_a_later_block_name_the_grid_index(engel):
@@ -298,7 +302,7 @@ def test_check_lsh_peak_memory(engel, traced_peak):
     # but f's values: one pass over the whole grid peaked at 6.9-9.2 MiB on
     # these fields, blocks of 2 ** 15 points at 2.0-4.0 MiB
     pts = lsh.grid_points(engel, 100_000, 3.0, seed=0)
-    frame = calc.frame_jets(engel, pts)
+    frame = calc.frame_jets(engel, pts, [engel.step])
     for entry in lsh.builtin_lsh_library(engel):
         peak = traced_peak(lambda: lsh.check_lsh(entry.field, pts, algebra=engel,
                                                  frame=frame))
